@@ -6,6 +6,15 @@ exponential per time point, because scans reuse the same spectrum across
 many (epsilon, t) values; decompositions of chain Hamiltonians are memoized
 per (N, B_z, B_x). The perturbed evolution uses H + epsilon*V with
 V = -sum_i sigma_z^i, i.e. a longitudinal field shifted to B_z - epsilon.
+
+The chain Hamiltonian is real symmetric, so it is solved in float64 and its
+eigenvectors are stored real. It also commutes with chain reversal R (qubit
+i <-> qubit N+1-i), so `diagonalize` splits it into the reflection-even and
+reflection-odd sectors, built by index arithmetic on the basis kets
+(|i> +- |R i>)/sqrt(2) and palindromes |i> = |R i>, solves each sector
+with a dense real `eigh` and merges the two spectra. Diagonal inputs (the
+B_x = 0 chains) skip the solver; complex or non-reflection-symmetric inputs
+go through one dense `eigh` of the whole matrix.
 """
 
 from __future__ import annotations
@@ -17,25 +26,29 @@ import numpy as np
 
 from .gates import global_z_phases
 from .hamiltonian import ChainParams, build_hamiltonian
-from .states import HermitianOperator, PureState, is_hermitian
-
-HERMITIAN_TOL = 1e-12
+from .states import (
+    HERMITIAN_TOL,
+    HermitianOperator,
+    PureState,
+    frozen_array,
+    is_hermitian,
+    qubit_bit_values,
+)
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues with aligned orthonormal eigenvector columns."""
+    """Ascending eigenvalues with aligned orthonormal eigenvector columns.
+
+    Real eigenvectors are stored as float64, complex ones as complex128.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.eigenvalues, dtype=float).copy()
-        v = np.asarray(self.eigenvectors, dtype=complex).copy()
-        w.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", v)
+        object.__setattr__(self, "eigenvalues", frozen_array(self.eigenvalues, float))
+        object.__setattr__(self, "eigenvectors", frozen_array(self.eigenvectors))
 
     @property
     def ground_energy(self) -> float:
@@ -53,16 +66,95 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
     return v * phases.conj()[None, :]
 
 
+@dataclass(frozen=True)
+class _ReflectionSectors:
+    """Basis bookkeeping of chain reversal R on an N-qubit register.
+
+    Palindromes i = R i span part of the even sector as they are; each pair
+    i < R i contributes (|i> + |R i>)/sqrt(2) to the even sector and
+    (|i> - |R i>)/sqrt(2) to the odd one. The even basis lists palindromes
+    first, then pairs.
+    """
+
+    n_pal: int
+    reversal: tuple  # np.ix_ gathering m[R i, R j]
+    direct: tuple  # np.ix_ gathering m[s_a, s_b] over the even basis states s
+    swapped: tuple  # np.ix_ gathering m[s_a, R s_b]
+    rep: np.ndarray  # first index of each pair
+    mirror: np.ndarray  # its reversed partner
+    even_row: np.ndarray  # even-basis row that each basis index loads from
+    even_weight: np.ndarray  # column: 1 for palindromes, 1/sqrt(2) for pair members
+
+
+@lru_cache(maxsize=None)
+def _reflection_sectors(n_qubits: int) -> _ReflectionSectors:
+    """Sector bookkeeping for one register size, built once per N."""
+    rev = qubit_bit_values(n_qubits) @ (1 << np.arange(n_qubits))
+    idx = np.arange(rev.size)
+    pal = np.flatnonzero(rev == idx)
+    rep = np.flatnonzero(idx < rev)
+    states = np.concatenate([pal, rep])
+    even_row = np.empty(rev.size, dtype=np.intp)
+    even_row[states] = np.arange(states.size)
+    even_row[rev[rep]] = even_row[rep]
+    return _ReflectionSectors(
+        n_pal=pal.size,
+        reversal=np.ix_(rev, rev),
+        direct=np.ix_(states, states),
+        swapped=np.ix_(states, rev[states]),
+        rep=rep,
+        mirror=rev[rep],
+        even_row=even_row,
+        even_weight=np.where(rev == idx, 1.0, np.sqrt(0.5))[:, None],
+    )
+
+
+def _reflection_symmetric(m: np.ndarray) -> "_ReflectionSectors | None":
+    """Sector bookkeeping if m is real, 2^N x 2^N and commutes exactly with R."""
+    n = m.shape[0].bit_length() - 1
+    if not np.isrealobj(m) or m.shape[0] != 1 << n:
+        return None
+    sectors = _reflection_sectors(n)
+    return sectors if (m[sectors.reversal] == m).all() else None
+
+
+def _eigh_by_sector(m: np.ndarray, sectors: _ReflectionSectors) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a real symmetric m that commutes with R, one sector at a time.
+
+    Each sector block is a sum of at most two gathered entries of m.
+    """
+    p, r = sectors.n_pal, np.sqrt(0.5)
+    direct, swapped = m[sectors.direct], m[sectors.swapped]
+    odd = direct[p:, p:] - swapped[p:, p:]
+    even = direct + swapped  # twice the palindrome entries, which the scaling undoes
+    even[:p, :p] *= 0.5
+    even[:p, p:] *= r
+    even[p:, :p] *= r
+    w_even, y_even = np.linalg.eigh(even)
+    w_odd, y_odd = np.linalg.eigh(odd)
+
+    v_odd = np.zeros((m.shape[0], w_odd.size))
+    v_odd[sectors.rep] = r * y_odd
+    v_odd[sectors.mirror] = -r * y_odd
+    v = np.concatenate([y_even[sectors.even_row] * sectors.even_weight, v_odd], axis=1)
+    w = np.concatenate([w_even, w_odd])
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order]
+
+
 def diagonalize(op: "HermitianOperator | np.ndarray") -> SpectralDecomposition:
     """Spectral decomposition with a deterministic eigenvector phase convention.
 
     Exactly diagonal inputs (the B_x = 0 chains) are handled by a stable sort
-    of the diagonal, which keeps large zero-field sweeps cheap.
+    of the diagonal, which keeps large zero-field sweeps cheap. Real input
+    that commutes exactly with chain reversal is solved sector by sector;
+    the merged spectrum keeps even-sector levels before odd-sector ones
+    within a degenerate cluster. Real input yields real eigenvectors.
     """
     if isinstance(op, HermitianOperator):
         m = op.matrix  # hermiticity already validated on construction
     else:
-        m = np.asarray(op, dtype=complex)
+        m = frozen_array(op)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if not is_hermitian(m, HERMITIAN_TOL * max(1.0, float(np.max(np.abs(m))))):
@@ -73,7 +165,11 @@ def diagonalize(op: "HermitianOperator | np.ndarray") -> SpectralDecomposition:
         vecs = np.zeros_like(m)
         vecs[order, np.arange(m.shape[0])] = 1.0
         return SpectralDecomposition(diag.real[order], vecs)
-    w, v = np.linalg.eigh(m)
+    sectors = _reflection_symmetric(m)
+    if sectors is not None:
+        w, v = _eigh_by_sector(m, sectors)
+    else:
+        w, v = np.linalg.eigh(m)
     return SpectralDecomposition(w, _fix_phases(v))
 
 

@@ -56,8 +56,13 @@ class ChainParams:
         return "odd" if self.n_qubits % 2 else "even"
 
     def perturbed(self, epsilon: float) -> "ChainParams":
-        """Parameters of H + epsilon*V with V = -sum_i sigma_z^i."""
-        return ChainParams(self.n_qubits, self.b_z - epsilon, self.b_x)
+        """Parameters of H + epsilon*V with V = -sum_i sigma_z^i.
+
+        The shifted field is rounded to 12 decimals, as the scan grids are, so
+        that b_z - epsilon lands exactly on a grid point (and its cached
+        spectrum) instead of a rounding-dust neighbour.
+        """
+        return ChainParams(self.n_qubits, float(np.round(self.b_z - epsilon, 12)), self.b_x)
 
 
 @dataclass(frozen=True)
@@ -142,20 +147,19 @@ def hamiltonian_diagonal(params: ChainParams) -> np.ndarray:
 
 
 def build_hamiltonian(params: ChainParams) -> HermitianOperator:
-    """Dense 2^N x 2^N matrix of the tilted-field chain Hamiltonian."""
+    """Dense real-symmetric 2^N x 2^N matrix of the tilted-field chain Hamiltonian."""
     n = params.n_qubits
-    h = np.diag(hamiltonian_diagonal(params).astype(complex))
+    h = np.diag(hamiltonian_diagonal(params).astype(float))
     if params.b_x != 0.0:
-        idx = np.arange(2 ** n)
-        for q in range(n):
-            h[idx, idx ^ (1 << (n - 1 - q))] += params.b_x
+        idx = np.arange(2 ** n)[:, None]
+        h[idx, idx ^ (1 << np.arange(n))] = params.b_x  # each sigma_x^i flips one distinct bit
     return HermitianOperator(h, n)
 
 
 def global_field_perturbation(n_qubits: int) -> HermitianOperator:
     """The detection perturbation V = -sum_i sigma_z^i (diagonal)."""
     z = 1 - 2 * qubit_bit_values(n_qubits)
-    return HermitianOperator(np.diag(-z.sum(axis=1).astype(complex)), n_qubits)
+    return HermitianOperator(np.diag(-z.sum(axis=1).astype(float)), n_qubits)
 
 
 def crossover_points(n_qubits: int) -> list[float]:

@@ -30,8 +30,13 @@ PAULI_MATRICES = {
 }
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex)
+def frozen_array(a: np.ndarray, dtype=None) -> np.ndarray:
+    """Read-only copy of a as dtype; by default real input becomes float64
+    and anything else complex128."""
+    a = np.asarray(a)
+    if dtype is None:
+        dtype = complex if np.iscomplexobj(a) else float
+    out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -51,7 +56,7 @@ class PureState:
     n_qubits: int
 
     def __post_init__(self):
-        amps = _frozen(np.asarray(self.amplitudes).ravel())
+        amps = frozen_array(np.asarray(self.amplitudes).ravel(), complex)
         if amps.size != 2 ** self.n_qubits:
             raise ValueError(
                 f"amplitude vector has length {amps.size}, expected 2^{self.n_qubits}"
@@ -78,7 +83,7 @@ class DensityMatrix:
     n_qubits: int
 
     def __post_init__(self):
-        m = _frozen(np.asarray(self.matrix))
+        m = frozen_array(self.matrix, complex)
         dim = 2 ** self.n_qubits
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape}, expected ({dim}, {dim})")
@@ -105,13 +110,17 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Dense Hermitian operator on the full register."""
+    """Dense Hermitian operator on the full register.
+
+    Real input is stored as float64 (real symmetric), anything else as
+    complex128.
+    """
 
     matrix: np.ndarray
     n_qubits: int
 
     def __post_init__(self):
-        m = _frozen(np.asarray(self.matrix))
+        m = frozen_array(self.matrix)
         dim = 2 ** self.n_qubits
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape}, expected ({dim}, {dim})")

@@ -17,7 +17,7 @@ from isingcrit.criticality import (
     mixing_angle_odd,
     odd_intervals,
 )
-from isingcrit.dynamics import ground_state
+from isingcrit.dynamics import ground_state, spectral_for
 from isingcrit.hamiltonian import ChainParams, UnsupportedChainError, phase_state
 from isingcrit.states import fidelity, superposition
 
@@ -229,3 +229,12 @@ def test_perturbative_scan_tracks_exact_scan():
     pert = echo_scan(5, 0.1, 0.1, np.pi, grid, value_kind="perturbative_echo")
     assert np.max(np.abs(exact.values - pert.values)) < 0.05
     assert len(pert.minima) == len(exact.minima)
+
+
+def test_perturbed_fields_hit_the_grid_cache():
+    # b_z - epsilon is rounded like the grid, so a perturbed field that is a
+    # grid point reuses that point's spectrum: 301 grid fields plus the 5
+    # perturbed ones below the grid
+    spectral_for.cache_clear()
+    echo_scan(7, 0.1, 0.1, np.pi, default_b_z_grid())
+    assert spectral_for.cache_info().misses <= 306

@@ -1,8 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import isingcrit
+from isingcrit.cli import main
+
 from isingcrit.dynamics import (
+    _reflection_symmetric,
     diagonalize,
     gap,
     ground_state,
@@ -196,3 +205,67 @@ def test_trotter_step_fidelity_at_left_multiphase_point():
     w = trotter_echo_diagonal(n, eps, tau).conj() * (up_dag @ (u @ psi))
     fid = abs(np.vdot(psi, w)) ** 2
     assert fid == pytest.approx(0.968606, abs=1e-5)
+
+
+def _solver_fields():
+    """(b_z, b_x) pairs: zero transverse field, the crossovers, seeded random."""
+    fields = [(bz, 0.0) for bz in (-2.5, -1.0, 0.0, 0.7)]
+    fields += [(bz, 0.1) for bz in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+    rng = np.random.default_rng(40)
+    fields += [(float(rng.uniform(-3, 3)), float(rng.uniform(0.01, 1.0))) for _ in range(3)]
+    return fields
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_spectral_for_matches_plain_dense_eigh(n):
+    for bz, bx in _solver_fields():
+        params = ChainParams(n, bz, bx)
+        h = build_hamiltonian(params).matrix
+        if bx != 0.0:
+            # pins the blocked path: without it every solve would silently
+            # fall back to one dense eigh of the whole matrix
+            assert _reflection_symmetric(h) is not None
+        spec = spectral_for(params)
+        v, w = spec.eigenvectors, spec.eigenvalues
+        assert v.dtype == np.float64
+        expected = np.linalg.eigh(h)[0]
+        assert np.all(np.abs(w - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+        assert np.max(np.abs((v * w) @ v.T - h)) <= 1e-12 * max(1.0, np.max(np.abs(h)))
+        assert np.max(np.abs(v.T @ v - np.eye(2**n))) <= 1e-12
+
+
+def test_diagonalize_real_input_keeps_real_eigenvectors():
+    rng = np.random.default_rng(41)
+    a = rng.normal(size=(8, 8))
+    h = a + a.T  # real symmetric, not reflection symmetric
+    spec = diagonalize(h)
+    assert spec.eigenvectors.dtype == np.float64
+    assert np.allclose(spec.eigenvalues, np.linalg.eigvalsh(h), atol=1e-12)
+    assert np.allclose((spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.T, h,
+                       atol=1e-12)
+
+
+def test_echo_scan_cold_cache_reruns_are_byte_identical(tmp_path):
+    path = tmp_path / "scan.json"
+    outputs = []
+    for _ in range(2):
+        spectral_for.cache_clear()
+        assert main(["echo-scan", "--n", "8", "--format", "json", "--out", str(path)]) == 0
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_import_and_first_solve_leave_scipy_unloaded():
+    src = str(Path(isingcrit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = (
+        "import sys, isingcrit\n"
+        "from isingcrit.hamiltonian import ChainParams\n"
+        "isingcrit.spectral_for(ChainParams(3, 0.5, 0.1))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
