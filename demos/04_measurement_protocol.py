@@ -2,10 +2,10 @@
 
 For each field value the preparation network rotates |0...0> into the
 two-phase ansatz, a single diagonal echo step stands in for the composed
-forward/backward evolution, the inverse network maps back, the density
-matrix is dephased and one qubit is read out. The readout amplitude
-A = rho_ss - rho_nn dips at the critical fields, sitting strictly below the
-echo population it tracks.
+forward/backward evolution, the inverse network maps back and one qubit is
+read out from the populations |psi|^2 (the diagonal of the dephased state).
+The readout amplitude A = P_s - P_n dips at the critical fields, sitting
+strictly below the echo population it tracks.
 """
 
 import numpy as np

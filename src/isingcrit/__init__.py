@@ -69,11 +69,9 @@ from .perturbation import (
     lz_matrix_element_sq,
 )
 from .states import (
-    DensityMatrix,
     HermitianOperator,
     PureState,
     basis_state,
-    dephase,
     fidelity,
     pauli_string_apply,
     superposition,

@@ -26,7 +26,13 @@ from .criticality import (
 )
 from .hamiltonian import ChainParams, closed_form_energy, hamiltonian_diagonal, phase_labels
 from .network import preparation_network, prepared_state, run_protocol
-from .perturbation import LandauZenerParams, lz_echo_gaussian, lz_gap, lz_matrix_element_sq
+from .perturbation import (
+    LandauZenerParams,
+    lz_echo_gaussian,
+    lz_gap,
+    lz_matrix_element_sq,
+    two_level_formula,
+)
 from .states import fidelity
 
 SCHEMA_VERSION = 1
@@ -97,7 +103,7 @@ def _emit(config: RunConfig, columns, rows, minima) -> str:
 
 def _cmd_spectrum(config: RunConfig):
     grid = config.grid()
-    with_closed = config.bx == 0.0 and (config.n >= 4 or config.n == 3)
+    with_closed = config.bx == 0.0 and config.n >= 3
     columns = ["b_z", "e0", "e1", "gap"] + (["closed_form_energy"] if with_closed else [])
     rows = []
     for bz in grid:
@@ -135,7 +141,7 @@ def _cmd_lz(config: RunConfig):
         p = LandauZenerParams(config.delta_min, lam, config.znu, config.epsilon, config.tau)
         gap = lz_gap(p)
         me = lz_matrix_element_sq(p)
-        two_level = 1.0 - 2.0 * (me / gap**2) * config.epsilon**2 * (1.0 - np.cos(gap * config.tau))
+        two_level = two_level_formula(me, gap, config.epsilon, config.tau)
         rows.append([lam, gap, me, lz_echo_gaussian(p), two_level])
     return columns, rows, []
 

@@ -2,13 +2,13 @@
 echo scans over the longitudinal field, and minima extraction.
 
 The longitudinal axis is split into preparation intervals with a dedicated
-two-phase ansatz on each: [-3,-1], (-1,1), [1,3] for odd chains and
-[-3,-1.44], (-1.44,0], (0,1.44), [1.44,3] for even chains (the 1.44 split
-point is adopted as a fixed constant). Inside (-1,1) an odd chain uses the
-alternating pattern for b_z < 0, its mirror for b_z > 0 and their equal
-(minus-sign) superposition at exactly b_z = 0 — note the rule is
-discontinuous there, so scan grids should contain 0.0 exactly rather than a
-rounding-dust neighbour.
+two-phase ansatz on each. The table INTERVALS holds them: [-3,-1], (-1,1),
+[1,3] for odd chains and [-3,-1.44], (-1.44,0], (0,1.44), [1.44,3] for even
+chains (the 1.44 split point is adopted as a fixed constant). Inside the odd
+middle interval the chain uses the alternating pattern for b_z < 0, its
+mirror for b_z > 0 and their equal (minus-sign) superposition at exactly
+b_z = 0 — note the rule is discontinuous there, so scan grids should contain
+0.0 exactly rather than a rounding-dust neighbour.
 """
 
 from __future__ import annotations
@@ -78,48 +78,44 @@ class EchoScan:
         return np.array([p[1] for p in self.grid])
 
 
-def odd_intervals() -> tuple[tuple[float, float], ...]:
-    return ((-3.0, -1.0), (-1.0, 1.0), (1.0, 3.0))
-
-
-def even_intervals() -> tuple[tuple[float, float], ...]:
-    return ((-3.0, -EVEN_SPLIT), (-EVEN_SPLIT, 0.0), (0.0, EVEN_SPLIT), (EVEN_SPLIT, 3.0))
+INTERVALS = {
+    "odd": ((-3.0, -1.0), (-1.0, 1.0), (1.0, 3.0)),
+    "even": ((-3.0, -EVEN_SPLIT), (-EVEN_SPLIT, 0.0), (0.0, EVEN_SPLIT), (EVEN_SPLIT, 3.0)),
+}
 
 
 def intervals(parity: str) -> tuple[tuple[float, float], ...]:
-    if parity == "odd":
-        return odd_intervals()
-    if parity == "even":
-        return even_intervals()
-    raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
+    if parity not in INTERVALS:
+        raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
+    return INTERVALS[parity]
+
+
+def odd_intervals() -> tuple[tuple[float, float], ...]:
+    return INTERVALS["odd"]
+
+
+def even_intervals() -> tuple[tuple[float, float], ...]:
+    return INTERVALS["even"]
 
 
 def interval_boundaries(parity: str) -> tuple[float, ...]:
     """Interior points where the preparation rule switches branch."""
-    if parity == "odd":
-        return (-1.0, 1.0)
-    if parity == "even":
-        return (-EVEN_SPLIT, 0.0, EVEN_SPLIT)
-    raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
+    return tuple(hi for _, hi in intervals(parity)[:-1])
+
+
+def interval_index(parity: str, b_z: float) -> int:
+    """Index into intervals(parity) of the interval containing b_z.
+
+    The outer intervals absorb fields beyond the table. A boundary at or
+    below 0 belongs to the interval on its left, a positive one to the
+    interval on its right.
+    """
+    return sum(b_z > b if b <= 0 else b_z >= b for b in interval_boundaries(parity))
 
 
 def interval_for(parity: str, b_z: float) -> tuple[float, float]:
-    """Preparation interval containing b_z (outer intervals absorb the edges)."""
-    if parity == "odd":
-        if b_z <= -1.0:
-            return odd_intervals()[0]
-        if b_z < 1.0:
-            return odd_intervals()[1]
-        return odd_intervals()[2]
-    if parity == "even":
-        if b_z <= -EVEN_SPLIT:
-            return even_intervals()[0]
-        if b_z <= 0.0:
-            return even_intervals()[1]
-        if b_z < EVEN_SPLIT:
-            return even_intervals()[2]
-        return even_intervals()[3]
-    raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
+    """Preparation interval containing b_z (see interval_index for the edges)."""
+    return intervals(parity)[interval_index(parity, b_z)]
 
 
 def outer_mixing_phi_odd(b_z: float, b_x: float) -> float:
@@ -156,14 +152,14 @@ def mixing_angle_odd(b_z: float, b_x: float) -> MixingAngle:
 
 
 def mixing_angle_even(b_z: float, b_x: float) -> MixingAngle:
-    """Ansatz angle for even chains; the branch switches at |B_z| = 1.44.
+    """Ansatz angle for even chains; the branch switches at |B_z| = EVEN_SPLIT.
 
     Near +-2 the phases pair as (1,2) / (5,4); near +-1 as (2,3) / (4,3).
     """
-    if abs(b_z) >= EVEN_SPLIT:
-        m, n = (1, 2) if b_z < 0 else (5, 4)
+    k = interval_index("even", b_z)
+    m, n = ((1, 2), (2, 3), (4, 3), (5, 4))[k]
+    if k in (0, 3):
         return MixingAngle(outer_mixing_phi_even(b_z, b_x), m, n)
-    m, n = (2, 3) if b_z <= 0 else (4, 3)
     return MixingAngle(inner_mixing_phi_even(b_z, b_x), m, n)
 
 
@@ -179,7 +175,7 @@ def ground_state_approx_odd(n_qubits: int, b_z: float, b_x: float) -> PureState:
         raise UnsupportedChainError("ground_state_approx_odd requires odd N")
     if b_x <= 0:
         raise ValueError("approximate preparation requires b_x > 0")
-    if b_z <= -1.0 or b_z >= 1.0:
+    if interval_index("odd", b_z) != 1:
         return _two_phase_state(n_qubits, mixing_angle_odd(b_z, b_x))
     if b_z < 0:
         return phase_state(n_qubits, 2)

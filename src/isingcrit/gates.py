@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PureState
+from .states import PureState, sigma_z_values
 
 UNITARY_TOL = 1e-12
 
@@ -123,13 +123,7 @@ class Gate:
 
 def global_z_phases(n_qubits: int, angle: float) -> np.ndarray:
     """Diagonal of exp(-i*angle*sum_i sigma_z^i) over the 2^N basis."""
-    idx = np.arange(2 ** n_qubits)
-    ones = np.zeros(idx.size, dtype=np.int64)
-    v = idx.copy()
-    for _ in range(n_qubits):
-        ones += v & 1
-        v >>= 1
-    return np.exp(-1j * angle * (n_qubits - 2 * ones))
+    return np.exp(-1j * angle * sigma_z_values(n_qubits).sum(axis=1))
 
 
 def apply_gate(state: PureState, gate: Gate) -> PureState:

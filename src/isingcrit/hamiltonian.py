@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import HermitianOperator, PureState, basis_state, qubit_bit_values, superposition
+from .states import HermitianOperator, PureState, basis_state, sigma_z_values, superposition
 
 MAX_QUBITS = 14
 
@@ -138,7 +138,7 @@ def _require_closed_form_size(n_qubits: int) -> None:
 def hamiltonian_diagonal(params: ChainParams) -> np.ndarray:
     """Diagonal of H in the computational basis (the full H when B_x = 0)."""
     n = params.n_qubits
-    z = 1 - 2 * qubit_bit_values(n)
+    z = sigma_z_values(n)
     if n > 1:
         zz = np.sum(z[:, :-1] * z[:, 1:], axis=1)
     else:
@@ -158,7 +158,7 @@ def build_hamiltonian(params: ChainParams) -> HermitianOperator:
 
 def global_field_perturbation(n_qubits: int) -> HermitianOperator:
     """The detection perturbation V = -sum_i sigma_z^i (diagonal)."""
-    z = 1 - 2 * qubit_bit_values(n_qubits)
+    z = sigma_z_values(n_qubits)
     return HermitianOperator(np.diag(-z.sum(axis=1).astype(float)), n_qubits)
 
 

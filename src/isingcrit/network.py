@@ -1,11 +1,12 @@
 """Gate-network realization of the measurement protocol.
 
 A preparation network U0 maps |0...0> to the interval's approximate ground
-state; the full protocol applies U0, the compiled diagonal echo step
-exp(-i*tau*eps*sum sigma_z), then U0^dagger, dephases the resulting density
-matrix and reads one qubit. The readout amplitude is the population
-difference A = rho_ss - rho_nn between the all-zeros ket and the ket with
-only the readout qubit set, so A <= rho_ss always and the minima of A over
+state; the protocol network applies U0, the compiled diagonal echo step
+exp(-i*tau*eps*sum sigma_z), then U0^dagger, and one qubit is read out. The
+state is pure, so its computational-basis populations are |psi|^2, which is
+the diagonal of the dephased density matrix. The readout amplitude is the
+population difference A = P_s - P_n between the all-zeros ket and the ket
+with only the readout qubit set, so A <= P_s always and the minima of A over
 b_z land where the echo minima do.
 
 Networks are defined for the three-qubit (odd) and four-qubit (even) chains.
@@ -23,17 +24,17 @@ import numpy as np
 
 from . import dynamics
 from .criticality import (
-    even_intervals,
+    INTERVALS,
+    default_b_z_grid,
     ground_state_approx,
     inner_mixing_phi_even,
-    interval_for,
-    odd_intervals,
+    interval_index,
     outer_mixing_phi_even,
     outer_mixing_phi_odd,
 )
 from .gates import GATE_ARITY, Gate, apply_gates
 from .hamiltonian import ChainParams, UnsupportedChainError
-from .states import PureState, basis_state, dephase
+from .states import PureState, basis_state
 
 AMPLITUDE_SLACK = 1e-12
 
@@ -80,14 +81,6 @@ class ReadoutResult:
             raise ValueError("readout amplitude exceeds the echo population")
 
 
-def _interval_matches(interval, catalog) -> "tuple[float, float] | None":
-    lo, hi = float(interval[0]), float(interval[1])
-    for cand in catalog:
-        if abs(cand[0] - lo) < 1e-9 and abs(cand[1] - hi) < 1e-9:
-            return cand
-    return None
-
-
 def build_preparation_network(parity: str, interval, b_z: float, b_x: float) -> GateNetwork:
     """U0 for one preparation interval; acts on |0...0>.
 
@@ -96,32 +89,27 @@ def build_preparation_network(parity: str, interval, b_z: float, b_x: float) -> 
     exactly; networks for the mirrored (positive-field) intervals append NOT
     gates on every qubit.
     """
-    if parity == "odd":
-        cand = _interval_matches(interval, odd_intervals())
-        if cand is None:
-            raise ValueError(f"unknown odd interval {interval!r}")
-        return _odd_network(cand, b_z, b_x)
-    if parity == "even":
-        cand = _interval_matches(interval, even_intervals())
-        if cand is None:
-            raise ValueError(f"unknown even interval {interval!r}")
-        return _even_network(cand, b_z, b_x)
-    raise UnsupportedChainError(f"no networks for parity {parity!r}")
+    if parity not in _NETWORKS:
+        raise UnsupportedChainError(f"no networks for parity {parity!r}")
+    lo, hi = float(interval[0]), float(interval[1])
+    for k, (a, b) in enumerate(INTERVALS[parity]):
+        if abs(a - lo) < 1e-9 and abs(b - hi) < 1e-9:
+            return _NETWORKS[parity](k, b_z, b_x)
+    raise ValueError(f"unknown {parity} interval {interval!r}")
 
 
 def preparation_network(n_qubits: int, b_z: float, b_x: float) -> GateNetwork:
     """U0 for the interval containing b_z (N must be 3 or 4)."""
-    if n_qubits == 3:
-        return build_preparation_network("odd", interval_for("odd", b_z), b_z, b_x)
-    if n_qubits == 4:
-        return build_preparation_network("even", interval_for("even", b_z), b_z, b_x)
-    raise UnsupportedChainError("preparation networks exist for N = 3 and N = 4 only")
+    if n_qubits not in (3, 4):
+        raise UnsupportedChainError("preparation networks exist for N = 3 and N = 4 only")
+    parity = "odd" if n_qubits % 2 else "even"
+    return _NETWORKS[parity](interval_index(parity, b_z), b_z, b_x)
 
 
-def _odd_network(interval, b_z: float, b_x: float) -> GateNetwork:
-    lo, hi = interval
+def _odd_network(k: int, b_z: float, b_x: float) -> GateNetwork:
+    lo, hi = INTERVALS["odd"][k]
     label = f"odd [{lo:g},{hi:g}]"
-    if interval == odd_intervals()[1]:
+    if k == 1:
         # pivot rotation on qubit 1, fan-out sets qubit3 = qubit1, qubit2 = NOT qubit1
         theta = 0.0 if b_z < 0 else (math.pi / 4 if b_z == 0 else math.pi / 2)
         gates = (
@@ -133,16 +121,15 @@ def _odd_network(interval, b_z: float, b_x: float) -> GateNetwork:
         return GateNetwork(3, gates, label)
     phi = outer_mixing_phi_odd(b_z, b_x)
     gates: tuple[Gate, ...] = (Gate("RotY", (2,), angle=phi),)
-    if lo > 0:
+    if k == 2:
         gates = gates + tuple(Gate("NOT", (q,)) for q in (1, 2, 3))
     return GateNetwork(3, gates, label)
 
 
-def _even_network(interval, b_z: float, b_x: float) -> GateNetwork:
-    lo, hi = interval
+def _even_network(k: int, b_z: float, b_x: float) -> GateNetwork:
+    lo, hi = INTERVALS["even"][k]
     label = f"even [{lo:g},{hi:g}]"
-    outer = interval in (even_intervals()[0], even_intervals()[3])
-    mirrored = lo >= 0.0
+    outer = k in (0, 3)
     phi = outer_mixing_phi_even(b_z, b_x) if outer else inner_mixing_phi_even(b_z, b_x)
     if outer:
         gates = (
@@ -164,9 +151,12 @@ def _even_network(interval, b_z: float, b_x: float) -> GateNetwork:
             Gate("SWAP", (2, 3)),
             Gate("SWAP", (1, 4)),
         )
-    if mirrored:
+    if k >= 2:
         gates = gates + tuple(Gate("NOT", (q,)) for q in (1, 2, 3, 4))
     return GateNetwork(4, gates, label)
+
+
+_NETWORKS = {"odd": _odd_network, "even": _even_network}
 
 
 def inverse_network(network: GateNetwork) -> GateNetwork:
@@ -207,14 +197,9 @@ def cancel_swap_pairs(network: GateNetwork) -> GateNetwork:
             if changed:
                 break
     simplified = GateNetwork(network.n_qubits, tuple(gates), network.label)
-    dim = 2 ** network.n_qubits
-    for b in range(dim):
-        ket = np.zeros(dim, dtype=complex)
-        ket[b] = 1.0
-        a = network.apply(PureState(ket, network.n_qubits)).amplitudes
-        c = simplified.apply(PureState(ket, network.n_qubits)).amplitudes
-        if abs(np.vdot(a, c)) ** 2 < 1.0 - 1e-10:
-            raise AssertionError("swap cancellation changed the network action")
+    overlaps = np.abs(np.sum(network.unitary().conj() * simplified.unitary(), axis=0)) ** 2
+    if np.any(overlaps < 1.0 - 1e-10):
+        raise AssertionError("swap cancellation changed the network action")
     return simplified
 
 
@@ -223,10 +208,8 @@ def run_protocol(network: GateNetwork, epsilon: float, tau: float, readout_qubit
     n = network.n_qubits
     if not 1 <= readout_qubit <= n:
         raise ValueError(f"readout qubit {readout_qubit} outside 1..{n}")
-    psi = network.apply(basis_state(n, "0" * n))
-    psi = PureState(dynamics.trotter_echo_diagonal(n, epsilon, tau) * psi.amplitudes, n)
-    psi = inverse_network(network).apply(psi)
-    populations = dephase(psi.to_density_matrix()).diagonal()
+    amps = protocol_network(network, epsilon, tau).apply(basis_state(n, "0" * n)).amplitudes
+    populations = (amps * amps.conj()).real
     s = 0
     m = 1 << (n - readout_qubit)
     l_value = float(populations[s])
@@ -251,10 +234,8 @@ def protocol_vs_exact(
         raise UnsupportedChainError("protocol comparison exists for N = 3 and N = 4 only")
     parity = "odd" if n_qubits % 2 else "even"
     lo, hi = float(interval[0]), float(interval[1])
-    count = int(round((hi - lo) / step)) + 1
-    grid = np.round(lo + np.arange(count) * step, 12)
     worst = 0.0
-    for bz in grid:
+    for bz in default_b_z_grid(lo, hi, step):
         net = build_preparation_network(parity, (lo, hi), bz, b_x)
         l_value = run_protocol(net, epsilon, tau, 1).l_value
         exact = dynamics.loschmidt_echo_exact(ChainParams(n_qubits, bz, b_x), epsilon, tau)

@@ -110,12 +110,14 @@ def echo_two_level(
             b += 1
         weight = float(np.sum(v0a[a:b]))
         if weight > weight_tol:
-            delta = float(w[a] - w[0])
-            return float(
-                1.0 - 2.0 * (weight / delta**2) * epsilon**2 * (1.0 - np.cos(delta * t))
-            )
+            return two_level_formula(weight, float(w[a] - w[0]), epsilon, t)
         a = b
     return 1.0
+
+
+def two_level_formula(weight: float, delta: float, epsilon: float, t: float) -> float:
+    """Echo of one level at gap delta coupled to the ground state with |V_01|^2 = weight."""
+    return float(1.0 - 2.0 * (weight / delta**2) * epsilon**2 * (1.0 - np.cos(delta * t)))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""States, density matrices and Hermitian operators on a register of qubits.
+"""States and Hermitian operators on a register of qubits.
 
 Conventions used throughout the package:
 
@@ -20,7 +20,6 @@ import numpy as np
 
 NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
-POSITIVITY_TOL = 1e-10
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -48,6 +47,11 @@ def qubit_bit_values(n_qubits: int) -> np.ndarray:
     return (idx[:, None] >> shifts[None, :]) & 1
 
 
+def sigma_z_values(n_qubits: int) -> np.ndarray:
+    """(2^N, N) array of sigma_z eigenvalues +-1; column j belongs to qubit j+1."""
+    return 1 - 2 * qubit_bit_values(n_qubits)
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector of an N-qubit register."""
@@ -69,35 +73,6 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    def to_density_matrix(self) -> "DensityMatrix":
-        rho = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityMatrix(rho, self.n_qubits)
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator."""
-
-    matrix: np.ndarray
-    n_qubits: int
-
-    def __post_init__(self):
-        m = frozen_array(self.matrix, complex)
-        dim = 2 ** self.n_qubits
-        if m.shape != (dim, dim):
-            raise ValueError(f"matrix shape {m.shape}, expected ({dim}, {dim})")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > HERMITIAN_TOL:
-            raise ValueError(f"trace {tr!r} deviates from 1")
-        if np.min(np.linalg.eigvalsh(m)) < -POSITIVITY_TOL:
-            raise ValueError("density matrix has a negative eigenvalue")
-        object.__setattr__(self, "matrix", m)
-
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.matrix).real.copy()
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
@@ -171,25 +146,11 @@ def pauli_string_apply(state: PureState, axes: "list[str] | str") -> PureState:
     bad = set(axes) - set("IXYZ")
     if bad:
         raise ValueError(f"unknown Pauli axes {sorted(bad)}")
-    flip_mask = 0
-    sign_mask = 0  # qubits whose bit value contributes (-1)^bit: Z and Y
-    n_y = 0
-    for q, ax in enumerate(axes):
-        bitpos = n - 1 - q
-        if ax in ("X", "Y"):
-            flip_mask |= 1 << bitpos
-        if ax in ("Z", "Y"):
-            sign_mask |= 1 << bitpos
-        if ax == "Y":
-            n_y += 1
+    flip_mask = sum(1 << (n - 1 - q) for q, ax in enumerate(axes) if ax in "XY")
+    # (-1)^bit from every Z and Y qubit is the product of their sigma_z eigenvalues
+    signs = np.prod(sigma_z_values(n)[:, [q for q, ax in enumerate(axes) if ax in "ZY"]], axis=1)
+    phases = (1j) ** axes.count("Y") * signs
     idx = np.arange(state.dim)
-    masked = idx & sign_mask
-    parity = np.zeros(state.dim, dtype=np.int64)
-    while sign_mask:
-        parity += masked & 1
-        masked >>= 1
-        sign_mask >>= 1
-    phases = (1j) ** n_y * np.where(parity % 2, -1.0, 1.0)
     out = np.empty(state.dim, dtype=complex)
     out[idx ^ flip_mask] = phases * state.amplitudes
     return PureState(out, n)
@@ -200,12 +161,3 @@ def fidelity(a: PureState, b: PureState) -> float:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
-def dephase(rho: DensityMatrix) -> DensityMatrix:
-    """Zero all off-diagonal elements in the computational basis.
-
-    Models the gradient-pulse / random-delay averaging channel; idempotent
-    and exactly trace preserving.
-    """
-    return DensityMatrix(np.diag(np.diag(rho.matrix)), rho.n_qubits)

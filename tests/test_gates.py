@@ -42,6 +42,20 @@ def test_global_z_is_unitary_diagonal():
     assert np.allclose(np.abs(d), 1.0)
 
 
+def test_global_z_phases_match_popcount_reference():
+    # reference: sum_i sigma_z^i = N - 2 * popcount(index), counted bit by bit
+    for n in range(0, 7):
+        idx = np.arange(2**n)
+        ones = np.zeros(idx.size, dtype=np.int64)
+        v = idx.copy()
+        for _ in range(n):
+            ones += v & 1
+            v >>= 1
+        for angle in (0.0, 0.37, -1.9, np.pi):
+            expected = np.exp(-1j * angle * (n - 2 * ones))
+            assert np.array_equal(global_z_phases(n, angle), expected), (n, angle)
+
+
 def test_roty_convention():
     # exp(i*phi*sigma_y)|0> = cos(phi)|0> - sin(phi)|1>
     out = apply_gate(basis_state(1, "0"), Gate("RotY", (1,), angle=np.pi / 4))

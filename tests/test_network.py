@@ -26,7 +26,7 @@ from isingcrit.network import (
     run_protocol,
     serialize_network,
 )
-from isingcrit.states import DensityMatrix, basis_state, dephase, fidelity
+from isingcrit.states import basis_state, fidelity
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -130,13 +130,6 @@ def test_run_protocol_validates_qubit():
     net = preparation_network(3, -2.0, 0.1)
     with pytest.raises(ValueError):
         run_protocol(net, 0.1, np.pi, 4)
-
-
-def test_readout_amplitude_vanishes_for_maximally_mixed_state():
-    # population-difference arithmetic on equal populations
-    rho = dephase(DensityMatrix(np.eye(8) / 8, 3))
-    populations = rho.diagonal()
-    assert populations[0] - populations[0b010] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_readout_result_invariant():

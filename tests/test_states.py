@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from isingcrit.states import (
-    DensityMatrix,
     PureState,
     basis_state,
-    dephase,
     fidelity,
     pauli_string_apply,
     superposition,
@@ -83,6 +81,30 @@ def test_pauli_string_matches_dense_kron():
             assert np.allclose(got, expected, atol=1e-12), axes
 
 
+def test_pauli_string_matches_parity_loop_reference():
+    # reference: bit masks per axis and a bit-by-bit parity count of the Z/Y bits
+    from itertools import product
+
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 3, 4):
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state = PureState(amps / np.linalg.norm(amps), n)
+        idx = np.arange(2**n)
+        for axes in product("IXYZ", repeat=n):
+            flip_mask = sum(1 << (n - 1 - q) for q, ax in enumerate(axes) if ax in "XY")
+            sign_mask = sum(1 << (n - 1 - q) for q, ax in enumerate(axes) if ax in "ZY")
+            masked, parity = idx & sign_mask, np.zeros(idx.size, dtype=np.int64)
+            while sign_mask:
+                parity += masked & 1
+                masked >>= 1
+                sign_mask >>= 1
+            phases = (1j) ** axes.count("Y") * np.where(parity % 2, -1.0, 1.0)
+            expected = np.empty(2**n, dtype=complex)
+            expected[idx ^ flip_mask] = phases * state.amplitudes
+            got = pauli_string_apply(state, axes).amplitudes
+            assert np.array_equal(got, expected), axes
+
+
 def test_pauli_string_rejects_bad_axes():
     with pytest.raises(ValueError):
         pauli_string_apply(basis_state(2, "00"), "X")
@@ -99,38 +121,3 @@ def test_fidelity_examples():
     with pytest.raises(ValueError):
         fidelity(zero, basis_state(2, "00"))
 
-
-def test_dephase_kills_coherences():
-    plus = superposition(1, {"0": 1.0, "1": 1.0})
-    rho = dephase(plus.to_density_matrix())
-    assert np.allclose(rho.matrix, np.diag([0.5, 0.5]))
-
-
-def test_dephase_idempotent_and_trace_preserving():
-    rng = np.random.default_rng(5)
-    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    amps /= np.linalg.norm(amps)
-    rho = PureState(amps, 3).to_density_matrix()
-    d1 = dephase(rho)
-    d2 = dephase(d1)
-    assert np.trace(d1.matrix) == np.trace(rho.matrix)
-    assert np.array_equal(d1.matrix, d2.matrix)
-
-
-def test_dephase_keeps_projection_population():
-    # the diagonal entry at |s> survives dephasing as |<s|Psi>|^2
-    rng = np.random.default_rng(8)
-    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    amps /= np.linalg.norm(amps)
-    psi = PureState(amps, 3)
-    rho = dephase(psi.to_density_matrix())
-    assert rho.matrix[0, 0].real == pytest.approx(abs(amps[0]) ** 2, abs=1e-14)
-
-
-def test_density_matrix_validation():
-    with pytest.raises(ValueError):
-        DensityMatrix(np.array([[1.0, 1.0], [0.0, 0.0]]), 1)  # not hermitian
-    with pytest.raises(ValueError):
-        DensityMatrix(np.diag([0.7, 0.7]), 1)  # trace != 1
-    with pytest.raises(ValueError):
-        DensityMatrix(np.diag([1.5, -0.5]), 1)  # negative eigenvalue
