@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -24,7 +25,7 @@ from .criticality import (
     echo_scan,
     find_minima,
 )
-from .hamiltonian import ChainParams, closed_form_energy, hamiltonian_diagonal, phase_labels
+from .hamiltonian import ChainParams, closed_form_energy, phase_labels
 from .network import preparation_network, prepared_state, run_protocol
 from .perturbation import (
     LandauZenerParams,
@@ -169,13 +170,9 @@ def _cmd_phase_diagram(config: RunConfig):
     labels = phase_labels(config.n)
     grid = config.grid()
     columns = ["b_z"] + [f"e_phase_{lab.k}" for lab in labels] + ["e_min"]
-    diag0 = hamiltonian_diagonal(ChainParams(config.n, 0.0, 0.0))
-    diag1 = hamiltonian_diagonal(ChainParams(config.n, 1.0, 0.0)) - diag0
-    weights = [np.abs(lab.state().amplitudes) ** 2 for lab in labels]
     rows = []
     for bz in grid:
-        diag = diag0 + bz * diag1
-        energies = [float(w @ diag) for w in weights]
+        energies = [lab.energy(bz) for lab in labels]
         rows.append([bz] + energies + [min(energies)])
     return columns, rows, []
 
@@ -218,6 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
     return RunConfig(
         command=args.command,
         n=args.n,

@@ -2,11 +2,14 @@
 echo scans over the longitudinal field, and minima extraction.
 
 The longitudinal axis is split into preparation intervals with a dedicated
-two-phase ansatz on each. The table INTERVALS holds them: [-3,-1], (-1,1),
-[1,3] for odd chains and [-3,-1.44], (-1.44,0], (0,1.44), [1.44,3] for even
-chains (the 1.44 split point is adopted as a fixed constant). Inside the odd
-middle interval the chain uses the alternating pattern for b_z < 0, its
-mirror for b_z > 0 and their equal (minus-sign) superposition at exactly
+two-phase ansatz cos(phi)|m> - sin(phi)|n> on each. The table INTERVALS holds
+them: [-3,-1], (-1,1), [1,3] for odd chains and [-3,-1.44], (-1.44,0],
+(0,1.44), [1.44,3] for even chains (the 1.44 split point is adopted as a
+fixed constant). The table ANSATZ holds each interval's (m, n, b_c, c), read by
+the ansatz states and the gate networks alike: with d = b_c - |B_z|,
+tan(phi) = [d + sqrt(d^2 + c B_x^2)] / (sqrt(c) B_x). Inside the odd middle
+interval (no ANSATZ row) the chain uses the alternating pattern for b_z < 0,
+its mirror for b_z > 0 and their equal (minus-sign) superposition at exactly
 b_z = 0 — note the rule is discontinuous there, so scan grids should contain
 0.0 exactly rather than a rounding-dust neighbour.
 """
@@ -118,28 +121,21 @@ def interval_for(parity: str, b_z: float) -> tuple[float, float]:
     return intervals(parity)[interval_index(parity, b_z)]
 
 
-def outer_mixing_phi_odd(b_z: float, b_x: float) -> float:
-    """tan(phi) = [(2-|B_z|) + sqrt((2-|B_z|)^2 + B_x^2)] / B_x."""
+# (m, n, b_c, c) per interval of INTERVALS; see the module docstring
+ANSATZ = {
+    "odd": ((1, 2, 2.0, 1.0), None, (4, 3, 2.0, 1.0)),
+    "even": ((1, 2, 2.0, 2.0), (2, 3, 1.0, 1.0), (4, 3, 1.0, 1.0), (5, 4, 2.0, 2.0)),
+}
+
+
+def _mixing_angle(row, b_z: float, b_x: float) -> MixingAngle:
+    """The ansatz angle of one ANSATZ row at (b_z, b_x)."""
     if b_x <= 0:
         raise ValueError("mixing angle requires b_x > 0")
-    d = 2.0 - abs(b_z)
-    return math.atan((d + math.sqrt(d * d + b_x * b_x)) / b_x)
-
-
-def outer_mixing_phi_even(b_z: float, b_x: float) -> float:
-    """tan(phi) = [(2-|B_z|) + sqrt((2-|B_z|)^2 + 2 B_x^2)] / (sqrt(2) B_x)."""
-    if b_x <= 0:
-        raise ValueError("mixing angle requires b_x > 0")
-    d = 2.0 - abs(b_z)
-    return math.atan((d + math.sqrt(d * d + 2.0 * b_x * b_x)) / (math.sqrt(2.0) * b_x))
-
-
-def inner_mixing_phi_even(b_z: float, b_x: float) -> float:
-    """tan(phi) = [(1-|B_z|) + sqrt((1-|B_z|)^2 + B_x^2)] / B_x."""
-    if b_x <= 0:
-        raise ValueError("mixing angle requires b_x > 0")
-    d = 1.0 - abs(b_z)
-    return math.atan((d + math.sqrt(d * d + b_x * b_x)) / b_x)
+    m, n, b_c, c = row
+    d = b_c - abs(b_z)
+    phi = math.atan((d + math.sqrt(d * d + c * b_x * b_x)) / (math.sqrt(c) * b_x))
+    return MixingAngle(phi, m, n)
 
 
 def mixing_angle_odd(b_z: float, b_x: float) -> MixingAngle:
@@ -147,8 +143,7 @@ def mixing_angle_odd(b_z: float, b_x: float) -> MixingAngle:
     negative side and (4,3) on the positive side."""
     if b_z == 0:
         raise ValueError("no crossover branch at b_z = 0; use the middle-interval rule")
-    m, n = (1, 2) if b_z < 0 else (4, 3)
-    return MixingAngle(outer_mixing_phi_odd(b_z, b_x), m, n)
+    return _mixing_angle(ANSATZ["odd"][0 if b_z < 0 else 2], b_z, b_x)
 
 
 def mixing_angle_even(b_z: float, b_x: float) -> MixingAngle:
@@ -156,11 +151,7 @@ def mixing_angle_even(b_z: float, b_x: float) -> MixingAngle:
 
     Near +-2 the phases pair as (1,2) / (5,4); near +-1 as (2,3) / (4,3).
     """
-    k = interval_index("even", b_z)
-    m, n = ((1, 2), (2, 3), (4, 3), (5, 4))[k]
-    if k in (0, 3):
-        return MixingAngle(outer_mixing_phi_even(b_z, b_x), m, n)
-    return MixingAngle(inner_mixing_phi_even(b_z, b_x), m, n)
+    return _mixing_angle(ANSATZ["even"][interval_index("even", b_z)], b_z, b_x)
 
 
 def _two_phase_state(n_qubits: int, angle: MixingAngle) -> PureState:
@@ -175,7 +166,7 @@ def ground_state_approx_odd(n_qubits: int, b_z: float, b_x: float) -> PureState:
         raise UnsupportedChainError("ground_state_approx_odd requires odd N")
     if b_x <= 0:
         raise ValueError("approximate preparation requires b_x > 0")
-    if interval_index("odd", b_z) != 1:
+    if ANSATZ["odd"][interval_index("odd", b_z)] is not None:
         return _two_phase_state(n_qubits, mixing_angle_odd(b_z, b_x))
     if b_z < 0:
         return phase_state(n_qubits, 2)
@@ -202,6 +193,8 @@ def ground_state_approx(n_qubits: int, b_z: float, b_x: float) -> PureState:
 
 def default_b_z_grid(lo: float = -3.0, hi: float = 3.0, step: float = 0.02) -> np.ndarray:
     """Dust-free grid lo, lo+step, ..., hi (values rounded to 12 decimals)."""
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise ValueError("grid bounds and step must be finite")
     if step <= 0 or hi <= lo:
         raise ValueError("grid requires step > 0 and hi > lo")
     count = int(round((hi - lo) / step)) + 1
@@ -286,7 +279,7 @@ def echo_scan(
     perturbative_echo and two_level_echo are expansions around the exact
     ground state and require initial_state_source="exact_ground";
     readout_amplitude runs the full measurement protocol (gate network,
-    compiled echo step, dephasing, one-qubit readout) and requires
+    compiled echo step, one-qubit readout) and requires
     initial_state_source="approx_ground" with N in {3, 4}.
     """
     if value_kind not in VALUE_KINDS:

@@ -11,6 +11,7 @@ which fixes the relative sign of the prepared two-phase superpositions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,8 @@ class Gate:
             if self.angle is None:
                 raise ValueError(f"{self.kind} requires an angle")
             object.__setattr__(self, "angle", float(self.angle))
+            if not math.isfinite(self.angle):
+                raise ValueError(f"{self.kind} angle must be finite, got {self.angle}")
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
         qubits = controls + targets

@@ -8,10 +8,13 @@ The model on N qubits with open boundaries is
 
 with the coupling strength as the unit of energy. At B_x = 0 the Hamiltonian
 is diagonal in the computational basis and the ground state is a simple
-product (or two-ket) pattern that changes at the crossover fields: +-2 and 0
-for odd N; +-2 and +-1 for even N > 2. At B_z = +-2 the ground manifold is
-macroscopically degenerate; `closed_form_ground` returns the staggered-front
-family interpolating between the two adjacent phase patterns there.
+product (or two-ket) pattern that changes at the crossover fields, held in
+the table CROSSOVERS: +-2 and 0 for odd N; +-2 and +-1 for even N > 2. The
+phase catalogue, its energies and the closed forms are read from it; a
+crossover belongs to the phase on its left. At B_z = +-2 the ground manifold
+is macroscopically degenerate; `closed_form_ground` returns the
+staggered-front family interpolating between the two adjacent phase patterns
+there.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ import numpy as np
 from .states import HermitianOperator, PureState, basis_state, sigma_z_values, superposition
 
 MAX_QUBITS = 14
+
+# B_x = 0 crossover fields, which bound the phases of phase_labels
+CROSSOVERS = {"odd": (-2.0, 0.0, 2.0), "even": (-2.0, -1.0, 1.0, 2.0)}
 
 
 class ChainSizeError(ValueError):
@@ -75,10 +81,13 @@ class PhaseLabel:
     interval: tuple[float, float]
 
     def state(self) -> PureState:
-        n = len(self.kets[0])
-        if len(self.kets) == 1:
-            return basis_state(n, self.kets[0])
-        return superposition(n, {b: 1.0 for b in self.kets})
+        return superposition(len(self.kets[0]), {b: 1.0 for b in self.kets})
+
+    def energy(self, b_z: float) -> float:
+        """B_x = 0 energy m*b_z + zz, from the magnetization m and the bond sum
+        zz of the first ket (every ket of a phase has the same energy)."""
+        z = [1 - 2 * int(bit) for bit in self.kets[0]]
+        return sum(z) * b_z + sum(a * b for a, b in zip(z, z[1:]))
 
 
 def _odd_kets(n: int) -> list[tuple[str, ...]]:
@@ -105,16 +114,11 @@ def _even_kets(n: int) -> list[tuple[str, ...]]:
 def phase_labels(n_qubits: int) -> list[PhaseLabel]:
     """Catalog of the B_x = 0 phases: four for odd N, five for even N > 2."""
     _require_closed_form_size(n_qubits)
-    if n_qubits % 2:
-        intervals = [(-np.inf, -2.0), (-2.0, 0.0), (0.0, 2.0), (2.0, np.inf)]
-        kets = _odd_kets(n_qubits)
-        parity = "odd"
-    else:
-        intervals = [(-np.inf, -2.0), (-2.0, -1.0), (-1.0, 1.0), (1.0, 2.0), (2.0, np.inf)]
-        kets = _even_kets(n_qubits)
-        parity = "even"
+    parity = "odd" if n_qubits % 2 else "even"
+    kets = _odd_kets(n_qubits) if n_qubits % 2 else _even_kets(n_qubits)
+    edges = (-np.inf,) + CROSSOVERS[parity] + (np.inf,)
     return [
-        PhaseLabel(parity, k + 1, kets[k], intervals[k]) for k in range(len(kets))
+        PhaseLabel(parity, k + 1, kets[k], edges[k : k + 2]) for k in range(len(kets))
     ]
 
 
@@ -139,10 +143,7 @@ def hamiltonian_diagonal(params: ChainParams) -> np.ndarray:
     """Diagonal of H in the computational basis (the full H when B_x = 0)."""
     n = params.n_qubits
     z = sigma_z_values(n)
-    if n > 1:
-        zz = np.sum(z[:, :-1] * z[:, 1:], axis=1)
-    else:
-        zz = np.zeros(2, dtype=np.int64)
+    zz = np.sum(z[:, :-1] * z[:, 1:], axis=1)  # no bonds, all zeros, at n = 1
     return zz + params.b_z * z.sum(axis=1)
 
 
@@ -164,36 +165,20 @@ def global_field_perturbation(n_qubits: int) -> HermitianOperator:
 
 def crossover_points(n_qubits: int) -> list[float]:
     """Fields where B_x = 0 ground-state branches intersect."""
-    if n_qubits < 3:
-        raise UnsupportedChainError("crossover catalog requires N >= 3")
-    if n_qubits % 2:
-        return [-2.0, 0.0, 2.0]
-    return [-2.0, -1.0, 1.0, 2.0]
+    _require_closed_form_size(n_qubits)
+    return list(CROSSOVERS["odd" if n_qubits % 2 else "even"])
+
+
+def _phase_index(params: ChainParams) -> int:
+    """Index into phase_labels of the phase holding b_z; see CROSSOVERS."""
+    return sum(params.b_z > c for c in CROSSOVERS[params.parity])
 
 
 def closed_form_energy(params: ChainParams) -> float:
     """Piecewise-linear ground energy at B_x = 0; continuous at crossovers."""
     if params.b_x != 0.0:
         raise ValueError("closed-form energy is defined at b_x = 0 only")
-    _require_closed_form_size(params.n_qubits)
-    n, bz = params.n_qubits, params.b_z
-    if n % 2:
-        if bz <= -2:
-            return n * bz + (n - 1)
-        if bz <= 0:
-            return bz - (n - 1)
-        if bz <= 2:
-            return -bz - (n - 1)
-        return -n * bz + (n - 1)
-    if bz <= -2:
-        return n * bz + (n - 1)
-    if bz <= -1:
-        return 2 * bz - (n - 3)
-    if bz <= 1:
-        return float(-(n - 1))
-    if bz <= 2:
-        return -2 * bz - (n - 3)
-    return -n * bz + (n - 1)
+    return phase_labels(params.n_qubits)[_phase_index(params)].energy(params.b_z)
 
 
 def _flip(bits: str) -> str:
@@ -238,14 +223,10 @@ def closed_form_ground(params: ChainParams) -> list[PureState]:
     """
     if params.b_x != 0.0:
         raise ValueError("closed-form ground states are defined at b_x = 0 only")
-    _require_closed_form_size(params.n_qubits)
     n, bz = params.n_qubits, params.b_z
-    labels = phase_labels(n)
     if abs(bz) == 2.0:
         return multiphase_family(n, bz)
-    inner = [lab for lab in labels if lab.interval[0] < bz < lab.interval[1]]
-    if inner:
-        return [inner[0].state()]
-    # bz sits exactly on an interior crossover that is not a multiphase point
-    meeting = [lab for lab in labels if bz in lab.interval]
+    k = _phase_index(params)
+    # on an interior crossover the phase on its right meets the one holding it
+    meeting = phase_labels(n)[k : k + 1 + (bz in CROSSOVERS[params.parity])]
     return [lab.state() for lab in meeting]

@@ -24,13 +24,12 @@ import numpy as np
 
 from . import dynamics
 from .criticality import (
+    ANSATZ,
     INTERVALS,
+    _mixing_angle,
     default_b_z_grid,
     ground_state_approx,
-    inner_mixing_phi_even,
     interval_index,
-    outer_mixing_phi_even,
-    outer_mixing_phi_odd,
 )
 from .gates import GATE_ARITY, Gate, apply_gates
 from .hamiltonian import ChainParams, UnsupportedChainError
@@ -48,6 +47,8 @@ class GateNetwork:
     label: str = ""
 
     def __post_init__(self):
+        if self.n_qubits < 1:
+            raise ValueError(f"register size must be >= 1, got {self.n_qubits}")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if any(q > self.n_qubits for q in g.qubits):
@@ -119,7 +120,7 @@ def _odd_network(k: int, b_z: float, b_x: float) -> GateNetwork:
             Gate("CNOT", (2,), (1,)),
         )
         return GateNetwork(3, gates, label)
-    phi = outer_mixing_phi_odd(b_z, b_x)
+    phi = _mixing_angle(ANSATZ["odd"][k], b_z, b_x).phi
     gates: tuple[Gate, ...] = (Gate("RotY", (2,), angle=phi),)
     if k == 2:
         gates = gates + tuple(Gate("NOT", (q,)) for q in (1, 2, 3))
@@ -129,9 +130,8 @@ def _odd_network(k: int, b_z: float, b_x: float) -> GateNetwork:
 def _even_network(k: int, b_z: float, b_x: float) -> GateNetwork:
     lo, hi = INTERVALS["even"][k]
     label = f"even [{lo:g},{hi:g}]"
-    outer = k in (0, 3)
-    phi = outer_mixing_phi_even(b_z, b_x) if outer else inner_mixing_phi_even(b_z, b_x)
-    if outer:
+    phi = _mixing_angle(ANSATZ["even"][k], b_z, b_x).phi
+    if k in (0, 3):
         gates = (
             Gate("RotY", (2,), angle=phi),
             Gate("ControlledRotY", (3,), (2,), angle=-math.pi / 4),
@@ -266,7 +266,7 @@ def parse_network(text: str) -> GateNetwork:
     gates = []
     for ln in lines[1:]:
         tokens = ln.split()
-        if tokens[0] != "GATE":
+        if len(tokens) < 2 or tokens[0] != "GATE":
             raise ValueError(f"malformed gate line {ln!r}")
         kind = tokens[1]
         if kind not in GATE_ARITY:

@@ -66,7 +66,7 @@ class PureState:
                 f"amplitude vector has length {amps.size}, expected 2^{self.n_qubits}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -107,7 +107,7 @@ class HermitianOperator:
 def basis_state(n_qubits: int, bits: str) -> PureState:
     """Computational-basis ket |bits>, qubit 1 being the leftmost character.
 
-    >>> basis_state(3, "101").amplitudes[5]
+    >>> complex(basis_state(3, "101").amplitudes[5])
     (1+0j)
     """
     if len(bits) != n_qubits:

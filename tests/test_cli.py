@@ -176,6 +176,27 @@ def test_bad_grid_is_config_error(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["spectrum", "--bz-max", "inf"], "--bz-max"),
+        (["echo-scan", "--n", "3", "--tau", "inf"], "--tau"),
+        (["echo-scan", "--n", "3", "--epsilon", "nan"], "--epsilon"),
+        (["spectrum", "--bz-min=-inf"], "--bz-min"),
+        (["spectrum", "--bz-step", "nan"], "--bz-step"),
+        (["spectrum", "--bx", "1e400"], "--bx"),
+        (["lz", "--znu", "nan"], "--znu"),
+        (["lz", "--delta-min", "inf"], "--delta-min"),
+    ],
+)
+def test_non_finite_numbers_are_config_errors(args, flag, capsys):
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert flag in err
+    assert "Traceback" not in err
+
+
 def test_unknown_flag_is_config_error():
     assert main(["spectrum", "--frequency", "12"]) == 1
 

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.signal import find_peaks
 
 from isingcrit.criticality import (
+    EVEN_SPLIT,
+    INTERVALS,
     EchoScan,
+    MixingAngle,
     default_b_z_grid,
     echo_scan,
     even_intervals,
@@ -13,12 +18,14 @@ from isingcrit.criticality import (
     ground_state_approx_odd,
     interval_boundaries,
     interval_for,
+    interval_index,
     mixing_angle_even,
     mixing_angle_odd,
     odd_intervals,
 )
 from isingcrit.dynamics import ground_state, spectral_for
 from isingcrit.hamiltonian import ChainParams, UnsupportedChainError, phase_state
+from isingcrit.network import build_preparation_network, preparation_network
 from isingcrit.states import fidelity, superposition
 
 
@@ -55,6 +62,82 @@ def test_mixing_angle_even_examples():
     # the branch switches exactly at |b_z| = 1.44
     assert (mixing_angle_even(-1.44, 0.1).m, mixing_angle_even(-1.44, 0.1).n) == (1, 2)
     assert (mixing_angle_even(-1.43, 0.1).m, mixing_angle_even(-1.43, 0.1).n) == (2, 3)
+
+
+# The three mixing-angle formulas the ANSATZ table replaced, kept as exact oracles.
+def _outer_phi_odd_reference(b_z, b_x):
+    d = 2.0 - abs(b_z)
+    return math.atan((d + math.sqrt(d * d + b_x * b_x)) / b_x)
+
+
+def _outer_phi_even_reference(b_z, b_x):
+    d = 2.0 - abs(b_z)
+    return math.atan((d + math.sqrt(d * d + 2.0 * b_x * b_x)) / (math.sqrt(2.0) * b_x))
+
+
+def _inner_phi_even_reference(b_z, b_x):
+    d = 1.0 - abs(b_z)
+    return math.atan((d + math.sqrt(d * d + b_x * b_x)) / b_x)
+
+
+def _ansatz_fields():
+    special = [-2.0, -1.0, 0.0, 1.0, 2.0, -EVEN_SPLIT, EVEN_SPLIT, -3.0, 3.0]
+    near = [float(np.nextafter(c, d)) for c in special for d in (-np.inf, np.inf)]
+    grid = np.round(np.arange(-700, 701) * 0.005, 12).tolist()
+    return sorted(set(special + near + grid))
+
+
+def test_mixing_angles_equal_the_replaced_formulas_exactly():
+    for b_x in (1e-3, 0.05, 0.1, 0.37, 1.0, 2.5):
+        for b_z in _ansatz_fields():
+            if b_z != 0.0:
+                pair = (1, 2) if b_z < 0 else (4, 3)
+                assert mixing_angle_odd(b_z, b_x) == MixingAngle(
+                    _outer_phi_odd_reference(b_z, b_x), *pair
+                )
+            k = interval_index("even", b_z)
+            reference = _outer_phi_even_reference if k in (0, 3) else _inner_phi_even_reference
+            pair = ((1, 2), (2, 3), (4, 3), (5, 4))[k]
+            assert mixing_angle_even(b_z, b_x) == MixingAngle(reference(b_z, b_x), *pair)
+
+
+# (parity, interval index) -> (replaced formula, positions of its gates in the network)
+_NETWORK_PHI = {
+    ("odd", 0): (_outer_phi_odd_reference, (0,)),
+    ("odd", 2): (_outer_phi_odd_reference, (0,)),
+    ("even", 0): (_outer_phi_even_reference, (0,)),
+    ("even", 1): (_inner_phi_even_reference, (3, 4)),
+    ("even", 2): (_inner_phi_even_reference, (3, 4)),
+    ("even", 3): (_outer_phi_even_reference, (0,)),
+}
+
+
+def test_network_angles_equal_the_replaced_formulas_exactly():
+    # identical gates give bit-identical protocol amplitudes; explicit
+    # intervals keep their own formula even at a shared endpoint
+    for (parity, k), (reference, positions) in _NETWORK_PHI.items():
+        lo, hi = INTERVALS[parity][k]
+        fields = [b for b in _ansatz_fields() if lo <= b <= hi]
+        for b_x in (0.05, 0.1, 0.37):
+            for b_z in fields:
+                net = build_preparation_network(parity, (lo, hi), b_z, b_x)
+                phi = reference(b_z, b_x)
+                assert [net.gates[i].angle for i in positions] == [phi] * len(positions)
+    for n, parity in ((3, "odd"), (4, "even")):
+        for b_z in _ansatz_fields():
+            k = interval_index(parity, b_z)
+            if (parity, k) in _NETWORK_PHI:
+                reference, positions = _NETWORK_PHI[parity, k]
+                net = preparation_network(n, b_z, 0.1)
+                phi = reference(b_z, 0.1)
+                assert [net.gates[i].angle for i in positions] == [phi] * len(positions)
+
+
+def test_default_grid_rejects_non_finite_input():
+    for lo, hi, step in ((-3.0, math.inf, 0.02), (math.nan, 3.0, 0.02), (-3.0, 3.0, math.inf),
+                         (-3.0, 3.0, math.nan), (-math.inf, 3.0, 0.02)):
+        with pytest.raises(ValueError, match="finite"):
+            default_b_z_grid(lo, hi, step)
 
 
 def test_intervals_and_boundaries():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from isingcrit.criticality import EVEN_SPLIT
 from isingcrit.hamiltonian import (
     ChainParams,
     ChainSizeError,
@@ -47,6 +48,12 @@ def test_phase_catalog():
     assert [lab.kets for lab in even] == [
         ("0000",), ("0100", "0010"), ("0101", "1010"), ("1101", "1011"), ("1111",),
     ]
+    assert [lab.interval for lab in odd] == [
+        (-np.inf, -2.0), (-2.0, 0.0), (0.0, 2.0), (2.0, np.inf),
+    ]
+    assert [lab.interval for lab in even] == [
+        (-np.inf, -2.0), (-2.0, -1.0), (-1.0, 1.0), (1.0, 2.0), (2.0, np.inf),
+    ]
 
 
 def test_closed_form_ground_examples():
@@ -57,6 +64,12 @@ def test_closed_form_ground_examples():
     (g,) = closed_form_ground(ChainParams(4, 0.0, 0.0))
     assert g.amplitudes[0b0101] == pytest.approx(1 / np.sqrt(2))
     assert g.amplitudes[0b1010] == pytest.approx(1 / np.sqrt(2))
+    # on an interior crossover both meeting phases are returned, left first
+    for n, bz, ks in ((3, 0.0, (2, 3)), (4, -1.0, (2, 3)), (4, 1.0, (3, 4))):
+        states = closed_form_ground(ChainParams(n, bz, 0.0))
+        assert len(states) == 2
+        fids = [fidelity(s, phase_state(n, k)) for s, k in zip(states, ks)]
+        assert fids == pytest.approx([1, 1])
 
 
 def test_closed_form_ground_multiphase_point():
@@ -111,6 +124,53 @@ def test_energy_branches_continuous_at_crossovers():
             below = closed_form_energy(ChainParams(n, bc - 1e-13, 0.0))
             above = closed_form_energy(ChainParams(n, bc + 1e-13, 0.0))
             assert abs(below - above) <= 1e-11
+
+
+def _piecewise_energy_reference(n, bz):
+    # closed_form_energy as hand-written branches, the form it had before it
+    # was read from CROSSOVERS and PhaseLabel.energy
+    if n % 2:
+        if bz <= -2:
+            return n * bz + (n - 1)
+        if bz <= 0:
+            return bz - (n - 1)
+        if bz <= 2:
+            return -bz - (n - 1)
+        return -n * bz + (n - 1)
+    if bz <= -2:
+        return n * bz + (n - 1)
+    if bz <= -1:
+        return 2 * bz - (n - 3)
+    if bz <= 1:
+        return float(-(n - 1))
+    if bz <= 2:
+        return -2 * bz - (n - 3)
+    return -n * bz + (n - 1)
+
+
+def _fields_with_every_crossover():
+    special = [-2.0, -1.0, 0.0, 1.0, 2.0, -EVEN_SPLIT, EVEN_SPLIT]
+    near = [float(np.nextafter(c, d)) for c in special for d in (-np.inf, np.inf)]
+    grid = np.round(np.arange(-400, 401) * 0.01, 12).tolist()
+    rng = np.random.default_rng(5)
+    return sorted(set(special + near + grid + rng.uniform(-50, 50, 200).tolist()))
+
+
+def test_closed_form_energy_equals_piecewise_reference_exactly():
+    fields = _fields_with_every_crossover()
+    for n in range(3, 15):
+        for bz in fields:
+            expected = _piecewise_energy_reference(n, bz)
+            assert closed_form_energy(ChainParams(n, bz, 0.0)) == expected
+
+
+def test_phase_energy_equals_the_diagonal_of_every_ket():
+    for n in range(3, 11):
+        for bz in (-2.7, -2.0, -1.3, 0.0, 0.45, 1.0, 2.9):
+            diag = hamiltonian_diagonal(ChainParams(n, bz, 0.0))
+            for lab in phase_labels(n):
+                for ket in lab.kets:
+                    assert lab.energy(bz) == diag[int(ket, 2)]
 
 
 def test_spin_flip_covariance():

@@ -109,6 +109,16 @@ def test_parse_rejects_malformed_text():
         parse_network("NETWORK n=2 label=x\nGATE NOT 1 2\n")
     with pytest.raises(ValueError):
         parse_network("NETWORK n=2 label=x\nGATE Spin 1\n")
+    with pytest.raises(ValueError):
+        parse_network("NETWORK n=2 label=x\nGATE\n")
+    with pytest.raises(ValueError):
+        parse_network("NETWORK n=0 label=x\n")
+    with pytest.raises(ValueError):
+        parse_network("NETWORK n=-1 label=x\n")
+    with pytest.raises(ValueError):
+        parse_network("NETWORK n=1 label=x\nGATE RotY 1 nan\n")
+    with pytest.raises(ValueError):
+        parse_network("NETWORK n=1 label=x\nGATE RotY 1 -inf\n")
 
 
 def test_run_protocol_identity_at_zero_perturbation():

@@ -1,5 +1,5 @@
-"""Property tests for the protocol readout, the interval table and the
-network text format."""
+"""Property tests for the protocol readout, the interval table, the network
+text format, the phase energies, the exact echo and minima detection."""
 
 import string
 
@@ -7,7 +7,9 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from isingcrit.criticality import interval_boundaries, interval_for
+from isingcrit.criticality import find_minima, interval_boundaries, interval_for
+from isingcrit.dynamics import loschmidt_echo_exact
+from isingcrit.hamiltonian import ChainParams, closed_form_energy, phase_labels
 from isingcrit.gates import GATE_ARITY, Gate
 from isingcrit.network import (
     AMPLITUDE_SLACK,
@@ -85,3 +87,54 @@ def networks(draw):
 @given(networks())
 def test_serialize_parse_round_trip(net):
     assert parse_network(serialize_network(net)) == net
+
+
+@given(n=st.integers(3, 14), b=finite)
+def test_closed_form_energy_is_the_lowest_phase_energy(n, b):
+    lowest = min(lab.energy(b) for lab in phase_labels(n))
+    assert closed_form_energy(ChainParams(n, b, 0.0)) == lowest
+
+
+echo_args = dict(
+    n=st.integers(3, 6),
+    b_z=st.floats(-3.0, 3.0),
+    epsilon=st.floats(-0.5, 0.5),
+    tau=st.floats(0.0, 2 * np.pi),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(b_x=st.floats(0.0, 1.0), **echo_args)
+def test_exact_echo_is_a_probability(n, b_z, b_x, epsilon, tau):
+    value = loschmidt_echo_exact(ChainParams(n, b_z, b_x), epsilon, tau)
+    assert 0.0 <= value <= 1.0 + 1e-12
+
+
+# Below b_x ~ 0.1 the two lowest levels of a chain at b_z = 0 split by about
+# b_x^N (8e-12 at N = 5, b_x = 0.005), so the ground state itself is
+# ill-conditioned and no echo computed from it is reproducible to 1e-10.
+@settings(max_examples=60, deadline=None)
+@given(b_x=st.floats(0.1, 1.0), **echo_args)
+def test_exact_echo_is_invariant_under_field_reversal(n, b_z, b_x, epsilon, tau):
+    # the global spin flip maps H(b_z) to H(-b_z) and V to -V
+    forward = loschmidt_echo_exact(ChainParams(n, b_z, b_x), epsilon, tau)
+    reversed_ = loschmidt_echo_exact(ChainParams(n, -b_z, b_x), -epsilon, tau)
+    assert abs(forward - reversed_) <= 1e-10
+
+
+# Integer scan values and half-integer prominences keep every comparison in
+# find_minima a margin of a/2 away from a tie, so rounding in a*y + c cannot
+# merge two values or flip a prominence test.
+@given(
+    ys=st.lists(st.integers(0, 50), min_size=3, max_size=40),
+    a=st.floats(1e-3, 1e3),
+    c=st.floats(-100.0, 100.0),
+    prominence=st.integers(0, 5).map(lambda k: k + 0.5),
+)
+def test_find_minima_positions_are_invariant_under_affine_maps(ys, a, c, prominence):
+    xs = np.arange(len(ys)) * 0.25 - 3.0
+    ys = np.array(ys, dtype=float)
+    before = [x for x, _ in find_minima(xs, ys, prominence)]
+    after = [x for x, _ in find_minima(xs, a * ys + c, a * prominence)]
+    assert len(after) == len(before)
+    assert np.allclose(after, before, rtol=0.0, atol=1e-9)

@@ -45,6 +45,9 @@ def test_pure_state_validation():
         PureState(np.array([1.0, 1.0]), 1)  # not normalized
     with pytest.raises(ValueError):
         PureState(np.array([1.0, 0.0, 0.0]), 1)  # wrong length
+    for bad in (np.nan, np.inf):  # a NaN norm fails every comparison
+        with pytest.raises(ValueError):
+            PureState(np.array([bad, 0.0]), 1)
 
 
 def test_pure_state_is_immutable():
