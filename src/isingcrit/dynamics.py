@@ -7,14 +7,14 @@ many (epsilon, t) values; decompositions of chain Hamiltonians are memoized
 per (N, B_z, B_x). The perturbed evolution uses H + epsilon*V with
 V = -sum_i sigma_z^i, i.e. a longitudinal field shifted to B_z - epsilon.
 
-The chain Hamiltonian is real symmetric, so it is solved in float64 and its
-eigenvectors are stored real. It also commutes with chain reversal R (qubit
-i <-> qubit N+1-i), so `diagonalize` splits it into the reflection-even and
-reflection-odd sectors, built by index arithmetic on the basis kets
-(|i> +- |R i>)/sqrt(2) and palindromes |i> = |R i>, solves each sector
-with a dense real `eigh` and merges the two spectra. Diagonal inputs (the
-B_x = 0 chains) skip the solver; complex or non-reflection-symmetric inputs
-go through one dense `eigh` of the whole matrix.
+`spectral_for` solves the chain from its parameters, with no dense 2^N x 2^N
+matrix. At B_x = 0 the chain is diagonal and its eigenbasis is a stable sort
+of `hamiltonian_diagonal`. Otherwise it is real symmetric and commutes with
+chain reversal R (qubit i <-> qubit N+1-i): the reflection-even and -odd
+sectors, spanned by palindromes |i> = |R i> and (|i> +- |R i>)/sqrt(2), are
+each the diagonal of H plus B_x times sum_i sigma_x^i, built once per N from
+bit flips, and each gets one dense real `eigh`. `diagonalize` takes any
+Hermitian matrix: it sorts diagonal input and gives the rest one dense `eigh`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gates import global_z_phases
-from .hamiltonian import ChainParams, build_hamiltonian
+from .hamiltonian import ChainParams, hamiltonian_diagonal
 from .states import (
     HERMITIAN_TOL,
     HermitianOperator,
@@ -68,27 +68,32 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _ReflectionSectors:
-    """Basis bookkeeping of chain reversal R on an N-qubit register.
+    """Chain reversal R on an N-qubit register, and sum_i sigma_x^i in its sectors.
 
     Palindromes i = R i span part of the even sector as they are; each pair
     i < R i contributes (|i> + |R i>)/sqrt(2) to the even sector and
     (|i> - |R i>)/sqrt(2) to the odd one. The even basis lists palindromes
-    first, then pairs.
+    first, then pairs; the odd basis lists the same pairs.
     """
 
-    n_pal: int
-    reversal: tuple  # np.ix_ gathering m[R i, R j]
-    direct: tuple  # np.ix_ gathering m[s_a, s_b] over the even basis states s
-    swapped: tuple  # np.ix_ gathering m[s_a, R s_b]
+    states: np.ndarray  # basis index of each even-basis state
     rep: np.ndarray  # first index of each pair
     mirror: np.ndarray  # its reversed partner
     even_row: np.ndarray  # even-basis row that each basis index loads from
     even_weight: np.ndarray  # column: 1 for palindromes, 1/sqrt(2) for pair members
+    x_even: np.ndarray  # sum_i sigma_x^i in the even basis
+    x_odd: np.ndarray  # and in the odd basis
 
 
 @lru_cache(maxsize=None)
 def _reflection_sectors(n_qubits: int) -> _ReflectionSectors:
-    """Sector bookkeeping for one register size, built once per N."""
+    """Sector bookkeeping and sigma_x blocks for one register size, built once per N.
+
+    Block entry (a, b) is <e_a|X|e_b>: the flips s_a ^ (1 << k) of e_a's first
+    index that land on s_b or R s_b (minus for R s_b in the odd block), times
+    1/sqrt(2) from a palindrome to a pair and 2/sqrt(2) from a pair to a
+    palindrome, which R s_a reaches too.
+    """
     rev = qubit_bit_values(n_qubits) @ (1 << np.arange(n_qubits))
     idx = np.arange(rev.size)
     pal = np.flatnonzero(rev == idx)
@@ -97,59 +102,44 @@ def _reflection_sectors(n_qubits: int) -> _ReflectionSectors:
     even_row = np.empty(rev.size, dtype=np.intp)
     even_row[states] = np.arange(states.size)
     even_row[rev[rep]] = even_row[rep]
+
+    p, r = pal.size, np.sqrt(0.5)
+    rows = np.repeat(np.arange(states.size), n_qubits)
+    flipped = (states[:, None] ^ (1 << np.arange(n_qubits))).ravel()
+    cols = even_row[flipped]
+    x_even = np.zeros((states.size, states.size))
+    np.add.at(x_even, (rows, cols), 1.0)
+    x_even[:p, p:] *= r
+    x_even[p:, :p] *= 2 * r
+    odd = (rows >= p) & (cols >= p)
+    x_odd = np.zeros((rep.size, rep.size))
+    np.add.at(x_odd, (rows[odd] - p, cols[odd] - p), np.sign(rev - idx)[flipped[odd]])
+    if not (np.array_equal(x_even, x_even.T) and np.array_equal(x_odd, x_odd.T)):
+        raise ArithmeticError("sector blocks of sum_i sigma_x^i are not symmetric")
     return _ReflectionSectors(
-        n_pal=pal.size,
-        reversal=np.ix_(rev, rev),
-        direct=np.ix_(states, states),
-        swapped=np.ix_(states, rev[states]),
+        states=states,
         rep=rep,
         mirror=rev[rep],
         even_row=even_row,
-        even_weight=np.where(rev == idx, 1.0, np.sqrt(0.5))[:, None],
+        even_weight=np.where(rev == idx, 1.0, r)[:, None],
+        x_even=x_even,
+        x_odd=x_odd,
     )
 
 
-def _reflection_symmetric(m: np.ndarray) -> "_ReflectionSectors | None":
-    """Sector bookkeeping if m is real, 2^N x 2^N and commutes exactly with R."""
-    n = m.shape[0].bit_length() - 1
-    if not np.isrealobj(m) or m.shape[0] != 1 << n:
-        return None
-    sectors = _reflection_sectors(n)
-    return sectors if (m[sectors.reversal] == m).all() else None
-
-
-def _eigh_by_sector(m: np.ndarray, sectors: _ReflectionSectors) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of a real symmetric m that commutes with R, one sector at a time.
-
-    Each sector block is a sum of at most two gathered entries of m.
-    """
-    p, r = sectors.n_pal, np.sqrt(0.5)
-    direct, swapped = m[sectors.direct], m[sectors.swapped]
-    odd = direct[p:, p:] - swapped[p:, p:]
-    even = direct + swapped  # twice the palindrome entries, which the scaling undoes
-    even[:p, :p] *= 0.5
-    even[:p, p:] *= r
-    even[p:, :p] *= r
-    w_even, y_even = np.linalg.eigh(even)
-    w_odd, y_odd = np.linalg.eigh(odd)
-
-    v_odd = np.zeros((m.shape[0], w_odd.size))
-    v_odd[sectors.rep] = r * y_odd
-    v_odd[sectors.mirror] = -r * y_odd
-    v = np.concatenate([y_even[sectors.even_row] * sectors.even_weight, v_odd], axis=1)
-    w = np.concatenate([w_even, w_odd])
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+def _sorted_diagonal(diag: np.ndarray) -> SpectralDecomposition:
+    """Eigenbasis of a diagonal matrix: the basis kets in stable order of its diagonal."""
+    order = np.argsort(diag.real, kind="stable")
+    vecs = np.zeros((diag.size, diag.size), diag.dtype)
+    vecs[order, np.arange(diag.size)] = 1.0
+    return SpectralDecomposition(diag.real[order], vecs)
 
 
 def diagonalize(op: "HermitianOperator | np.ndarray") -> SpectralDecomposition:
     """Spectral decomposition with a deterministic eigenvector phase convention.
 
-    Exactly diagonal inputs (the B_x = 0 chains) are handled by a stable sort
-    of the diagonal, which keeps large zero-field sweeps cheap. Real input
-    that commutes exactly with chain reversal is solved sector by sector;
-    the merged spectrum keeps even-sector levels before odd-sector ones
-    within a degenerate cluster. Real input yields real eigenvectors.
+    Exactly diagonal input is handled by a stable sort of the diagonal, the
+    rest by one dense `eigh`. Real input yields real eigenvectors.
     """
     if isinstance(op, HermitianOperator):
         m = op.matrix  # hermiticity already validated on construction
@@ -161,22 +151,32 @@ def diagonalize(op: "HermitianOperator | np.ndarray") -> SpectralDecomposition:
             raise ValueError("matrix is not Hermitian within tolerance")
     diag = np.diagonal(m)
     if np.count_nonzero(m) == np.count_nonzero(diag):
-        order = np.argsort(diag.real, kind="stable")
-        vecs = np.zeros_like(m)
-        vecs[order, np.arange(m.shape[0])] = 1.0
-        return SpectralDecomposition(diag.real[order], vecs)
-    sectors = _reflection_symmetric(m)
-    if sectors is not None:
-        w, v = _eigh_by_sector(m, sectors)
-    else:
-        w, v = np.linalg.eigh(m)
+        return _sorted_diagonal(diag)
+    w, v = np.linalg.eigh(m)
     return SpectralDecomposition(w, _fix_phases(v))
 
 
 @lru_cache(maxsize=64)
 def spectral_for(params: ChainParams) -> SpectralDecomposition:
-    """Memoized decomposition of the chain Hamiltonian at these parameters."""
-    return diagonalize(build_hamiltonian(params))
+    """Memoized decomposition of the chain Hamiltonian at these parameters.
+
+    At B_x = 0 it sorts the diagonal like `diagonalize`; otherwise it solves
+    both reflection sectors and keeps even-sector levels first within a tie.
+    """
+    d = hamiltonian_diagonal(params)
+    if params.b_x == 0.0:
+        return _sorted_diagonal(d)
+    s = _reflection_sectors(params.n_qubits)
+    # b_x * X goes onto the whole diagonal matrix, so that its zeros stay +0.0
+    w_even, y_even = np.linalg.eigh(np.diag(d[s.states]) + params.b_x * s.x_even)
+    w_odd, y_odd = np.linalg.eigh(np.diag(d[s.rep]) + params.b_x * s.x_odd)
+    v_odd = np.zeros((d.size, w_odd.size))
+    v_odd[s.rep] = np.sqrt(0.5) * y_odd
+    v_odd[s.mirror] = -np.sqrt(0.5) * y_odd
+    v = np.concatenate([y_even[s.even_row] * s.even_weight, v_odd], axis=1)
+    w = np.concatenate([w_even, w_odd])
+    order = np.argsort(w, kind="stable")
+    return SpectralDecomposition(w[order], _fix_phases(v[:, order]))
 
 
 def ground_state(params: ChainParams) -> PureState:

@@ -48,14 +48,20 @@ class ChainParams:
     b_x: float
 
     def __post_init__(self):
+        if not isinstance(self.n_qubits, (int, np.integer)):
+            raise ValueError(f"n_qubits must be an integer, got {self.n_qubits!r}")
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
         if self.n_qubits > MAX_QUBITS:
             raise ChainSizeError(
                 f"n_qubits={self.n_qubits} exceeds the cap of {MAX_QUBITS}"
             )
-        object.__setattr__(self, "b_z", float(self.b_z))
-        object.__setattr__(self, "b_x", float(self.b_x))
+        object.__setattr__(self, "n_qubits", int(self.n_qubits))
+        for name in ("b_z", "b_x"):
+            value = float(getattr(self, name))
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
 
     @property
     def parity(self) -> str:

@@ -28,7 +28,6 @@ from .criticality import (
     INTERVALS,
     _mixing_angle,
     default_b_z_grid,
-    ground_state_approx,
     interval_index,
 )
 from .gates import GATE_ARITY, Gate, apply_gates
@@ -288,11 +287,3 @@ def parse_network(text: str) -> GateNetwork:
 def prepared_state(network: GateNetwork) -> PureState:
     """Convenience: the network applied to |0...0>."""
     return network.apply(basis_state(network.n_qubits, "0" * network.n_qubits))
-
-
-def preparation_fidelity(n_qubits: int, b_z: float, b_x: float) -> float:
-    """|<ansatz|U0|0...0>|^2 — equals 1 for the exact constructions."""
-    from .states import fidelity
-
-    net = preparation_network(n_qubits, b_z, b_x)
-    return fidelity(prepared_state(net), ground_state_approx(n_qubits, b_z, b_x))

@@ -11,7 +11,7 @@ import isingcrit
 from isingcrit.cli import main
 
 from isingcrit.dynamics import (
-    _reflection_symmetric,
+    _fix_phases,
     diagonalize,
     gap,
     ground_state,
@@ -21,9 +21,16 @@ from isingcrit.dynamics import (
     trotter_echo_diagonal,
     trotter_echo_operator,
 )
-from isingcrit.criticality import ground_state_approx
-from isingcrit.hamiltonian import ChainParams, build_hamiltonian
-from isingcrit.states import HermitianOperator, PureState, basis_state, fidelity, superposition
+from isingcrit.criticality import EVEN_SPLIT, ground_state_approx
+from isingcrit.hamiltonian import CROSSOVERS, ChainParams, build_hamiltonian
+from isingcrit.states import (
+    HermitianOperator,
+    PureState,
+    basis_state,
+    fidelity,
+    qubit_bit_values,
+    superposition,
+)
 
 
 def _random_state(rng, n):
@@ -217,21 +224,86 @@ def _solver_fields():
 
 
 @pytest.mark.parametrize("n", range(1, 10))
-def test_spectral_for_matches_plain_dense_eigh(n):
+def test_spectral_for_matches_plain_dense_eigh(n, monkeypatch):
+    # the reflection-even sector holds the 2^ceil(N/2) palindromes and one
+    # state per pair i < R i, the odd sector the pairs alone
+    pairs = (2**n - 2 ** ((n + 1) // 2)) // 2
+    sector_shapes = [(2**n - pairs,) * 2, (pairs,) * 2]
+    eigh = np.linalg.eigh
     for bz, bx in _solver_fields():
         params = ChainParams(n, bz, bx)
         h = build_hamiltonian(params).matrix
-        if bx != 0.0:
-            # pins the blocked path: without it every solve would silently
-            # fall back to one dense eigh of the whole matrix
-            assert _reflection_symmetric(h) is not None
-        spec = spectral_for(params)
+        shapes = []
+
+        def recording_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", recording_eigh)
+            spec = spectral_for.__wrapped__(params)
+        # pins the blocked path: one eigh per reflection sector, none at B_x = 0
+        assert shapes == (sector_shapes if bx != 0.0 else [])
         v, w = spec.eigenvectors, spec.eigenvalues
         assert v.dtype == np.float64
         expected = np.linalg.eigh(h)[0]
         assert np.all(np.abs(w - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
         assert np.max(np.abs((v * w) @ v.T - h)) <= 1e-12 * max(1.0, np.max(np.abs(h)))
         assert np.max(np.abs(v.T @ v - np.eye(2**n))) <= 1e-12
+
+
+def _blocked_dense_reference(params):
+    """Chain solve from the dense matrix, in the arithmetic `spectral_for` must match bit for bit.
+
+    It gathers the even and odd reflection blocks from the dense matrix,
+    halves the doubled palindrome entries, solves each block, maps the
+    vectors back, merges the spectra stably (even before odd) and fixes the
+    phases. At B_x = 0 it stable-sorts the diagonal.
+    """
+    n, m = params.n_qubits, build_hamiltonian(params).matrix
+    if params.b_x == 0.0:
+        diag = np.diagonal(m)
+        order = np.argsort(diag, kind="stable")
+        vecs = np.zeros_like(m)
+        vecs[order, np.arange(m.shape[0])] = 1.0
+        return diag[order], vecs
+    rev = qubit_bit_values(n) @ (1 << np.arange(n))
+    idx = np.arange(rev.size)
+    pal, rep = np.flatnonzero(rev == idx), np.flatnonzero(idx < rev)
+    states = np.concatenate([pal, rep])
+    p, r = pal.size, np.sqrt(0.5)
+    direct, swapped = m[np.ix_(states, states)], m[np.ix_(states, rev[states])]
+    odd = direct[p:, p:] - swapped[p:, p:]
+    even = direct + swapped
+    even[:p, :p] *= 0.5
+    even[:p, p:] *= r
+    even[p:, :p] *= r
+    w_even, y_even = np.linalg.eigh(even)
+    w_odd, y_odd = np.linalg.eigh(odd)
+    even_row = np.empty(rev.size, dtype=np.intp)
+    even_row[states] = np.arange(states.size)
+    even_row[rev[rep]] = even_row[rep]
+    v_odd = np.zeros((m.shape[0], w_odd.size))
+    v_odd[rep] = r * y_odd
+    v_odd[rev[rep]] = -r * y_odd
+    even_weight = np.where(rev == idx, 1.0, r)[:, None]
+    v = np.concatenate([y_even[even_row] * even_weight, v_odd], axis=1)
+    w = np.concatenate([w_even, w_odd])
+    order = np.argsort(w, kind="stable")
+    return w[order], _fix_phases(v[:, order])
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_spectral_for_is_bit_identical_to_the_dense_blocked_reference(n):
+    fields = sorted(set(CROSSOVERS["odd"] + CROSSOVERS["even"] + (-EVEN_SPLIT, EVEN_SPLIT)))
+    for bx in (0.0, 0.05, 0.1, 1.0, -0.3):
+        for bz in fields:
+            params = ChainParams(n, bz, bx)
+            w, v = _blocked_dense_reference(params)
+            spec = spectral_for.__wrapped__(params)
+            assert spec.eigenvalues.dtype == w.dtype and spec.eigenvectors.dtype == v.dtype
+            assert np.array_equal(spec.eigenvalues, w), params
+            assert np.array_equal(spec.eigenvectors, v), params
 
 
 def test_diagonalize_real_input_keeps_real_eigenvectors():

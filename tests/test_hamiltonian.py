@@ -39,6 +39,28 @@ def test_chain_cap_enforced():
         ChainParams(15, 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        ((3, np.nan, 0.0), "b_z"),
+        ((3, np.inf, 0.1), "b_z"),
+        ((3, 0.5, np.nan), "b_x"),
+        ((3, 0.5, -np.inf), "b_x"),
+        ((3.0, 0.5, 0.1), "n_qubits"),
+        (("3", 0.5, 0.1), "n_qubits"),
+    ],
+)
+def test_chain_params_reject_non_finite_fields_and_non_integer_size(args, field):
+    with pytest.raises(ValueError, match=field):
+        ChainParams(*args)
+
+
+def test_chain_params_accept_numpy_integer_size():
+    params = ChainParams(np.int64(3), np.float64(0.5), 0.1)
+    assert params == ChainParams(3, 0.5, 0.1)
+    assert type(params.n_qubits) is int and type(params.b_z) is float
+
+
 def test_phase_catalog():
     odd = phase_labels(7)
     assert [lab.kets for lab in odd] == [
