@@ -93,14 +93,6 @@ def intervals(parity: str) -> tuple[tuple[float, float], ...]:
     return INTERVALS[parity]
 
 
-def odd_intervals() -> tuple[tuple[float, float], ...]:
-    return INTERVALS["odd"]
-
-
-def even_intervals() -> tuple[tuple[float, float], ...]:
-    return INTERVALS["even"]
-
-
 def interval_boundaries(parity: str) -> tuple[float, ...]:
     """Interior points where the preparation rule switches branch."""
     return tuple(hi for _, hi in intervals(parity)[:-1])
@@ -114,11 +106,6 @@ def interval_index(parity: str, b_z: float) -> int:
     interval on its right.
     """
     return sum(b_z > b if b <= 0 else b_z >= b for b in interval_boundaries(parity))
-
-
-def interval_for(parity: str, b_z: float) -> tuple[float, float]:
-    """Preparation interval containing b_z (see interval_index for the edges)."""
-    return intervals(parity)[interval_index(parity, b_z)]
 
 
 # (m, n, b_c, c) per interval of INTERVALS; see the module docstring
@@ -192,12 +179,16 @@ def ground_state_approx(n_qubits: int, b_z: float, b_x: float) -> PureState:
 
 
 def default_b_z_grid(lo: float = -3.0, hi: float = 3.0, step: float = 0.02) -> np.ndarray:
-    """Dust-free grid lo, lo+step, ..., hi (values rounded to 12 decimals)."""
+    """Dust-free grid lo, lo+step, ... up to hi (values rounded to 12 decimals).
+
+    The last point is hi when step divides hi - lo up to float dust, and
+    never lies past it.
+    """
     if not all(math.isfinite(x) for x in (lo, hi, step)):
         raise ValueError("grid bounds and step must be finite")
     if step <= 0 or hi <= lo:
         raise ValueError("grid requires step > 0 and hi > lo")
-    count = int(round((hi - lo) / step)) + 1
+    count = math.floor((hi - lo) / step + 1e-9) + 1
     return np.round(lo + np.arange(count) * step, 12)
 
 
@@ -272,7 +263,6 @@ def echo_scan(
     value_kind: str = EXACT_ECHO,
     initial_state_source: str = EXACT_GROUND,
     readout_qubit: int = 1,
-    prominence: float = DEFAULT_PROMINENCE,
 ) -> EchoScan:
     """Evaluate one echo variant over a b_z grid and locate its minima.
 
@@ -315,7 +305,7 @@ def echo_scan(
             else:
                 values[i] = echo_two_level(dynamics.spectral_for(params), v_op, epsilon, tau)
 
-    minima = find_minima(grid, values, prominence=prominence)
+    minima = find_minima(grid, values)
     return EchoScan(
         n_qubits=n_qubits,
         b_x=b_x,

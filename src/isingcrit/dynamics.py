@@ -73,7 +73,8 @@ class _ReflectionSectors:
     Palindromes i = R i span part of the even sector as they are; each pair
     i < R i contributes (|i> + |R i>)/sqrt(2) to the even sector and
     (|i> - |R i>)/sqrt(2) to the odd one. The even basis lists palindromes
-    first, then pairs; the odd basis lists the same pairs.
+    first, then pairs; the odd basis lists the same pairs. Each sigma_x block
+    is kept as (row, column, value) triples of its nonzeros, about N per row.
     """
 
     states: np.ndarray  # basis index of each even-basis state
@@ -81,8 +82,15 @@ class _ReflectionSectors:
     mirror: np.ndarray  # its reversed partner
     even_row: np.ndarray  # even-basis row that each basis index loads from
     even_weight: np.ndarray  # column: 1 for palindromes, 1/sqrt(2) for pair members
-    x_even: np.ndarray  # sum_i sigma_x^i in the even basis
-    x_odd: np.ndarray  # and in the odd basis
+    x_even: tuple[np.ndarray, np.ndarray, np.ndarray]  # sum_i sigma_x^i in the even basis
+    x_odd: tuple[np.ndarray, np.ndarray, np.ndarray]  # and in the odd basis
+
+
+def _summed_triples(rows, cols, vals, size: int):
+    """Nonzero (row, column, value) triples in row-major order, duplicates summed."""
+    keys, inverse = np.unique(rows * size + cols, return_inverse=True)
+    sums = np.bincount(inverse, weights=vals)
+    return keys[sums != 0] // size, keys[sums != 0] % size, sums[sums != 0]
 
 
 @lru_cache(maxsize=None)
@@ -107,22 +115,22 @@ def _reflection_sectors(n_qubits: int) -> _ReflectionSectors:
     rows = np.repeat(np.arange(states.size), n_qubits)
     flipped = (states[:, None] ^ (1 << np.arange(n_qubits))).ravel()
     cols = even_row[flipped]
-    x_even = np.zeros((states.size, states.size))
-    np.add.at(x_even, (rows, cols), 1.0)
-    x_even[:p, p:] *= r
-    x_even[p:, :p] *= 2 * r
+    er, ec, ev = _summed_triples(rows, cols, np.ones(rows.size), states.size)
+    ev[(er < p) & (ec >= p)] *= r
+    ev[(er >= p) & (ec < p)] *= 2 * r
     odd = (rows >= p) & (cols >= p)
-    x_odd = np.zeros((rep.size, rep.size))
-    np.add.at(x_odd, (rows[odd] - p, cols[odd] - p), np.sign(rev - idx)[flipped[odd]])
-    if not (np.array_equal(x_even, x_even.T) and np.array_equal(x_odd, x_odd.T)):
-        raise ArithmeticError("sector blocks of sum_i sigma_x^i are not symmetric")
+    x_odd = _summed_triples(rows[odd] - p, cols[odd] - p, np.sign(rev - idx)[flipped[odd]], rep.size)
+    for rr, cc, vv in ((er, ec, ev), x_odd):
+        t = np.lexsort((rr, cc))  # the transpose, re-sorted row-major
+        if not (np.array_equal(cc[t], rr) and np.array_equal(rr[t], cc) and np.array_equal(vv[t], vv)):
+            raise ArithmeticError("sector blocks of sum_i sigma_x^i are not symmetric")
     return _ReflectionSectors(
         states=states,
         rep=rep,
         mirror=rev[rep],
         even_row=even_row,
         even_weight=np.where(rev == idx, 1.0, r)[:, None],
-        x_even=x_even,
+        x_even=(er, ec, ev),
         x_odd=x_odd,
     )
 
@@ -167,9 +175,13 @@ def spectral_for(params: ChainParams) -> SpectralDecomposition:
     if params.b_x == 0.0:
         return _sorted_diagonal(d)
     s = _reflection_sectors(params.n_qubits)
-    # b_x * X goes onto the whole diagonal matrix, so that its zeros stay +0.0
-    w_even, y_even = np.linalg.eigh(np.diag(d[s.states]) + params.b_x * s.x_even)
-    w_odd, y_odd = np.linalg.eigh(np.diag(d[s.rep]) + params.b_x * s.x_odd)
+    # a flip changes the popcount, which R keeps, so X has no diagonal triples
+    # and the zeros that np.diag leaves stay +0.0
+    h_even, h_odd = np.diag(d[s.states]), np.diag(d[s.rep])
+    h_even[s.x_even[:2]] = params.b_x * s.x_even[2]
+    h_odd[s.x_odd[:2]] = params.b_x * s.x_odd[2]
+    w_even, y_even = np.linalg.eigh(h_even)
+    w_odd, y_odd = np.linalg.eigh(h_odd)
     v_odd = np.zeros((d.size, w_odd.size))
     v_odd[s.rep] = np.sqrt(0.5) * y_odd
     v_odd[s.mirror] = -np.sqrt(0.5) * y_odd

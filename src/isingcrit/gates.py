@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .states import PureState, sigma_z_values
-
-UNITARY_TOL = 1e-12
+from .states import PureState, frozen_array, qubit_bit_values, sigma_z_values
 
 # kind -> (n_targets, n_controls, has_angle)
 GATE_ARITY = {
@@ -93,7 +92,7 @@ class Gate:
         """Unitary on the gate's own qubits (controls first in the ordering).
 
         GlobalZEvolution acts on the whole register and has no fixed-size
-        matrix; use apply_gate or global_z_phases for it.
+        matrix; use apply_gates or global_z_phases for it.
         """
         if self.kind == "RotY":
             return roty_matrix(self.angle)
@@ -129,26 +128,35 @@ def global_z_phases(n_qubits: int, angle: float) -> np.ndarray:
     return np.exp(-1j * angle * sigma_z_values(n_qubits).sum(axis=1))
 
 
-def apply_gate(state: PureState, gate: Gate) -> PureState:
-    """Apply a gate to a state; norm is preserved to machine precision."""
-    n = state.n_qubits
+@lru_cache(maxsize=None)
+def _slots(n_qubits: int, qubits: tuple[int, ...]) -> np.ndarray:
+    """(2^k, 2^(N-k)) basis indices: row r holds the kets whose k gate-qubit bits
+    (controls first, MSB first) spell r, in register order, kept by a stable sort."""
+    bits = qubit_bit_values(n_qubits)[:, [q - 1 for q in qubits]]
+    row = bits @ (1 << np.arange(len(qubits) - 1, -1, -1))
+    return frozen_array(np.argsort(row, kind="stable").reshape(2 ** len(qubits), -1), np.intp)
+
+
+def _apply(amps: np.ndarray, n_qubits: int, gate: Gate) -> np.ndarray:
+    """The gate applied to a bare amplitude array; a new array, amps is not written."""
     if gate.kind == "GlobalZEvolution":
-        return PureState(global_z_phases(n, gate.angle) * state.amplitudes, n)
-    qubits = gate.qubits
-    if any(q > n for q in qubits):
-        raise ValueError(f"gate qubits {qubits} exceed register size {n}")
-    k = len(qubits)
-    u = gate.matrix()
-    psi = state.amplitudes.reshape([2] * n)
-    axes = [q - 1 for q in qubits]
-    psi = np.moveaxis(psi, axes, range(k))
-    shape = psi.shape
-    psi = u @ psi.reshape(2 ** k, -1)
-    psi = np.moveaxis(psi.reshape(shape), range(k), axes)
-    return PureState(psi.reshape(-1), n)
+        return global_z_phases(n_qubits, gate.angle) * amps
+    if any(q > n_qubits for q in gate.qubits):
+        raise ValueError(f"gate qubits {gate.qubits} exceed register size {n_qubits}")
+    slots = _slots(n_qubits, gate.qubits)
+    out = np.empty_like(amps)
+    out[slots] = gate.matrix() @ amps[slots]
+    return out
 
 
 def apply_gates(state: PureState, gates) -> PureState:
+    """Apply gates in order; the norm is checked once, on the result."""
+    amps = state.amplitudes
     for g in gates:
-        state = apply_gate(state, g)
-    return state
+        amps = _apply(amps, state.n_qubits, g)
+    return PureState(amps, state.n_qubits)
+
+
+def apply_gate(state: PureState, gate: Gate) -> PureState:
+    """Apply one gate; norm is preserved to machine precision."""
+    return apply_gates(state, (gate,))

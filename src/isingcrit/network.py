@@ -59,13 +59,8 @@ class GateNetwork:
         return apply_gates(state, self.gates)
 
     def unitary(self) -> np.ndarray:
-        dim = 2 ** self.n_qubits
-        cols = []
-        for b in range(dim):
-            ket = np.zeros(dim, dtype=complex)
-            ket[b] = 1.0
-            cols.append(self.apply(PureState(ket, self.n_qubits)).amplitudes)
-        return np.stack(cols, axis=1)
+        kets = np.eye(2 ** self.n_qubits, dtype=complex)
+        return np.stack([self.apply(PureState(k, self.n_qubits)).amplitudes for k in kets], axis=1)
 
 
 @dataclass(frozen=True)
@@ -158,15 +153,10 @@ def _even_network(k: int, b_z: float, b_x: float) -> GateNetwork:
 _NETWORKS = {"odd": _odd_network, "even": _even_network}
 
 
-def inverse_network(network: GateNetwork) -> GateNetwork:
-    gates = tuple(g.dagger() for g in reversed(network.gates))
-    return GateNetwork(network.n_qubits, gates, f"{network.label} inverse")
-
-
 def protocol_network(prep: GateNetwork, epsilon: float, tau: float) -> GateNetwork:
     """Full unitary part of the protocol: U0^dagger . echo step . U0."""
     echo = Gate("GlobalZEvolution", (), angle=tau * epsilon)
-    gates = prep.gates + (echo,) + inverse_network(prep).gates
+    gates = prep.gates + (echo,) + tuple(g.dagger() for g in reversed(prep.gates))
     return GateNetwork(prep.n_qubits, gates, f"{prep.label} protocol")
 
 

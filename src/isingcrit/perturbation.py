@@ -25,6 +25,8 @@ from .dynamics import SpectralDecomposition
 from .states import HermitianOperator
 
 DEGENERACY_TOL = 1e-10
+GROUP_TOL = 1e-8  # width of a level cluster in echo_two_level
+WEIGHT_TOL = 1e-12  # coupling weight below which echo_two_level skips a cluster
 
 
 class DegenerateGapError(ValueError):
@@ -85,14 +87,12 @@ def echo_two_level(
     v: "HermitianOperator | np.ndarray",
     epsilon: float,
     t: float,
-    group_tol: float = 1e-8,
-    weight_tol: float = 1e-12,
 ) -> float:
     """Echo truncated to the lowest excited level that couples to the ground state.
 
     L ~= 1 - 2 (|V_01|^2 / Delta^2) eps^2 (1 - cos(Delta t)), with |V_01|^2
-    summed over the degenerate cluster (width ``group_tol``) of the selected
-    level. Clusters whose total weight is below ``weight_tol`` are skipped:
+    summed over the degenerate cluster (width ``GROUP_TOL``) of the selected
+    level. Clusters whose total weight is below ``WEIGHT_TOL`` are skipped:
     for even chains the literal first excited state is the reflection-odd
     partner of the ground state and its coupling vanishes identically, so the
     first contributing level sits one cluster higher.
@@ -106,10 +106,10 @@ def echo_two_level(
     a = 1
     while a < len(w):
         b = a + 1
-        while b < len(w) and w[b] - w[a] <= group_tol:
+        while b < len(w) and w[b] - w[a] <= GROUP_TOL:
             b += 1
         weight = float(np.sum(v0a[a:b]))
-        if weight > weight_tol:
+        if weight > WEIGHT_TOL:
             return two_level_formula(weight, float(w[a] - w[0]), epsilon, t)
         a = b
     return 1.0

@@ -11,17 +11,14 @@ from isingcrit.criticality import (
     MixingAngle,
     default_b_z_grid,
     echo_scan,
-    even_intervals,
     find_minima,
     ground_state_approx,
     ground_state_approx_even,
     ground_state_approx_odd,
     interval_boundaries,
-    interval_for,
     interval_index,
     mixing_angle_even,
     mixing_angle_odd,
-    odd_intervals,
 )
 from isingcrit.dynamics import ground_state, spectral_for
 from isingcrit.hamiltonian import ChainParams, UnsupportedChainError, phase_state
@@ -141,11 +138,11 @@ def test_default_grid_rejects_non_finite_input():
 
 
 def test_intervals_and_boundaries():
-    assert interval_for("odd", -1.0) == odd_intervals()[0]
-    assert interval_for("odd", 0.3) == odd_intervals()[1]
-    assert interval_for("even", -1.44) == even_intervals()[0]
-    assert interval_for("even", 0.0) == even_intervals()[1]
-    assert interval_for("even", 1.44) == even_intervals()[3]
+    assert interval_index("odd", -1.0) == 0
+    assert interval_index("odd", 0.3) == 1
+    assert interval_index("even", -1.44) == 0
+    assert interval_index("even", 0.0) == 1
+    assert interval_index("even", 1.44) == 3
     assert interval_boundaries("odd") == (-1.0, 1.0)
     assert interval_boundaries("even") == (-1.44, 0.0, 1.44)
 
@@ -203,6 +200,22 @@ def test_default_grid_hits_zero_exactly():
     assert 0.0 in grid
     assert grid[0] == -3.0 and grid[-1] == 3.0
     assert len(grid) == 301
+
+
+def test_default_grid_never_steps_past_hi():
+    # a step that does not divide hi - lo ends on the last point below hi
+    assert default_b_z_grid(0.0, 1.0, 0.6).tolist() == [0.0, 0.6]
+    grid = default_b_z_grid(-3.0, 3.0, 0.7)
+    assert len(grid) == 9 and grid[-1] == 2.6
+
+
+def test_default_grid_sizes_of_the_goldens_and_the_benchmark():
+    # steps that divide the range up to float dust still end exactly on hi
+    assert 0.3 / 0.1 < 3 and default_b_z_grid(0.0, 0.3, 0.1).tolist() == [0.0, 0.1, 0.2, 0.3]
+    for step, size in ((0.02, 301), (0.005, 1201), (0.05, 121)):
+        grid = default_b_z_grid(-3.0, 3.0, step)
+        assert len(grid) == size and grid[0] == -3.0 and grid[-1] == 3.0
+        assert np.array_equal(grid, np.round(-3.0 + np.arange(size) * step, 12))
 
 
 def test_find_minima_recovers_parabola_vertex():

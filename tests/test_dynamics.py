@@ -12,6 +12,7 @@ from isingcrit.cli import main
 
 from isingcrit.dynamics import (
     _fix_phases,
+    _reflection_sectors,
     diagonalize,
     gap,
     ground_state,
@@ -304,6 +305,13 @@ def test_spectral_for_is_bit_identical_to_the_dense_blocked_reference(n):
             assert spec.eigenvalues.dtype == w.dtype and spec.eigenvectors.dtype == v.dtype
             assert np.array_equal(spec.eigenvalues, w), params
             assert np.array_equal(spec.eigenvectors, v), params
+
+
+def test_sector_data_at_twelve_qubits_is_sparse():
+    # dense sigma_x sector blocks would take 67 MB at N = 12; the triples hold about N per row
+    sectors = _reflection_sectors(12)
+    arrays = [a for v in vars(sectors).values() for a in (v if isinstance(v, tuple) else (v,))]
+    assert sum(a.nbytes for a in arrays) < 2_000_000
 
 
 def test_diagonalize_real_input_keeps_real_eigenvectors():

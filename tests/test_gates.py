@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from isingcrit.gates import GATE_ARITY, Gate, apply_gate, global_z_phases, roty_matrix
+from isingcrit import gates as gates_module
+from isingcrit.gates import GATE_ARITY, Gate, apply_gate, apply_gates, global_z_phases, roty_matrix
 from isingcrit.states import PureState, basis_state
 
 
@@ -150,3 +153,47 @@ def test_dagger_inverts():
         g = _random_gate(rng, 3)
         back = apply_gate(apply_gate(state, g), g.dagger())
         assert np.allclose(back.amplitudes, state.amplitudes, atol=1e-12)
+
+
+def _moveaxis_reference(state, gate):
+    """Reference application: the gate's qubits moved to the front of a (2,)*N tensor."""
+    n = state.n_qubits
+    if gate.kind == "GlobalZEvolution":
+        return global_z_phases(n, gate.angle) * state.amplitudes
+    k = len(gate.qubits)
+    axes = [q - 1 for q in gate.qubits]
+    psi = np.moveaxis(state.amplitudes.reshape([2] * n), axes, range(k))
+    shape = psi.shape
+    psi = gate.matrix() @ psi.reshape(2**k, -1)
+    return np.moveaxis(psi.reshape(shape), range(k), axes).reshape(-1)
+
+
+def test_kernel_is_bit_identical_to_the_moveaxis_reference():
+    rng = np.random.default_rng(3)
+    for n in range(1, 6):
+        state = _random_state(rng, n)
+        for kind, (n_t, n_c, has_angle) in GATE_ARITY.items():
+            for qubits in itertools.permutations(range(1, n + 1), n_t + n_c):
+                angle = float(rng.uniform(-np.pi, np.pi)) if has_angle else None
+                gate = Gate(kind, qubits[n_c:], qubits[:n_c], angle)
+                expected = _moveaxis_reference(state, gate)
+                assert np.array_equal(apply_gate(state, gate).amplitudes, expected), (n, gate)
+
+
+def test_apply_gates_rejects_an_out_of_register_gate_mid_list():
+    gates = (Gate("NOT", (1,)), Gate("CNOT", (3,), (1,)), Gate("NOT", (2,)))
+    with pytest.raises(ValueError, match="exceed register size 2"):
+        apply_gates(basis_state(2, "00"), gates)
+
+
+def test_apply_gates_builds_one_state_per_gate_list(monkeypatch):
+    built = []
+    monkeypatch.setattr(gates_module, "PureState", lambda *args: built.append(args) or PureState(*args))
+    state = _random_state(np.random.default_rng(5), 4)
+    gates = [_random_gate(np.random.default_rng(seed), 4) for seed in range(12)]
+    out = apply_gates(state, gates)
+    assert len(built) == 1
+    expected = state.amplitudes
+    for g in gates:
+        expected = _moveaxis_reference(PureState(expected, 4), g)
+    assert np.array_equal(out.amplitudes, expected)

@@ -3,13 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isingcrit.criticality import (
-    default_b_z_grid,
-    echo_scan,
-    even_intervals,
-    ground_state_approx,
-    odd_intervals,
-)
+from isingcrit.criticality import INTERVALS, default_b_z_grid, echo_scan, ground_state_approx
 from isingcrit.dynamics import trotter_echo_operator
 from isingcrit.gates import Gate
 from isingcrit.hamiltonian import UnsupportedChainError
@@ -83,13 +77,13 @@ def test_unsupported_sizes_raise():
 
 def test_golden_serializations():
     cases = [
-        ("net3_outer_left.txt", "odd", odd_intervals()[0], -2.0),
-        ("net3_middle_zero.txt", "odd", odd_intervals()[1], 0.0),
-        ("net3_outer_right.txt", "odd", odd_intervals()[2], 2.0),
-        ("net4_outer_left.txt", "even", even_intervals()[0], -2.0),
-        ("net4_middle_left.txt", "even", even_intervals()[1], -1.0),
-        ("net4_middle_right.txt", "even", even_intervals()[2], 1.0),
-        ("net4_outer_right.txt", "even", even_intervals()[3], 2.0),
+        ("net3_outer_left.txt", "odd", INTERVALS["odd"][0], -2.0),
+        ("net3_middle_zero.txt", "odd", INTERVALS["odd"][1], 0.0),
+        ("net3_outer_right.txt", "odd", INTERVALS["odd"][2], 2.0),
+        ("net4_outer_left.txt", "even", INTERVALS["even"][0], -2.0),
+        ("net4_middle_left.txt", "even", INTERVALS["even"][1], -1.0),
+        ("net4_middle_right.txt", "even", INTERVALS["even"][2], 1.0),
+        ("net4_outer_right.txt", "even", INTERVALS["even"][3], 2.0),
     ]
     for fname, parity, interval, bz in cases:
         net = build_preparation_network(parity, interval, bz, 0.1)

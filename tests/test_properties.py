@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from isingcrit.criticality import find_minima, interval_boundaries, interval_for
+from isingcrit.criticality import INTERVALS, find_minima, interval_boundaries, interval_index
 from isingcrit.dynamics import loschmidt_echo_exact
 from isingcrit.hamiltonian import ChainParams, closed_form_energy, phase_labels
 from isingcrit.gates import GATE_ARITY, Gate
@@ -50,7 +50,7 @@ def test_protocol_readout_bounds(n, b_z, b_x, epsilon, tau, data):
 @given(parity=parities, data=st.data())
 def test_interval_for_contains_the_field(parity, data):
     b = data.draw(st.one_of(st.floats(-3.0, 3.0), st.sampled_from(interval_boundaries(parity))))
-    lo, hi = interval_for(parity, b)
+    lo, hi = INTERVALS[parity][interval_index(parity, b)]
     assert lo <= b <= hi
     # the edge rule: a boundary at or below 0 closes the interval on its left
     if b == lo:
@@ -62,8 +62,8 @@ def test_interval_for_contains_the_field(parity, data):
 @given(parity=parities, b=st.floats(-3.0, 3.0))
 def test_interval_for_is_mirror_symmetric_off_the_boundaries(parity, b):
     assume(b not in interval_boundaries(parity))
-    lo, hi = interval_for(parity, b)
-    assert interval_for(parity, -b) == (-hi, -lo)
+    lo, hi = INTERVALS[parity][interval_index(parity, b)]
+    assert INTERVALS[parity][interval_index(parity, -b)] == (-hi, -lo)
 
 
 @st.composite
