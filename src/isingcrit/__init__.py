@@ -28,7 +28,6 @@ from .dynamics import (
     loschmidt_echo_exact,
     propagate,
     spectral_for,
-    trotter_echo_operator,
 )
 from .gates import Gate, apply_gate, apply_gates
 from .hamiltonian import (

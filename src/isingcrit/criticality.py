@@ -292,14 +292,20 @@ def echo_scan(
             values[i] = run_protocol(net, epsilon, tau, readout_qubit).amplitude
     else:
         v_op = global_field_perturbation(n_qubits) if value_kind != EXACT_ECHO else None
+        solved = {}  # exact echo: the spectra a later grid point may read again
         for i, bz in enumerate(grid):
             params = ChainParams(n_qubits, bz, b_x)
             if value_kind == EXACT_ECHO:
+                shifted = params.perturbed(epsilon)
+                for p in {params, shifted} - solved.keys():
+                    solved[p] = dynamics.spectral_for(p)
                 if initial_state_source == EXACT_GROUND:
-                    initial = dynamics.ground_state(params)
+                    initial = solved[params].ground_state(n_qubits)
                 else:
                     initial = ground_state_approx(n_qubits, bz, b_x)
-                values[i] = dynamics.loschmidt_echo_exact(params, epsilon, tau, initial)
+                values[i] = dynamics.echo_from_spectra(solved[params], solved[shifted], initial, tau)
+                # on an increasing grid no later point reads a field at or below both
+                solved = {p: s for p, s in solved.items() if p.b_z > min(bz, shifted.b_z)}
             elif value_kind == PERTURBATIVE_ECHO:
                 values[i] = echo_perturbative(dynamics.spectral_for(params), v_op, epsilon, tau)
             else:

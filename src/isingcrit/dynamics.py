@@ -1,11 +1,11 @@
-"""Spectral machinery: diagonalization, propagators, the exact echo and the
-single-step compiled echo operator.
+"""Spectral machinery: diagonalization, propagators and the exact echo.
 
 Propagation goes through full spectral decomposition rather than a matrix
-exponential per time point, because scans reuse the same spectrum across
-many (epsilon, t) values; decompositions of chain Hamiltonians are memoized
-per (N, B_z, B_x). The perturbed evolution uses H + epsilon*V with
-V = -sum_i sigma_z^i, i.e. a longitudinal field shifted to B_z - epsilon.
+exponential per time point. Nothing is memoized: every `spectral_for` call
+solves, and a caller that reads a spectrum again keeps it, as the exact
+`echo_scan` does for the perturbed fields its grid meets again. The
+perturbed evolution uses H + epsilon*V with V = -sum_i sigma_z^i, i.e. a
+longitudinal field shifted to B_z - epsilon.
 
 `spectral_for` solves the chain from its parameters, with no dense 2^N x 2^N
 matrix. At B_x = 0 the chain is diagonal and its eigenbasis is a stable sort
@@ -24,7 +24,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gates import global_z_phases
 from .hamiltonian import ChainParams, hamiltonian_diagonal
 from .states import (
     HERMITIAN_TOL,
@@ -40,15 +39,19 @@ from .states import (
 class SpectralDecomposition:
     """Ascending eigenvalues with aligned orthonormal eigenvector columns.
 
-    Real eigenvectors are stored as float64, complex ones as complex128.
+    Real eigenvectors are stored as float64, complex ones as complex128. The
+    arrays are kept as handed over, not copied, and marked read-only.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", frozen_array(self.eigenvalues, float))
-        object.__setattr__(self, "eigenvectors", frozen_array(self.eigenvectors))
+        v = np.asarray(self.eigenvectors)
+        for name, a in (("eigenvalues", np.asarray(self.eigenvalues, float)),
+                        ("eigenvectors", np.asarray(v, complex if np.iscomplexobj(v) else float))):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def ground_energy(self) -> float:
@@ -164,9 +167,8 @@ def diagonalize(op: "HermitianOperator | np.ndarray") -> SpectralDecomposition:
     return SpectralDecomposition(w, _fix_phases(v))
 
 
-@lru_cache(maxsize=64)
 def spectral_for(params: ChainParams) -> SpectralDecomposition:
-    """Memoized decomposition of the chain Hamiltonian at these parameters.
+    """Decomposition of the chain Hamiltonian at these parameters, solved on every call.
 
     At B_x = 0 it sorts the diagonal like `diagonalize`; otherwise it solves
     both reflection sectors and keeps even-sector levels first within a tie.
@@ -232,20 +234,17 @@ def loschmidt_echo_exact(
 
     Defaults to the exact ground state of H as the initial state.
     """
+    spec = spectral_for(params)
     if initial is None:
-        initial = ground_state(params)
+        initial = spec.ground_state(params.n_qubits)
     if initial.dim != 2 ** params.n_qubits:
         raise ValueError("initial state dimension does not match the chain")
-    fwd = evolve(spectral_for(params), initial, t)
-    bwd = evolve(spectral_for(params.perturbed(epsilon)), initial, t)
+    return echo_from_spectra(spec, spectral_for(params.perturbed(epsilon)), initial, t)
+
+
+def echo_from_spectra(spec: SpectralDecomposition, perturbed: SpectralDecomposition,
+                      initial: PureState, t: float) -> float:
+    """The exact echo of `initial` from the decompositions of H and of H + eps*V."""
+    fwd = evolve(spec, initial, t)
+    bwd = evolve(perturbed, initial, t)
     return float(abs(np.vdot(bwd.amplitudes, fwd.amplitudes)) ** 2)
-
-
-def trotter_echo_diagonal(n_qubits: int, epsilon: float, tau: float) -> np.ndarray:
-    """Diagonal of the compiled echo step exp(-i*tau*eps*sum_i sigma_z^i)."""
-    return global_z_phases(n_qubits, tau * epsilon)
-
-
-def trotter_echo_operator(n_qubits: int, epsilon: float, tau: float) -> np.ndarray:
-    """The compiled echo step as a dense diagonal unitary."""
-    return np.diag(trotter_echo_diagonal(n_qubits, epsilon, tau))

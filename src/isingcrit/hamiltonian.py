@@ -71,8 +71,8 @@ class ChainParams:
         """Parameters of H + epsilon*V with V = -sum_i sigma_z^i.
 
         The shifted field is rounded to 12 decimals, as the scan grids are, so
-        that b_z - epsilon lands exactly on a grid point (and its cached
-        spectrum) instead of a rounding-dust neighbour.
+        that b_z - epsilon lands exactly on a grid point (whose spectrum an
+        exact scan keeps) instead of a rounding-dust neighbour.
         """
         return ChainParams(self.n_qubits, float(np.round(self.b_z - epsilon, 12)), self.b_x)
 

@@ -38,8 +38,8 @@ from isingcrit.dynamics import (
     ground_state,
     loschmidt_echo_exact,
     spectral_for,
-    trotter_echo_diagonal,
 )
+from isingcrit.gates import global_z_phases
 from isingcrit.hamiltonian import (
     ChainParams,
     build_hamiltonian,
@@ -275,7 +275,7 @@ def test_criterion_7b_single_step_echo_fidelity():
                 back = (s1.eigenvectors * np.exp(1j * s1.eigenvalues * tau)) @ (
                     s1.eigenvectors.conj().T @ fwd
                 )
-                overlap = np.vdot(psi, trotter_echo_diagonal(n, eps, tau).conj() * back)
+                overlap = np.vdot(psi, global_z_phases(n, tau * eps).conj() * back)
                 worst = min(worst, abs(overlap) ** 2)
             ok = ok and worst >= 0.98
             details.append(f"N={n} eps={eps}: min {worst:.4f}")

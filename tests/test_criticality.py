@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.signal import find_peaks
 
+from isingcrit import dynamics
 from isingcrit.criticality import (
     EVEN_SPLIT,
+    INITIAL_STATE_SOURCES,
     INTERVALS,
     EchoScan,
     MixingAngle,
@@ -20,7 +22,7 @@ from isingcrit.criticality import (
     mixing_angle_even,
     mixing_angle_odd,
 )
-from isingcrit.dynamics import ground_state, spectral_for
+from isingcrit.dynamics import ground_state, loschmidt_echo_exact
 from isingcrit.hamiltonian import ChainParams, UnsupportedChainError, phase_state
 from isingcrit.network import build_preparation_network, preparation_network
 from isingcrit.states import fidelity, superposition
@@ -327,10 +329,38 @@ def test_perturbative_scan_tracks_exact_scan():
     assert len(pert.minima) == len(exact.minima)
 
 
-def test_perturbed_fields_hit_the_grid_cache():
+@pytest.mark.parametrize("epsilon", [0.1, -0.1, 0.03])
+def test_exact_scan_solves_each_field_once(epsilon, monkeypatch):
     # b_z - epsilon is rounded like the grid, so a perturbed field that is a
     # grid point reuses that point's spectrum: 301 grid fields plus the 5
-    # perturbed ones below the grid
-    spectral_for.cache_clear()
-    echo_scan(7, 0.1, 0.1, np.pi, default_b_z_grid())
-    assert spectral_for.cache_info().misses <= 306
+    # perturbed ones beyond the grid; an off-grid shift solves two per point
+    solved = []
+    solve = dynamics.spectral_for
+
+    def counting_solve(params):
+        solved.append(params)
+        return solve(params)
+
+    monkeypatch.setattr(dynamics, "spectral_for", counting_solve)
+    echo_scan(7, 0.1, epsilon, np.pi, default_b_z_grid())
+    assert len(solved) == len(set(solved))
+    if epsilon == 0.03:
+        assert len(solved) <= 602
+    else:
+        assert len(solved) == 306
+
+
+@pytest.mark.parametrize("n", [4, 7])
+@pytest.mark.parametrize("source", INITIAL_STATE_SOURCES)
+@pytest.mark.parametrize("epsilon", [0.1, -0.1])
+def test_exact_scan_values_equal_per_point_echo(n, source, epsilon):
+    grid = default_b_z_grid()
+    scan = echo_scan(n, 0.1, epsilon, np.pi, grid, initial_state_source=source)
+    expected = [
+        loschmidt_echo_exact(
+            ChainParams(n, bz, 0.1), epsilon, np.pi,
+            ground_state_approx(n, bz, 0.1) if source == "approx_ground" else None,
+        )
+        for bz in grid
+    ]
+    assert np.array_equal(scan.values, expected)

@@ -19,10 +19,9 @@ from isingcrit.dynamics import (
     loschmidt_echo_exact,
     propagate,
     spectral_for,
-    trotter_echo_diagonal,
-    trotter_echo_operator,
 )
 from isingcrit.criticality import EVEN_SPLIT, ground_state_approx
+from isingcrit.gates import global_z_phases
 from isingcrit.hamiltonian import CROSSOVERS, ChainParams, build_hamiltonian
 from isingcrit.states import (
     HermitianOperator,
@@ -196,12 +195,6 @@ def test_echo_is_one_inside_phases_at_zero_transverse_field():
             assert loschmidt_echo_exact(params, 0.17, t, g) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_trotter_echo_operator_small_cases():
-    assert np.allclose(trotter_echo_operator(2, 0.0, 1.3), np.eye(4))
-    u = trotter_echo_operator(1, 0.2, 0.9)
-    assert np.allclose(u, np.diag([np.exp(-1j * 0.18), np.exp(1j * 0.18)]))
-
-
 def test_trotter_step_fidelity_at_left_multiphase_point():
     # one compiled step against the exact composed evolution on the prepared
     # state; frozen from the dense oracle (the squared overlap sits just
@@ -210,7 +203,7 @@ def test_trotter_step_fidelity_at_left_multiphase_point():
     psi = ground_state_approx(n, bz, bx).amplitudes
     u = expm(-1j * tau * build_hamiltonian(ChainParams(n, bz, bx)).matrix)
     up_dag = expm(1j * tau * build_hamiltonian(ChainParams(n, bz - eps, bx)).matrix)
-    w = trotter_echo_diagonal(n, eps, tau).conj() * (up_dag @ (u @ psi))
+    w = global_z_phases(n, tau * eps).conj() * (up_dag @ (u @ psi))
     fid = abs(np.vdot(psi, w)) ** 2
     assert fid == pytest.approx(0.968606, abs=1e-5)
 
@@ -242,7 +235,7 @@ def test_spectral_for_matches_plain_dense_eigh(n, monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigh", recording_eigh)
-            spec = spectral_for.__wrapped__(params)
+            spec = spectral_for(params)
         # pins the blocked path: one eigh per reflection sector, none at B_x = 0
         assert shapes == (sector_shapes if bx != 0.0 else [])
         v, w = spec.eigenvectors, spec.eigenvalues
@@ -301,7 +294,7 @@ def test_spectral_for_is_bit_identical_to_the_dense_blocked_reference(n):
         for bz in fields:
             params = ChainParams(n, bz, bx)
             w, v = _blocked_dense_reference(params)
-            spec = spectral_for.__wrapped__(params)
+            spec = spectral_for(params)
             assert spec.eigenvalues.dtype == w.dtype and spec.eigenvectors.dtype == v.dtype
             assert np.array_equal(spec.eigenvalues, w), params
             assert np.array_equal(spec.eigenvectors, v), params
@@ -325,11 +318,10 @@ def test_diagonalize_real_input_keeps_real_eigenvectors():
                        atol=1e-12)
 
 
-def test_echo_scan_cold_cache_reruns_are_byte_identical(tmp_path):
+def test_echo_scan_reruns_are_byte_identical(tmp_path):
     path = tmp_path / "scan.json"
     outputs = []
     for _ in range(2):
-        spectral_for.cache_clear()
         assert main(["echo-scan", "--n", "8", "--format", "json", "--out", str(path)]) == 0
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]
@@ -349,3 +341,29 @@ def test_import_and_first_solve_leave_scipy_unloaded():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_zero_field_spectrum_sweep_keeps_peak_memory_bounded(tmp_path):
+    # each B_x = 0 point at N = 10 holds an 8 MB permutation matrix; a sweep
+    # that kept its decompositions would grow by that much per point. Linux
+    # carries the peak RSS of the spawning process across execve, so the
+    # child runs the sweep in a fork, whose RUSAGE_SELF counts only itself.
+    src = str(Path(isingcrit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = (
+        "import os, resource, sys\n"
+        "from isingcrit.cli import main\n"
+        "if os.fork() == 0:\n"
+        "    argv = ['spectrum', '--n', '10', '--bx', '0', '--bz-step', '0.05', '--out', sys.argv[1]]\n"
+        "    code = main(argv)\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, flush=True)\n"  # KiB
+        "    os._exit(code)\n"
+        "sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "spectrum.csv")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    peak_mb = int(out.stdout) * 1024 / 1e6
+    assert peak_mb < 128, f"peak RSS {peak_mb:.1f} MB"

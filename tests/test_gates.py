@@ -45,6 +45,12 @@ def test_global_z_is_unitary_diagonal():
     assert np.allclose(np.abs(d), 1.0)
 
 
+def test_global_z_phases_small_cases():
+    # the compiled echo step exp(-i*tau*eps*sum_i sigma_z^i) at eps = 0 and on one qubit
+    assert np.allclose(np.diag(global_z_phases(2, 1.3 * 0.0)), np.eye(4))
+    assert np.allclose(global_z_phases(1, 0.9 * 0.2), [np.exp(-1j * 0.18), np.exp(1j * 0.18)])
+
+
 def test_global_z_phases_match_popcount_reference():
     # reference: sum_i sigma_z^i = N - 2 * popcount(index), counted bit by bit
     for n in range(0, 7):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from isingcrit.criticality import INTERVALS, default_b_z_grid, echo_scan, ground_state_approx
-from isingcrit.dynamics import trotter_echo_operator
-from isingcrit.gates import Gate
+from isingcrit.gates import Gate, global_z_phases
 from isingcrit.hamiltonian import UnsupportedChainError
 from isingcrit.network import (
     GateNetwork,
@@ -146,7 +145,7 @@ def test_l_value_matches_direct_overlap_and_dephasing_preserves_it():
     net = preparation_network(n, bz, 0.1)
     res = run_protocol(net, eps, tau, 1)
     u0 = net.unitary()
-    full = u0.conj().T @ (trotter_echo_operator(n, eps, tau) @ u0)
+    full = u0.conj().T @ (np.diag(global_z_phases(n, tau * eps)) @ u0)
     s = np.zeros(2**n, dtype=complex)
     s[0] = 1.0
     assert res.l_value == pytest.approx(abs(np.vdot(s, full @ s)) ** 2, abs=1e-12)
