@@ -15,6 +15,11 @@ sectors, spanned by palindromes |i> = |R i> and (|i> +- |R i>)/sqrt(2), are
 each the diagonal of H plus B_x times sum_i sigma_x^i, built once per N from
 bit flips, and each gets one dense real `eigh`. `diagonalize` takes any
 Hermitian matrix: it sorts diagonal input and gives the rest one dense `eigh`.
+The exact ground state's echo needs only the even sector: for B_x != 0, H in
+the basis signed by prod_i sigma_z^i (which commutes with R) is connected with
+non-positive off-diagonals, so by Perron-Frobenius its ground state is unique
+and even; and [V, R] = 0. `even_spectral_for` serves exact-ground echoes and
+expansions; `spectrum`, `gap` and echoes of a given state use `spectral_for`.
 """
 
 from __future__ import annotations
@@ -167,6 +172,13 @@ def diagonalize(op: "HermitianOperator | np.ndarray") -> SpectralDecomposition:
     return SpectralDecomposition(w, _fix_phases(v))
 
 
+def _sector_eigh(diag: np.ndarray, x, b_x: float):
+    """`eigh` of one reflection sector: H's diagonal there plus b_x times its sigma_x triples."""
+    h = np.diag(diag)  # X flips change the popcount, which R keeps: no diagonal, zeros stay +0.0
+    h[x[:2]] = b_x * x[2]
+    return np.linalg.eigh(h)
+
+
 def spectral_for(params: ChainParams) -> SpectralDecomposition:
     """Decomposition of the chain Hamiltonian at these parameters, solved on every call.
 
@@ -177,13 +189,8 @@ def spectral_for(params: ChainParams) -> SpectralDecomposition:
     if params.b_x == 0.0:
         return _sorted_diagonal(d)
     s = _reflection_sectors(params.n_qubits)
-    # a flip changes the popcount, which R keeps, so X has no diagonal triples
-    # and the zeros that np.diag leaves stay +0.0
-    h_even, h_odd = np.diag(d[s.states]), np.diag(d[s.rep])
-    h_even[s.x_even[:2]] = params.b_x * s.x_even[2]
-    h_odd[s.x_odd[:2]] = params.b_x * s.x_odd[2]
-    w_even, y_even = np.linalg.eigh(h_even)
-    w_odd, y_odd = np.linalg.eigh(h_odd)
+    w_even, y_even = _sector_eigh(d[s.states], s.x_even, params.b_x)
+    w_odd, y_odd = _sector_eigh(d[s.rep], s.x_odd, params.b_x)
     v_odd = np.zeros((d.size, w_odd.size))
     v_odd[s.rep] = np.sqrt(0.5) * y_odd
     v_odd[s.mirror] = -np.sqrt(0.5) * y_odd
@@ -191,6 +198,16 @@ def spectral_for(params: ChainParams) -> SpectralDecomposition:
     w = np.concatenate([w_even, w_odd])
     order = np.argsort(w, kind="stable")
     return SpectralDecomposition(w[order], _fix_phases(v[:, order]))
+
+
+def even_spectral_for(params: ChainParams) -> SpectralDecomposition:
+    """The reflection-even levels of `spectral_for`, bit for bit (all of them at B_x = 0)."""
+    d = hamiltonian_diagonal(params)
+    if params.b_x == 0.0:  # the ground state need not be even here
+        return _sorted_diagonal(d)
+    s = _reflection_sectors(params.n_qubits)
+    w, y = _sector_eigh(d[s.states], s.x_even, params.b_x)
+    return SpectralDecomposition(w, _fix_phases(y[s.even_row] * s.even_weight))
 
 
 def ground_state(params: ChainParams) -> PureState:
@@ -232,14 +249,15 @@ def loschmidt_echo_exact(
 ) -> float:
     """L = |<initial| exp(i(H+eps*V)t) exp(-iHt) |initial>|^2, V = -sum sigma_z.
 
-    Defaults to the exact ground state of H as the initial state.
+    Defaults to the exact ground state of H, whose echo reads the even levels only.
     """
-    spec = spectral_for(params)
+    solve = even_spectral_for if initial is None else spectral_for
+    spec = solve(params)
     if initial is None:
         initial = spec.ground_state(params.n_qubits)
     if initial.dim != 2 ** params.n_qubits:
         raise ValueError("initial state dimension does not match the chain")
-    return echo_from_spectra(spec, spectral_for(params.perturbed(epsilon)), initial, t)
+    return echo_from_spectra(spec, solve(params.perturbed(epsilon)), initial, t)
 
 
 def echo_from_spectra(spec: SpectralDecomposition, perturbed: SpectralDecomposition,

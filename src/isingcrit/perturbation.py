@@ -93,9 +93,9 @@ def echo_two_level(
     L ~= 1 - 2 (|V_01|^2 / Delta^2) eps^2 (1 - cos(Delta t)), with |V_01|^2
     summed over the degenerate cluster (width ``GROUP_TOL``) of the selected
     level. Clusters whose total weight is below ``WEIGHT_TOL`` are skipped:
-    for even chains the literal first excited state is the reflection-odd
-    partner of the ground state and its coupling vanishes identically, so the
-    first contributing level sits one cluster higher.
+    `echo_scan` passes only the reflection-even levels, without the uncoupled
+    odd partner of an even chain's ground state, but at b_z = 0 V anticommutes
+    with the spin flip, so some even levels do not couple either.
     """
     w = spec.eigenvalues
     if w[1] - w[0] <= DEGENERACY_TOL:

@@ -5,6 +5,7 @@ import pytest
 from scipy.signal import find_peaks
 
 from isingcrit import dynamics
+from isingcrit.cli import main
 from isingcrit.criticality import (
     EVEN_SPLIT,
     INITIAL_STATE_SOURCES,
@@ -23,8 +24,14 @@ from isingcrit.criticality import (
     mixing_angle_odd,
 )
 from isingcrit.dynamics import ground_state, loschmidt_echo_exact
-from isingcrit.hamiltonian import ChainParams, UnsupportedChainError, phase_state
+from isingcrit.hamiltonian import (
+    ChainParams,
+    UnsupportedChainError,
+    global_field_perturbation,
+    phase_state,
+)
 from isingcrit.network import build_preparation_network, preparation_network
+from isingcrit.perturbation import DegenerateGapError, echo_two_level
 from isingcrit.states import fidelity, superposition
 
 
@@ -329,25 +336,57 @@ def test_perturbative_scan_tracks_exact_scan():
     assert len(pert.minima) == len(exact.minima)
 
 
-@pytest.mark.parametrize("epsilon", [0.1, -0.1, 0.03])
-def test_exact_scan_solves_each_field_once(epsilon, monkeypatch):
-    # b_z - epsilon is rounded like the grid, so a perturbed field that is a
-    # grid point reuses that point's spectrum: 301 grid fields plus the 5
-    # perturbed ones beyond the grid; an off-grid shift solves two per point
+def _counting_even_solver(monkeypatch):
+    """Record every field the scan hands to `dynamics.even_spectral_for`."""
     solved = []
-    solve = dynamics.spectral_for
+    solve = dynamics.even_spectral_for
 
     def counting_solve(params):
         solved.append(params)
         return solve(params)
 
-    monkeypatch.setattr(dynamics, "spectral_for", counting_solve)
+    monkeypatch.setattr(dynamics, "even_spectral_for", counting_solve)
+    return solved
+
+
+@pytest.mark.parametrize("epsilon", [0.1, -0.1, 0.03])
+def test_exact_scan_solves_each_field_once(epsilon, monkeypatch):
+    # b_z - epsilon is rounded like the grid, so a perturbed field that is a
+    # grid point reuses that point's spectrum: 301 grid fields plus the 5
+    # perturbed ones beyond the grid; an off-grid shift solves two per point.
+    # The exact ground state is reflection-even, so only that sector is solved.
+    solved = _counting_even_solver(monkeypatch)
     echo_scan(7, 0.1, epsilon, np.pi, default_b_z_grid())
     assert len(solved) == len(set(solved))
     if epsilon == 0.03:
-        assert len(solved) <= 602
+        assert 306 <= len(solved) <= 602
     else:
         assert len(solved) == 306
+
+
+@pytest.mark.parametrize("value_kind", ["perturbative_echo", "two_level_echo"])
+def test_expansion_scans_solve_the_even_sector_once_per_field(value_kind, monkeypatch):
+    solved = _counting_even_solver(monkeypatch)
+    echo_scan(7, 0.1, 0.1, np.pi, default_b_z_grid(), value_kind=value_kind)
+    assert len(solved) == len(set(solved)) == 301
+
+
+def test_two_level_scan_of_an_even_chain_at_small_transverse_field(tmp_path):
+    # the reflection-odd partner of the N = 8 ground level sits 7.8-9.9e-11
+    # above it at |b_z| <= 0.24, below DEGENERACY_TOL, so a full decomposition
+    # reads the ground level as degenerate there; the even-sector levels do
+    # not hold the partner, so the scan runs, and everywhere else it matches
+    argv = ["echo-scan", "--n", "8", "--bx", "0.05", "--value-kind", "two_level_echo"]
+    assert main(argv + ["--out", str(tmp_path / "scan.csv")]) == 0
+    scan = echo_scan(8, 0.05, 0.1, np.pi, default_b_z_grid(), value_kind="two_level_echo")
+    v = global_field_perturbation(8)
+    for bz, value in scan.grid:
+        full = dynamics.spectral_for(ChainParams(8, bz, 0.05))
+        if abs(bz) <= 0.24:
+            with pytest.raises(DegenerateGapError):
+                echo_two_level(full, v, 0.1, np.pi)
+        else:
+            assert abs(value - echo_two_level(full, v, 0.1, np.pi)) <= 1e-13, bz
 
 
 @pytest.mark.parametrize("n", [4, 7])

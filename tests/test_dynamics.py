@@ -14,6 +14,9 @@ from isingcrit.dynamics import (
     _fix_phases,
     _reflection_sectors,
     diagonalize,
+    echo_from_spectra,
+    even_spectral_for,
+    evolve,
     gap,
     ground_state,
     loschmidt_echo_exact,
@@ -298,6 +301,51 @@ def test_spectral_for_is_bit_identical_to_the_dense_blocked_reference(n):
             assert spec.eigenvalues.dtype == w.dtype and spec.eigenvectors.dtype == v.dtype
             assert np.array_equal(spec.eigenvalues, w), params
             assert np.array_equal(spec.eigenvectors, v), params
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_even_spectral_for_is_the_even_sector_of_spectral_for(n):
+    # both solve the even block with the same eigh call on the same bits; the
+    # even columns of the full solve are those chain reversal leaves
+    # bit-identical (an odd column is antisymmetric and nonzero)
+    rev = qubit_bit_values(n) @ (1 << np.arange(n))
+    for bx in (-0.05, 0.05, 0.1, 0.5):
+        for bz in (-2.0, -1.0, 0.0, 0.3, EVEN_SPLIT):  # crossovers, a generic field, a split
+            params = ChainParams(n, bz, bx)
+            full, even = spectral_for(params), even_spectral_for(params)
+            mask = np.all(full.eigenvectors[rev] == full.eigenvectors, axis=0)
+            assert even.eigenvectors.shape == (2**n, np.count_nonzero(mask))
+            assert np.array_equal(even.eigenvalues, full.eigenvalues[mask]), params
+            assert np.array_equal(even.eigenvectors, full.eigenvectors[:, mask]), params
+    # at B_x = 0 the ground state need not be even: the full sorted diagonal
+    params = ChainParams(n, -1.0, 0.0)
+    assert np.array_equal(even_spectral_for(params).eigenvectors, spectral_for(params).eigenvectors)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_exact_ground_state_is_reflection_even(n):
+    rev = qubit_bit_values(n) @ (1 << np.arange(n))
+    for bz, bx in _solver_fields() + [(-1.9, -0.05)]:
+        if bx == 0.0:
+            continue
+        params = ChainParams(n, bz, bx)
+        full = spectral_for(params)
+        ground = full.eigenvectors[:, 0]
+        assert np.max(np.abs(ground[rev] - ground)) <= 1e-12, params
+        assert even_spectral_for(params).ground_energy == full.ground_energy
+
+
+def test_even_decomposition_rejects_a_state_with_an_odd_part():
+    # |0...01> and its mirror |10...0> form a pair, so half its norm is odd:
+    # propagation through the even levels alone loses it and PureState refuses,
+    # where a silent echo would be wrong
+    params, ket = ChainParams(5, -1.0, 0.1), basis_state(5, "00001")
+    assert evolve(spectral_for(params), ket, np.pi).dim == 32
+    with pytest.raises(ValueError, match="norm"):
+        evolve(even_spectral_for(params), ket, np.pi)
+    with pytest.raises(ValueError, match="norm"):
+        echo_from_spectra(even_spectral_for(params), even_spectral_for(params.perturbed(0.1)),
+                          ket, np.pi)
 
 
 def test_sector_data_at_twelve_qubits_is_sparse():

@@ -1,5 +1,6 @@
 """Property tests for the protocol readout, the interval table, the network
-text format, the phase energies, the exact echo and minima detection."""
+text format, the phase energies, the exact echo (and its even-sector solve)
+and minima detection."""
 
 import string
 
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isingcrit.criticality import INTERVALS, find_minima, interval_boundaries, interval_index
-from isingcrit.dynamics import loschmidt_echo_exact
+from isingcrit.dynamics import echo_from_spectra, loschmidt_echo_exact, spectral_for
 from isingcrit.hamiltonian import ChainParams, closed_form_energy, phase_labels
 from isingcrit.gates import GATE_ARITY, Gate
 from isingcrit.network import (
@@ -120,6 +121,19 @@ def test_exact_echo_is_invariant_under_field_reversal(n, b_z, b_x, epsilon, tau)
     forward = loschmidt_echo_exact(ChainParams(n, b_z, b_x), epsilon, tau)
     reversed_ = loschmidt_echo_exact(ChainParams(n, -b_z, b_x), -epsilon, tau)
     assert abs(forward - reversed_) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 8), b_x=st.floats(0.05, 1.0), b_z=st.floats(-3.0, 3.0),
+       epsilon=st.floats(-0.5, 0.5), tau=st.floats(0.0, 2 * np.pi))
+def test_default_echo_reads_only_the_even_levels(n, b_z, b_x, epsilon, tau):
+    # the exact ground state is reflection-even and H + eps*V keeps that sector,
+    # so the even-sector echo equals the echo through both full decompositions
+    params = ChainParams(n, b_z, b_x)
+    spec = spectral_for(params)
+    full = echo_from_spectra(spec, spectral_for(params.perturbed(epsilon)),
+                             spec.ground_state(n), tau)
+    assert abs(loschmidt_echo_exact(params, epsilon, tau) - full) <= 1e-12
 
 
 # Integer scan values and half-integer prominences keep every comparison in
