@@ -109,7 +109,7 @@ def _cmd_spectrum(config: RunConfig):
     rows = []
     for bz in grid:
         params = ChainParams(config.n, bz, config.bx)
-        w = dynamics.spectral_for(params).eigenvalues
+        w = dynamics.levels_for(params)
         row = [bz, w[0], w[1], w[1] - w[0]]
         if with_closed:
             row.append(closed_form_energy(params))

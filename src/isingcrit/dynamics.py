@@ -18,8 +18,13 @@ Hermitian matrix: it sorts diagonal input and gives the rest one dense `eigh`.
 The exact ground state's echo needs only the even sector: for B_x != 0, H in
 the basis signed by prod_i sigma_z^i (which commutes with R) is connected with
 non-positive off-diagonals, so by Perron-Frobenius its ground state is unique
-and even; and [V, R] = 0. `even_spectral_for` serves exact-ground echoes and
-expansions; `spectrum`, `gap` and echoes of a given state use `spectral_for`.
+and even; and [V, R] = 0.
+
+Each reader calls the solver that builds only what it reads. `levels_for`
+serves the level readers (the `spectrum` command, `gap`, `ground_energy`):
+the same sort or sector solves as `spectral_for`, with no eigenvector matrix
+assembled. `even_spectral_for` serves ground-state echoes, the expansions and
+`ground_state`; `spectral_for` serves the rest, such as echoes of a given state.
 """
 
 from __future__ import annotations
@@ -179,6 +184,16 @@ def _sector_eigh(diag: np.ndarray, x, b_x: float):
     return np.linalg.eigh(h)
 
 
+def _both_sectors(d: np.ndarray, s: _ReflectionSectors, b_x: float):
+    """Both sectors' `eigh`, merged: levels ascending (even first in a tie), the merge
+    order, and each sector's vectors in its own basis."""
+    w_even, y_even = _sector_eigh(d[s.states], s.x_even, b_x)
+    w_odd, y_odd = _sector_eigh(d[s.rep], s.x_odd, b_x)
+    w = np.concatenate([w_even, w_odd])
+    order = np.argsort(w, kind="stable")
+    return w[order], order, y_even, y_odd
+
+
 def spectral_for(params: ChainParams) -> SpectralDecomposition:
     """Decomposition of the chain Hamiltonian at these parameters, solved on every call.
 
@@ -189,15 +204,20 @@ def spectral_for(params: ChainParams) -> SpectralDecomposition:
     if params.b_x == 0.0:
         return _sorted_diagonal(d)
     s = _reflection_sectors(params.n_qubits)
-    w_even, y_even = _sector_eigh(d[s.states], s.x_even, params.b_x)
-    w_odd, y_odd = _sector_eigh(d[s.rep], s.x_odd, params.b_x)
-    v_odd = np.zeros((d.size, w_odd.size))
+    w, order, y_even, y_odd = _both_sectors(d, s, params.b_x)
+    v_odd = np.zeros((d.size, y_odd.shape[1]))
     v_odd[s.rep] = np.sqrt(0.5) * y_odd
     v_odd[s.mirror] = -np.sqrt(0.5) * y_odd
     v = np.concatenate([y_even[s.even_row] * s.even_weight, v_odd], axis=1)
-    w = np.concatenate([w_even, w_odd])
-    order = np.argsort(w, kind="stable")
-    return SpectralDecomposition(w[order], _fix_phases(v[:, order]))
+    return SpectralDecomposition(w, _fix_phases(v[:, order]))
+
+
+def levels_for(params: ChainParams) -> np.ndarray:
+    """`spectral_for(params).eigenvalues`, bit for bit, with no eigenvector matrix built."""
+    d = hamiltonian_diagonal(params)
+    if params.b_x == 0.0:
+        return d[np.argsort(d, kind="stable")]  # `_sorted_diagonal`'s order
+    return _both_sectors(d, _reflection_sectors(params.n_qubits), params.b_x)[0]
 
 
 def even_spectral_for(params: ChainParams) -> SpectralDecomposition:
@@ -211,17 +231,17 @@ def even_spectral_for(params: ChainParams) -> SpectralDecomposition:
 
 
 def ground_state(params: ChainParams) -> PureState:
-    """Exact ground eigenvector of the chain Hamiltonian."""
-    return spectral_for(params).ground_state(params.n_qubits)
+    """Exact ground eigenvector of the chain Hamiltonian, from the even sector alone."""
+    return even_spectral_for(params).ground_state(params.n_qubits)
 
 
 def ground_energy(params: ChainParams) -> float:
-    return spectral_for(params).ground_energy
+    return float(levels_for(params)[0])
 
 
 def gap(params: ChainParams) -> float:
     """E_1 - E_0, counting degenerate levels literally (0 at exact crossings)."""
-    w = spectral_for(params).eigenvalues
+    w = levels_for(params)
     return float(w[1] - w[0])
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,9 @@ from isingcrit.dynamics import (
     even_spectral_for,
     evolve,
     gap,
+    ground_energy,
     ground_state,
+    levels_for,
     loschmidt_echo_exact,
     propagate,
     spectral_for,
@@ -322,6 +325,48 @@ def test_even_spectral_for_is_the_even_sector_of_spectral_for(n):
     assert np.array_equal(even_spectral_for(params).eigenvectors, spectral_for(params).eigenvectors)
 
 
+# b_z = 0, every crossover of either parity and the even-chain splits
+_LEVEL_FIELDS = sorted(set(CROSSOVERS["odd"] + CROSSOVERS["even"] + (-EVEN_SPLIT, EVEN_SPLIT)))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_level_readers_are_bit_identical_to_spectral_for(n):
+    for bx in (0.0, -0.05, 0.05, 0.1, 0.5):
+        for bz in _LEVEL_FIELDS:
+            params = ChainParams(n, bz, bx)
+            w = spectral_for(params).eigenvalues
+            levels = levels_for(params)
+            assert levels.dtype == w.dtype and np.array_equal(levels, w), params
+            assert np.array_equal(np.signbit(levels), np.signbit(w)), params
+            assert gap(params) == float(w[1] - w[0])
+            assert ground_energy(params) == float(w[0])
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_ground_state_is_the_first_column_of_spectral_for(n):
+    # for B_x != 0 the even solver's ground vector is spectral_for's first
+    # column bit for bit; at B_x = 0 both solvers sort the same diagonal
+    for bx in (0.0, -0.05, 0.05, 0.1, 0.5):
+        for bz in _LEVEL_FIELDS:
+            params = ChainParams(n, bz, bx)
+            expected = PureState(spectral_for(params).eigenvectors[:, 0], n).amplitudes
+            assert np.array_equal(ground_state(params).amplitudes, expected), params
+
+
+@pytest.mark.parametrize("n, bx", [(12, 0.0), (10, 0.1)])
+def test_levels_for_never_holds_an_eigenvector_matrix(n, bx):
+    # spectral_for holds a 2^N x 2^N float64 matrix: 134 MB at N = 12, 8 MB at N = 10
+    params = ChainParams(n, -1.9, bx)
+    levels_for(params)  # builds the per-N sector tables outside the trace
+    tracemalloc.start()
+    try:
+        levels_for(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 4**n, f"traced peak {peak} bytes"
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_exact_ground_state_is_reflection_even(n):
     rev = qubit_bit_values(n) @ (1 << np.arange(n))
@@ -391,27 +436,41 @@ def test_import_and_first_solve_leave_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-def test_zero_field_spectrum_sweep_keeps_peak_memory_bounded(tmp_path):
-    # each B_x = 0 point at N = 10 holds an 8 MB permutation matrix; a sweep
-    # that kept its decompositions would grow by that much per point. Linux
-    # carries the peak RSS of the spawning process across execve, so the
-    # child runs the sweep in a fork, whose RUSAGE_SELF counts only itself.
+def _spectrum_peak_rss_mb(argv, out_path) -> float:
+    """Peak RSS of one `isingcrit spectrum` run, in MB.
+
+    Linux carries the peak RSS of the spawning process across execve, so the
+    child runs the sweep in a fork, whose RUSAGE_SELF counts only itself.
+    """
     src = str(Path(isingcrit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     code = (
         "import os, resource, sys\n"
         "from isingcrit.cli import main\n"
         "if os.fork() == 0:\n"
-        "    argv = ['spectrum', '--n', '10', '--bx', '0', '--bz-step', '0.05', '--out', sys.argv[1]]\n"
-        "    code = main(argv)\n"
+        "    code = main(['spectrum', *sys.argv[2:], '--out', sys.argv[1]])\n"
         "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, flush=True)\n"  # KiB
         "    os._exit(code)\n"
         "sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "spectrum.csv")],
+        [sys.executable, "-c", code, str(out_path), *argv],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0, out.stderr
-    peak_mb = int(out.stdout) * 1024 / 1e6
+    return int(out.stdout) * 1024 / 1e6
+
+
+def test_zero_field_spectrum_sweep_keeps_peak_memory_bounded(tmp_path):
+    # a B_x = 0 eigenvector matrix at N = 10 is an 8 MB permutation; a sweep
+    # that kept one per point would grow by that much per point
+    peak_mb = _spectrum_peak_rss_mb(["--n", "10", "--bx", "0", "--bz-step", "0.05"],
+                                    tmp_path / "spectrum.csv")
     assert peak_mb < 128, f"peak RSS {peak_mb:.1f} MB"
+
+
+def test_zero_field_spectrum_at_twelve_qubits_builds_no_eigenvectors(tmp_path):
+    # a single B_x = 0 eigenvector matrix at N = 12 takes 134 MB
+    peak_mb = _spectrum_peak_rss_mb(["--n", "12", "--bx", "0", "--bz-step", "0.25"],
+                                    tmp_path / "spectrum.csv")
+    assert peak_mb < 64, f"peak RSS {peak_mb:.1f} MB"

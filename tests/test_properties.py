@@ -1,6 +1,6 @@
 """Property tests for the protocol readout, the interval table, the network
-text format, the phase energies, the exact echo (and its even-sector solve)
-and minima detection."""
+text format, the phase energies, the exact echo (and its even-sector solve),
+the level solver and minima detection."""
 
 import string
 
@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isingcrit.criticality import INTERVALS, find_minima, interval_boundaries, interval_index
-from isingcrit.dynamics import echo_from_spectra, loschmidt_echo_exact, spectral_for
+from isingcrit.dynamics import echo_from_spectra, levels_for, loschmidt_echo_exact, spectral_for
 from isingcrit.hamiltonian import ChainParams, closed_form_energy, phase_labels
 from isingcrit.gates import GATE_ARITY, Gate
 from isingcrit.network import (
@@ -134,6 +134,17 @@ def test_default_echo_reads_only_the_even_levels(n, b_z, b_x, epsilon, tau):
     full = echo_from_spectra(spec, spectral_for(params.perturbed(epsilon)),
                              spec.ground_state(n), tau)
     assert abs(loschmidt_echo_exact(params, epsilon, tau) - full) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), b_z=st.floats(-3.0, 3.0),
+       b_x=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))
+def test_levels_for_is_the_spectrum_of_spectral_for(n, b_z, b_x):
+    # the same sort or sector solves, with no eigenvector matrix built
+    params = ChainParams(n, b_z, b_x)
+    levels, w = levels_for(params), spectral_for(params).eigenvalues
+    assert np.array_equal(levels, w)
+    assert np.array_equal(np.signbit(levels), np.signbit(w))
 
 
 # Integer scan values and half-integer prominences keep every comparison in
