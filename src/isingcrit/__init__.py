@@ -26,10 +26,9 @@ from .dynamics import (
     ground_energy,
     ground_state,
     loschmidt_echo_exact,
-    propagate,
     spectral_for,
 )
-from .gates import Gate, apply_gate, apply_gates
+from .gates import Gate, apply_gates
 from .hamiltonian import (
     ChainParams,
     ChainSizeError,
@@ -48,7 +47,6 @@ from .network import (
     GateNetwork,
     ReadoutResult,
     build_preparation_network,
-    cancel_swap_pairs,
     parse_network,
     preparation_network,
     protocol_network,
@@ -59,7 +57,6 @@ from .network import (
 from .perturbation import (
     DegenerateGapError,
     LandauZenerParams,
-    echo_amplitude_expansion,
     echo_perturbative,
     echo_two_level,
     lz_echo_gaussian,
@@ -72,7 +69,6 @@ from .states import (
     PureState,
     basis_state,
     fidelity,
-    pauli_string_apply,
     superposition,
 )
 

@@ -22,12 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .hamiltonian import (
-    ChainParams,
-    UnsupportedChainError,
-    global_field_perturbation,
-    phase_state,
-)
+from .hamiltonian import ChainParams, UnsupportedChainError, phase_state
 from .perturbation import echo_perturbative, echo_two_level
 from .states import PureState
 
@@ -68,9 +63,7 @@ class EchoScan:
     minima: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        bz = [p[0] for p in self.grid]
-        if any(b2 <= b1 for b1, b2 in zip(bz, bz[1:])):
-            raise ValueError("scan grid must be strictly increasing in b_z")
+        _require_increasing([p[0] for p in self.grid])
 
     @property
     def b_z_values(self) -> np.ndarray:
@@ -79,6 +72,11 @@ class EchoScan:
     @property
     def values(self) -> np.ndarray:
         return np.array([p[1] for p in self.grid])
+
+
+def _require_increasing(b_z) -> None:
+    if any(b2 <= b1 for b1, b2 in zip(b_z, b_z[1:])):
+        raise ValueError("scan grid must be strictly increasing in b_z")
 
 
 INTERVALS = {
@@ -282,6 +280,7 @@ def echo_scan(
         raise ValueError("readout_amplitude prepares the approximate ground state; "
                          'pass initial_state_source="approx_ground"')
     grid = np.asarray(b_z_grid, dtype=float)
+    _require_increasing(grid)  # before the first solve
 
     values = np.empty(grid.size)
     if value_kind == READOUT_AMPLITUDE:
@@ -291,9 +290,9 @@ def echo_scan(
             net = preparation_network(n_qubits, bz, b_x)
             values[i] = run_protocol(net, epsilon, tau, readout_qubit).amplitude
     else:
-        v_op = global_field_perturbation(n_qubits) if value_kind != EXACT_ECHO else None
         exact_ground = initial_state_source == EXACT_GROUND  # a reflection-even state
         solve = dynamics.even_spectral_for if exact_ground else dynamics.spectral_for
+        v_even = dynamics.even_field_perturbation(n_qubits) if value_kind != EXACT_ECHO else None
         solved = {}  # exact echo: the spectra a later grid point may read again
         for i, bz in enumerate(grid):
             params = ChainParams(n_qubits, bz, b_x)
@@ -302,16 +301,16 @@ def echo_scan(
                 for p in {params, shifted} - solved.keys():
                     solved[p] = solve(p)
                 if exact_ground:
-                    initial = solved[params].ground_state(n_qubits)
+                    values[i] = dynamics.ground_echo(solved[params], solved[shifted], tau)
                 else:
                     initial = ground_state_approx(n_qubits, bz, b_x)
-                values[i] = dynamics.echo_from_spectra(solved[params], solved[shifted], initial, tau)
+                    values[i] = dynamics.echo_from_spectra(solved[params], solved[shifted], initial, tau)
                 # on an increasing grid no later point reads a field at or below both
                 solved = {p: s for p, s in solved.items() if p.b_z > min(bz, shifted.b_z)}
             elif value_kind == PERTURBATIVE_ECHO:
-                values[i] = echo_perturbative(solve(params), v_op, epsilon, tau)
+                values[i] = echo_perturbative(solve(params), v_even, epsilon, tau)
             else:
-                values[i] = echo_two_level(solve(params), v_op, epsilon, tau)
+                values[i] = echo_two_level(solve(params), v_even, epsilon, tau)
 
     minima = find_minima(grid, values)
     return EchoScan(

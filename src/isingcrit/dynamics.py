@@ -1,30 +1,36 @@
 """Spectral machinery: diagonalization, propagators and the exact echo.
 
 Propagation goes through full spectral decomposition rather than a matrix
-exponential per time point. Nothing is memoized: every `spectral_for` call
-solves, and a caller that reads a spectrum again keeps it, as the exact
-`echo_scan` does for the perturbed fields its grid meets again. The
-perturbed evolution uses H + epsilon*V with V = -sum_i sigma_z^i, i.e. a
-longitudinal field shifted to B_z - epsilon.
+exponential per time point. Nothing is memoized: every solver call solves,
+and a caller that reads a spectrum again keeps it, as the exact `echo_scan`
+does for the perturbed fields its grid meets again. The perturbed evolution
+uses H + epsilon*V with V = -sum_i sigma_z^i, i.e. a longitudinal field
+shifted to B_z - epsilon.
 
-`spectral_for` solves the chain from its parameters, with no dense 2^N x 2^N
-matrix. At B_x = 0 the chain is diagonal and its eigenbasis is a stable sort
-of `hamiltonian_diagonal`. Otherwise it is real symmetric and commutes with
+The chain is solved from its parameters, with no dense 2^N x 2^N matrix. At
+B_x = 0 it is diagonal and its eigenbasis is a stable sort of
+`hamiltonian_diagonal`. Otherwise it is real symmetric and commutes with
 chain reversal R (qubit i <-> qubit N+1-i): the reflection-even and -odd
 sectors, spanned by palindromes |i> = |R i> and (|i> +- |R i>)/sqrt(2), are
 each the diagonal of H plus B_x times sum_i sigma_x^i, built once per N from
 bit flips, and each gets one dense real `eigh`. `diagonalize` takes any
 Hermitian matrix: it sorts diagonal input and gives the rest one dense `eigh`.
-The exact ground state's echo needs only the even sector: for B_x != 0, H in
-the basis signed by prod_i sigma_z^i (which commutes with R) is connected with
-non-positive off-diagonals, so by Perron-Frobenius its ground state is unique
-and even; and [V, R] = 0.
 
-Each reader calls the solver that builds only what it reads. `levels_for`
-serves the level readers (the `spectrum` command, `gap`, `ground_energy`):
-the same sort or sector solves as `spectral_for`, with no eigenvector matrix
-assembled. `even_spectral_for` serves ground-state echoes, the expansions and
-`ground_state`; `spectral_for` serves the rest, such as echoes of a given state.
+Each reader calls the solver that builds only what it reads, in the basis it
+reads it in:
+
+* `levels_for` (the `spectrum` command, `gap`, `ground_energy`): the levels
+  of `spectral_for` with no eigenvector matrix assembled.
+* `even_spectral_for` (ground-state echoes, both expansions, `ground_state`):
+  the even sector alone, its vectors left in the even basis. For B_x != 0, H
+  in the basis signed by prod_i sigma_z^i (which commutes with R) is
+  connected with non-positive off-diagonals, so by Perron-Frobenius its
+  ground state is unique and even; at B_x = 0 the even basis holds a ground
+  state too, since H(s) = H(R s). V is diagonal in the even basis as well
+  (`even_field_perturbation`), so nothing maps these vectors to 2^N rows but
+  `ground_state`, which maps one.
+* `spectral_for` (echoes of a given state, such as the approximate ground
+  state of the scans): both sectors mapped to the 2^N computational basis.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hamiltonian import ChainParams, hamiltonian_diagonal
+from .hamiltonian import ChainParams, global_field_perturbation, hamiltonian_diagonal
 from .states import (
     HERMITIAN_TOL,
     HermitianOperator,
@@ -66,9 +72,6 @@ class SpectralDecomposition:
     @property
     def ground_energy(self) -> float:
         return float(self.eigenvalues[0])
-
-    def ground_state(self, n_qubits: int) -> PureState:
-        return PureState(self.eigenvectors[:, 0], n_qubits)
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
@@ -221,18 +224,29 @@ def levels_for(params: ChainParams) -> np.ndarray:
 
 
 def even_spectral_for(params: ChainParams) -> SpectralDecomposition:
-    """The reflection-even levels of `spectral_for`, bit for bit (all of them at B_x = 0)."""
+    """The reflection-even levels, with vectors in the even basis: row a is the
+    ket or pair of `_reflection_sectors(N).states[a]`."""
     d = hamiltonian_diagonal(params)
-    if params.b_x == 0.0:  # the ground state need not be even here
-        return _sorted_diagonal(d)
     s = _reflection_sectors(params.n_qubits)
-    w, y = _sector_eigh(d[s.states], s.x_even, params.b_x)
-    return SpectralDecomposition(w, _fix_phases(y[s.even_row] * s.even_weight))
+    if params.b_x == 0.0:
+        return _sorted_diagonal(d[s.states])
+    return SpectralDecomposition(*_sector_eigh(d[s.states], s.x_even, params.b_x))
+
+
+def even_field_perturbation(n_qubits: int) -> np.ndarray:
+    """V = -sum_i sigma_z^i in the even basis of `even_spectral_for`: a diagonal, as V(s) = V(R s)."""
+    return global_field_perturbation(n_qubits)[_reflection_sectors(n_qubits).states]
 
 
 def ground_state(params: ChainParams) -> PureState:
-    """Exact ground eigenvector of the chain Hamiltonian, from the even sector alone."""
-    return even_spectral_for(params).ground_state(params.n_qubits)
+    """`spectral_for(params)`'s first column, bit for bit: at B_x = 0 the first ket of the
+    diagonal's stable sort, otherwise the even ground vector mapped to 2^N rows."""
+    n = params.n_qubits
+    if params.b_x == 0.0:
+        return PureState(np.eye(1, 2**n, int(np.argmin(hamiltonian_diagonal(params)))), n)
+    s = _reflection_sectors(n)
+    y0 = even_spectral_for(params).eigenvectors[:, :1]
+    return PureState(_fix_phases(y0[s.even_row] * s.even_weight), n)
 
 
 def ground_energy(params: ChainParams) -> float:
@@ -252,15 +266,6 @@ def evolve(spec: SpectralDecomposition, state: PureState, t: float) -> PureState
     return PureState(out, state.n_qubits)
 
 
-def propagate(state: PureState, h: HermitianOperator, t: float) -> PureState:
-    """exp(-i*H*t)|state> for an arbitrary Hermitian operator."""
-    if h.matrix.shape[0] != state.dim:
-        raise ValueError(
-            f"operator dimension {h.matrix.shape[0]} does not match state dimension {state.dim}"
-        )
-    return evolve(diagonalize(h), state, t)
-
-
 def loschmidt_echo_exact(
     params: ChainParams,
     epsilon: float,
@@ -269,15 +274,13 @@ def loschmidt_echo_exact(
 ) -> float:
     """L = |<initial| exp(i(H+eps*V)t) exp(-iHt) |initial>|^2, V = -sum sigma_z.
 
-    Defaults to the exact ground state of H, whose echo reads the even levels only.
+    Defaults to the exact ground state of H, whose echo reads the even sector only.
     """
-    solve = even_spectral_for if initial is None else spectral_for
-    spec = solve(params)
     if initial is None:
-        initial = spec.ground_state(params.n_qubits)
+        return ground_echo(even_spectral_for(params), even_spectral_for(params.perturbed(epsilon)), t)
     if initial.dim != 2 ** params.n_qubits:
         raise ValueError("initial state dimension does not match the chain")
-    return echo_from_spectra(spec, solve(params.perturbed(epsilon)), initial, t)
+    return echo_from_spectra(spectral_for(params), spectral_for(params.perturbed(epsilon)), initial, t)
 
 
 def echo_from_spectra(spec: SpectralDecomposition, perturbed: SpectralDecomposition,
@@ -286,3 +289,11 @@ def echo_from_spectra(spec: SpectralDecomposition, perturbed: SpectralDecomposit
     fwd = evolve(spec, initial, t)
     bwd = evolve(perturbed, initial, t)
     return float(abs(np.vdot(bwd.amplitudes, fwd.amplitudes)) ** 2)
+
+
+def ground_echo(spec: SpectralDecomposition, perturbed: SpectralDecomposition, t: float) -> float:
+    """The exact echo of the ground vector y0 of `spec`, from real decompositions of H and of
+    H + eps*V in one basis: y0 only picks up a phase under H, so L = |sum_k c_k^2 exp(i E'_k t)|^2
+    with c = Y'^T y0."""
+    c = perturbed.eigenvectors.T @ spec.eigenvectors[:, 0]
+    return float(abs(np.sum(c * c * np.exp(1j * perturbed.eigenvalues * t))) ** 2)

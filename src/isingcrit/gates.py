@@ -156,7 +156,3 @@ def apply_gates(state: PureState, gates) -> PureState:
         amps = _apply(amps, state.n_qubits, g)
     return PureState(amps, state.n_qubits)
 
-
-def apply_gate(state: PureState, gate: Gate) -> PureState:
-    """Apply one gate; norm is preserved to machine precision."""
-    return apply_gates(state, (gate,))

@@ -6,15 +6,19 @@ The model on N qubits with open boundaries is
     H = sum_{i=1}^{N-1} sigma_z^i sigma_z^{i+1}
       + B_z sum_i sigma_z^i + B_x sum_i sigma_x^i,
 
-with the coupling strength as the unit of energy. At B_x = 0 the Hamiltonian
-is diagonal in the computational basis and the ground state is a simple
-product (or two-ket) pattern that changes at the crossover fields, held in
-the table CROSSOVERS: +-2 and 0 for odd N; +-2 and +-1 for even N > 2. The
-phase catalogue, its energies and the closed forms are read from it; a
-crossover belongs to the phase on its left. At B_z = +-2 the ground manifold
-is macroscopically degenerate; `closed_form_ground` returns the
-staggered-front family interpolating between the two adjacent phase patterns
-there.
+with the coupling strength as the unit of energy. The detection perturbation
+V = -sum_i sigma_z^i is diagonal in the computational basis, so
+`global_field_perturbation` returns that diagonal as a float64 vector, and
+H + eps*V is the chain at B_z - eps (`ChainParams.perturbed`).
+
+At B_x = 0 the Hamiltonian is diagonal in the computational basis and the
+ground state is a simple product (or two-ket) pattern that changes at the
+crossover fields, held in the table CROSSOVERS: +-2 and 0 for odd N; +-2 and
++-1 for even N > 2. The phase catalogue, its energies and the closed forms
+are read from it; a crossover belongs to the phase on its left. At B_z = +-2
+the ground manifold is macroscopically degenerate; `closed_form_ground`
+returns the staggered-front family interpolating between the two adjacent
+phase patterns there.
 """
 
 from __future__ import annotations
@@ -163,10 +167,9 @@ def build_hamiltonian(params: ChainParams) -> HermitianOperator:
     return HermitianOperator(h, n)
 
 
-def global_field_perturbation(n_qubits: int) -> HermitianOperator:
-    """The detection perturbation V = -sum_i sigma_z^i (diagonal)."""
-    z = sigma_z_values(n_qubits)
-    return HermitianOperator(np.diag(-z.sum(axis=1).astype(float)), n_qubits)
+def global_field_perturbation(n_qubits: int) -> np.ndarray:
+    """The detection perturbation V = -sum_i sigma_z^i, stored as its diagonal (float64)."""
+    return -sigma_z_values(n_qubits).sum(axis=1).astype(float)
 
 
 def crossover_points(n_qubits: int) -> list[float]:

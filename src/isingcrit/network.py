@@ -160,38 +160,6 @@ def protocol_network(prep: GateNetwork, epsilon: float, tau: float) -> GateNetwo
     return GateNetwork(prep.n_qubits, gates, f"{prep.label} protocol")
 
 
-def cancel_swap_pairs(network: GateNetwork) -> GateNetwork:
-    """Remove SWAP pairs separated only by global-Z evolution steps.
-
-    The diagonal echo step is symmetric under any qubit permutation, so such
-    pairs act as the identity; the simplified network is verified to agree
-    with the original on every computational basis input.
-    """
-    gates = list(network.gates)
-    changed = True
-    while changed:
-        changed = False
-        for i, g in enumerate(gates):
-            if g.kind != "SWAP":
-                continue
-            for j in range(i + 1, len(gates)):
-                other = gates[j]
-                if other.kind == "GlobalZEvolution":
-                    continue
-                if other.kind == "SWAP" and set(other.targets) == set(g.targets):
-                    del gates[j]
-                    del gates[i]
-                    changed = True
-                break
-            if changed:
-                break
-    simplified = GateNetwork(network.n_qubits, tuple(gates), network.label)
-    overlaps = np.abs(np.sum(network.unitary().conj() * simplified.unitary(), axis=0)) ** 2
-    if np.any(overlaps < 1.0 - 1e-10):
-        raise AssertionError("swap cancellation changed the network action")
-    return simplified
-
-
 def run_protocol(network: GateNetwork, epsilon: float, tau: float, readout_qubit: int) -> ReadoutResult:
     """Execute the protocol and read the population difference on one qubit."""
     n = network.n_qubits

@@ -9,6 +9,12 @@ Terms with a vanishing denominator (degenerate ground manifold) enter with
 their finite analytic limit (1 - cos(x t))/x^2 -> t^2/2, so the formulas are
 usable at exact crossings as well.
 
+The expansions read a decomposition and V in one basis, whatever it is, and
+only through |V_0a|^2. V is a Hermitian matrix or, when diagonal, the 1-D
+array of its diagonal. The scans pass the reflection-even decomposition of
+`dynamics.even_spectral_for`, whose vectors stay in the even basis, and the
+diagonal of V = -sum_i sigma_z^i there (`dynamics.even_field_perturbation`).
+
 Low-frequency Fourier components of the finite-time echo track the
 ground-state sensitivity to the control parameter (a susceptibility-style
 quantity); no transform of that kind is implemented here, the scans expose
@@ -33,23 +39,13 @@ class DegenerateGapError(ValueError):
     """The ground level is degenerate; use the full perturbative sum."""
 
 
-def _as_matrix(v: "HermitianOperator | np.ndarray") -> np.ndarray:
-    # arbitrary-dimension Hermitian inputs are fine here; only the chain
-    # operators carry a qubit count
-    return v.matrix if isinstance(v, HermitianOperator) else np.asarray(v, dtype=complex)
-
-
-def _coupling_to_ground(
-    spec: SpectralDecomposition, v: "HermitianOperator | np.ndarray"
-) -> np.ndarray:
-    """Vector of <a|V|0> over all eigenstates a."""
+def _coupling_to_ground(spec: SpectralDecomposition, v: np.ndarray) -> np.ndarray:
+    """Vector of <a|V|0> over all eigenstates a; V is a Hermitian matrix or its 1-D diagonal."""
     ground = spec.eigenvectors[:, 0]
-    return spec.eigenvectors.conj().T @ (_as_matrix(v) @ ground)
+    return spec.eigenvectors.conj().T @ (v * ground if np.ndim(v) == 1 else v @ ground)
 
 
-def echo_perturbative(
-    spec: SpectralDecomposition, v: "HermitianOperator | np.ndarray", epsilon: float, t: float
-) -> float:
+def echo_perturbative(spec: SpectralDecomposition, v: np.ndarray, epsilon: float, t: float) -> float:
     """Second-order echo; exact ground state of the decomposed H as reference."""
     v0a = _coupling_to_ground(spec, v)
     de = spec.eigenvalues - spec.eigenvalues[0]
@@ -60,34 +56,7 @@ def echo_perturbative(
     return float(1.0 - 2.0 * epsilon**2 * np.sum(np.abs(v0a[1:]) ** 2 * weights[1:]))
 
 
-def echo_amplitude_expansion(
-    spec: SpectralDecomposition, v: "HermitianOperator | np.ndarray", epsilon: float, t: float
-) -> complex:
-    """Second-order expansion of the echo amplitude ell(t).
-
-    |ell|^2 agrees with echo_perturbative to third order in epsilon; a pure
-    phase perturbation (V proportional to the identity) gives |ell|^2 = 1 up
-    to fourth order, as it must.
-    """
-    v0a = _coupling_to_ground(spec, v)
-    de = spec.eigenvalues - spec.eigenvalues[0]
-    safe = np.where(np.abs(de) <= DEGENERACY_TOL, 1.0, de)
-    weights = np.where(
-        np.abs(de) <= DEGENERACY_TOL,
-        0.5 * t * t + 0j,
-        (1.0 - np.exp(-1j * de * t) - 1j * t * de) / safe**2,
-    )
-    v00 = v0a[0].real
-    second = abs(v0a[0]) ** 2 * t * t + 2.0 * np.sum(np.abs(v0a[1:]) ** 2 * weights[1:])
-    return complex(1.0 - 1j * t * v00 * epsilon - 0.5 * epsilon**2 * second)
-
-
-def echo_two_level(
-    spec: SpectralDecomposition,
-    v: "HermitianOperator | np.ndarray",
-    epsilon: float,
-    t: float,
-) -> float:
+def echo_two_level(spec: SpectralDecomposition, v: np.ndarray, epsilon: float, t: float) -> float:
     """Echo truncated to the lowest excited level that couples to the ground state.
 
     L ~= 1 - 2 (|V_01|^2 / Delta^2) eps^2 (1 - cos(Delta t)), with |V_01|^2

@@ -21,14 +21,6 @@ import numpy as np
 NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
 def frozen_array(a: np.ndarray, dtype=None) -> np.ndarray:
     """Read-only copy of a as dtype; by default real input becomes float64
     and anything else complex128."""
@@ -130,30 +122,6 @@ def superposition(n_qubits: int, terms: dict[str, complex]) -> PureState:
     if norm == 0:
         raise ValueError("superposition coefficients cancel to the zero vector")
     return PureState(amps / norm, n_qubits)
-
-
-def pauli_string_apply(state: PureState, axes: "list[str] | str") -> PureState:
-    """Apply a product of single-qubit Pauli operators without building a matrix.
-
-    ``axes`` assigns one of I, X, Y, Z per qubit (axes[0] acts on qubit 1).
-    The action is computed by index arithmetic: X/Y flip the qubit's bit,
-    Z/Y contribute (-1)^bit, and each Y contributes a global factor i.
-    """
-    axes = list(axes)
-    n = state.n_qubits
-    if len(axes) != n:
-        raise ValueError(f"axis list has length {len(axes)}, expected {n}")
-    bad = set(axes) - set("IXYZ")
-    if bad:
-        raise ValueError(f"unknown Pauli axes {sorted(bad)}")
-    flip_mask = sum(1 << (n - 1 - q) for q, ax in enumerate(axes) if ax in "XY")
-    # (-1)^bit from every Z and Y qubit is the product of their sigma_z eigenvalues
-    signs = np.prod(sigma_z_values(n)[:, [q for q, ax in enumerate(axes) if ax in "ZY"]], axis=1)
-    phases = (1j) ** axes.count("Y") * signs
-    idx = np.arange(state.dim)
-    out = np.empty(state.dim, dtype=complex)
-    out[idx ^ flip_mask] = phases * state.amplitudes
-    return PureState(out, n)
 
 
 def fidelity(a: PureState, b: PureState) -> float:

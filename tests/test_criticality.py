@@ -320,6 +320,20 @@ def test_echo_scan_validation():
                  ((0.0, 1.0), (0.0, 1.0)), ())
 
 
+@pytest.mark.parametrize("value_kind, source", [
+    ("exact_echo", "exact_ground"), ("exact_echo", "approx_ground"), ("perturbative_echo", "exact_ground"),
+])
+def test_echo_scan_rejects_a_non_increasing_grid_before_any_solve(value_kind, source, monkeypatch):
+    solved = []
+    for name in ("spectral_for", "even_spectral_for"):
+        solve = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name, lambda params, solve=solve: solved.append(params) or solve(params))
+    grid = default_b_z_grid(-1.0, 1.0, 0.1)[::-1]  # 21 points, decreasing
+    with pytest.raises(ValueError, match="increasing"):
+        echo_scan(9, 0.1, 0.1, np.pi, grid, value_kind=value_kind, initial_state_source=source)
+    assert solved == []
+
+
 def test_refined_minima_stable_under_grid_halving():
     coarse = echo_scan(3, 0.1, 0.2, np.pi, default_b_z_grid(step=0.04))
     fine = echo_scan(3, 0.1, 0.2, np.pi, default_b_z_grid(step=0.02))

@@ -22,13 +22,15 @@ from isingcrit.dynamics import (
     ground_energy,
     ground_state,
     levels_for,
+    even_field_perturbation,
     loschmidt_echo_exact,
-    propagate,
     spectral_for,
 )
+from isingcrit import dynamics
 from isingcrit.criticality import EVEN_SPLIT, ground_state_approx
 from isingcrit.gates import global_z_phases
-from isingcrit.hamiltonian import CROSSOVERS, ChainParams, build_hamiltonian
+from isingcrit.hamiltonian import CROSSOVERS, ChainParams, build_hamiltonian, hamiltonian_diagonal
+from isingcrit.perturbation import echo_perturbative
 from isingcrit.states import (
     HermitianOperator,
     PureState,
@@ -112,12 +114,12 @@ def test_gap_minimum_sits_near_crossover():
 def test_propagate_identity_at_zero_time():
     psi = basis_state(2, "01")
     h = build_hamiltonian(ChainParams(2, 0.3, 0.2))
-    assert np.allclose(propagate(psi, h, 0.0).amplitudes, psi.amplitudes)
+    assert np.allclose(evolve(diagonalize(h), psi, 0.0).amplitudes, psi.amplitudes)
 
 
 def test_propagate_eigenstate_phase_only():
     sz = HermitianOperator(np.diag([1.0, -1.0]).astype(complex), 1)
-    out = propagate(basis_state(1, "0"), sz, 0.7)
+    out = evolve(diagonalize(sz), basis_state(1, "0"), 0.7)
     assert fidelity(out, basis_state(1, "0")) == pytest.approx(1.0, abs=1e-12)
     assert out.amplitudes[0] == pytest.approx(np.exp(-1j * 0.7))
 
@@ -126,7 +128,7 @@ def test_propagate_plus_state_quarter_turn():
     # |<+|exp(-i*pi*sigma_z/2)|+>|^2 = 0
     plus = superposition(1, {"0": 1.0, "1": 1.0})
     sz = HermitianOperator(np.diag([1.0, -1.0]).astype(complex), 1)
-    out = propagate(plus, sz, np.pi / 2)
+    out = evolve(diagonalize(sz), plus, np.pi / 2)
     assert fidelity(out, plus) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -137,8 +139,9 @@ def test_propagate_unitary_and_group_property():
         psi = _random_state(rng, n)
         h = HermitianOperator(_random_hermitian(rng, 2**n), n)
         t1, t2 = rng.uniform(0, 3, size=2)
-        once = propagate(psi, h, t1 + t2)
-        twice = propagate(propagate(psi, h, t1), h, t2)
+        spec = diagonalize(h)
+        once = evolve(spec, psi, t1 + t2)
+        twice = evolve(spec, evolve(spec, psi, t1), t2)
         assert abs(np.linalg.norm(once.amplitudes) - 1) <= 1e-12
         assert fidelity(once, twice) >= 1 - 1e-10
 
@@ -151,7 +154,7 @@ def test_propagate_matches_expm_oracle():
         m = _random_hermitian(rng, 2**n)
         t = float(rng.uniform(0, 2))
         expected = expm(-1j * m * t) @ psi.amplitudes
-        got = propagate(psi, HermitianOperator(m, n), t).amplitudes
+        got = evolve(diagonalize(HermitianOperator(m, n)), psi, t).amplitudes
         assert np.allclose(got, expected, atol=1e-11)
 
 
@@ -293,64 +296,75 @@ def _blocked_dense_reference(params):
     return w[order], _fix_phases(v[:, order])
 
 
-@pytest.mark.parametrize("n", range(1, 11))
-def test_spectral_for_is_bit_identical_to_the_dense_blocked_reference(n):
-    fields = sorted(set(CROSSOVERS["odd"] + CROSSOVERS["even"] + (-EVEN_SPLIT, EVEN_SPLIT)))
-    for bx in (0.0, 0.05, 0.1, 1.0, -0.3):
-        for bz in fields:
-            params = ChainParams(n, bz, bx)
-            w, v = _blocked_dense_reference(params)
-            spec = spectral_for(params)
-            assert spec.eigenvalues.dtype == w.dtype and spec.eigenvectors.dtype == v.dtype
-            assert np.array_equal(spec.eigenvalues, w), params
-            assert np.array_equal(spec.eigenvectors, v), params
-
-
-@pytest.mark.parametrize("n", range(1, 11))
-def test_even_spectral_for_is_the_even_sector_of_spectral_for(n):
-    # both solve the even block with the same eigh call on the same bits; the
-    # even columns of the full solve are those chain reversal leaves
-    # bit-identical (an odd column is antisymmetric and nonzero)
-    rev = qubit_bit_values(n) @ (1 << np.arange(n))
-    for bx in (-0.05, 0.05, 0.1, 0.5):
-        for bz in (-2.0, -1.0, 0.0, 0.3, EVEN_SPLIT):  # crossovers, a generic field, a split
-            params = ChainParams(n, bz, bx)
-            full, even = spectral_for(params), even_spectral_for(params)
-            mask = np.all(full.eigenvectors[rev] == full.eigenvectors, axis=0)
-            assert even.eigenvectors.shape == (2**n, np.count_nonzero(mask))
-            assert np.array_equal(even.eigenvalues, full.eigenvalues[mask]), params
-            assert np.array_equal(even.eigenvectors, full.eigenvectors[:, mask]), params
-    # at B_x = 0 the ground state need not be even: the full sorted diagonal
-    params = ChainParams(n, -1.0, 0.0)
-    assert np.array_equal(even_spectral_for(params).eigenvectors, spectral_for(params).eigenvectors)
-
-
 # b_z = 0, every crossover of either parity and the even-chain splits
 _LEVEL_FIELDS = sorted(set(CROSSOVERS["odd"] + CROSSOVERS["even"] + (-EVEN_SPLIT, EVEN_SPLIT)))
 
 
-@pytest.mark.parametrize("n", range(1, 11))
-def test_level_readers_are_bit_identical_to_spectral_for(n):
-    for bx in (0.0, -0.05, 0.05, 0.1, 0.5):
-        for bz in _LEVEL_FIELDS:
-            params = ChainParams(n, bz, bx)
-            w = spectral_for(params).eigenvalues
-            levels = levels_for(params)
-            assert levels.dtype == w.dtype and np.array_equal(levels, w), params
-            assert np.array_equal(np.signbit(levels), np.signbit(w)), params
-            assert gap(params) == float(w[1] - w[0])
-            assert ground_energy(params) == float(w[0])
+@pytest.fixture(scope="module", params=range(1, 11))
+def full_solves(request):
+    """(params, `spectral_for(params)`) over one grid of fields, for one N.
+
+    The four bit-identity tests below read these solves instead of solving
+    again. Pytest runs every test of one N before it builds the next N's grid,
+    so only one N's spectra are held: 35 of 8.4 MB each at N = 10.
+    """
+    n = request.param
+    fields = [ChainParams(n, bz, bx) for bx in (0.0, -0.05, 0.05, 0.1, 0.5) for bz in _LEVEL_FIELDS]
+    return [(params, spectral_for(params)) for params in fields]
 
 
-@pytest.mark.parametrize("n", range(1, 11))
-def test_ground_state_is_the_first_column_of_spectral_for(n):
-    # for B_x != 0 the even solver's ground vector is spectral_for's first
-    # column bit for bit; at B_x = 0 both solvers sort the same diagonal
-    for bx in (0.0, -0.05, 0.05, 0.1, 0.5):
-        for bz in _LEVEL_FIELDS:
-            params = ChainParams(n, bz, bx)
-            expected = PureState(spectral_for(params).eigenvectors[:, 0], n).amplitudes
-            assert np.array_equal(ground_state(params).amplitudes, expected), params
+def test_spectral_for_is_bit_identical_to_the_dense_blocked_reference(full_solves):
+    for params, spec in full_solves:
+        w, v = _blocked_dense_reference(params)
+        assert spec.eigenvalues.dtype == w.dtype and spec.eigenvectors.dtype == v.dtype
+        assert np.array_equal(spec.eigenvalues, w), params
+        assert np.array_equal(spec.eigenvectors, v), params
+
+
+def test_even_spectral_for_is_the_even_sector_of_spectral_for(full_solves):
+    # both solve the even block with the same eigh call on the same bits; the
+    # even columns of the full solve are those chain reversal leaves
+    # bit-identical (an odd column is antisymmetric and nonzero), and the even
+    # solve's vectors, kept in the even basis, map onto them through the
+    # sector table and the same per-column phase fix
+    for params, full in full_solves:
+        n = params.n_qubits
+        s = _reflection_sectors(n)
+        even = even_spectral_for(params)
+        assert even.eigenvectors.shape == (s.states.size, s.states.size)
+        if params.b_x == 0.0:
+            # the stable sort of the sector diagonal: each even basis vector is an eigenvector
+            d = hamiltonian_diagonal(params)[s.states]
+            order = np.argsort(d, kind="stable")
+            assert np.array_equal(even.eigenvalues, d[order]), params
+            assert np.array_equal(even.eigenvectors, np.eye(d.size)[:, order]), params
+            continue
+        rev = qubit_bit_values(n) @ (1 << np.arange(n))
+        mask = np.all(full.eigenvectors[rev] == full.eigenvectors, axis=0)
+        mapped = _fix_phases(even.eigenvectors[s.even_row] * s.even_weight)
+        assert np.array_equal(even.eigenvalues, full.eigenvalues[mask]), params
+        assert np.array_equal(mapped, full.eigenvectors[:, mask]), params
+
+
+def test_level_readers_are_bit_identical_to_spectral_for(full_solves, monkeypatch):
+    for params, spec in full_solves:
+        w = spec.eigenvalues
+        levels = levels_for(params)
+        assert levels.dtype == w.dtype and np.array_equal(levels, w), params
+        assert np.array_equal(np.signbit(levels), np.signbit(w)), params
+        # gap and ground_energy read levels_for: hand them the levels just checked
+        monkeypatch.setattr(dynamics, "levels_for", {params: levels}.__getitem__)
+        assert gap(params) == float(w[1] - w[0])
+        assert ground_energy(params) == float(w[0])
+
+
+def test_ground_state_is_the_first_column_of_spectral_for(full_solves):
+    # for B_x != 0 the even solver's ground vector, mapped, is spectral_for's
+    # first column bit for bit; at B_x = 0 both take the first ket of the
+    # same stable sort of the diagonal
+    for params, spec in full_solves:
+        expected = PureState(spec.eigenvectors[:, 0], params.n_qubits).amplitudes
+        assert np.array_equal(ground_state(params).amplitudes, expected), params
 
 
 @pytest.mark.parametrize("n, bx", [(12, 0.0), (10, 0.1)])
@@ -381,16 +395,46 @@ def test_exact_ground_state_is_reflection_even(n):
 
 
 def test_even_decomposition_rejects_a_state_with_an_odd_part():
-    # |0...01> and its mirror |10...0> form a pair, so half its norm is odd:
-    # propagation through the even levels alone loses it and PureState refuses,
-    # where a silent echo would be wrong
-    params, ket = ChainParams(5, -1.0, 0.1), basis_state(5, "00001")
-    assert evolve(spectral_for(params), ket, np.pi).dim == 32
-    with pytest.raises(ValueError, match="norm"):
-        evolve(even_spectral_for(params), ket, np.pi)
-    with pytest.raises(ValueError, match="norm"):
-        echo_from_spectra(even_spectral_for(params), even_spectral_for(params.perturbed(0.1)),
-                          ket, np.pi)
+    # even_spectral_for keeps its vectors in the even basis (20 rows at N = 5),
+    # so a 2^N state, with an odd part (|00001> pairs with |10000>) or without
+    # one, is refused by shape where a silent echo would be wrong
+    params = ChainParams(5, -1.0, 0.1)
+    even, shifted = even_spectral_for(params), even_spectral_for(params.perturbed(0.1))
+    for ket in (basis_state(5, "00001"), basis_state(5, "00000")):
+        assert evolve(spectral_for(params), ket, np.pi).dim == 32
+        with pytest.raises(ValueError):
+            evolve(even, ket, np.pi)
+        with pytest.raises(ValueError):
+            echo_from_spectra(even, shifted, ket, np.pi)
+
+
+def test_echo_of_a_state_of_the_wrong_size_fails_before_any_solve(monkeypatch):
+    solved = []
+    for name in ("spectral_for", "even_spectral_for"):
+        solve = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name, lambda params, solve=solve: solved.append(params) or solve(params))
+    with pytest.raises(ValueError, match="dimension"):
+        loschmidt_echo_exact(ChainParams(3, -1.0, 0.1), 0.1, np.pi, basis_state(2, "00"))
+    assert solved == []
+
+
+@pytest.mark.parametrize("reader", ["perturbative_echo", "exact_echo_at_zero_field"])
+def test_ground_state_readers_at_twelve_qubits_hold_no_full_basis_matrix(reader):
+    # one 2^N x 2^N float64 array is 134 MB at N = 12; an even-sector matrix is 35 MB
+    read = {
+        "perturbative_echo": lambda: echo_perturbative(
+            even_spectral_for(ChainParams(12, -1.9, 0.1)), even_field_perturbation(12), 0.1, np.pi),
+        "exact_echo_at_zero_field": lambda: loschmidt_echo_exact(
+            ChainParams(12, -1.9, 0.0), 0.1, np.pi),
+    }[reader]
+    _reflection_sectors(12)  # the per-N sector tables are built outside the trace
+    tracemalloc.start()
+    try:
+        read()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 4**12, f"traced peak {peak} bytes"
 
 
 def test_sector_data_at_twelve_qubits_is_sparse():

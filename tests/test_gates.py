@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from isingcrit import gates as gates_module
-from isingcrit.gates import GATE_ARITY, Gate, apply_gate, apply_gates, global_z_phases, roty_matrix
+from isingcrit.gates import GATE_ARITY, Gate, apply_gates, global_z_phases, roty_matrix
 from isingcrit.states import PureState, basis_state
 
 
@@ -67,7 +67,7 @@ def test_global_z_phases_match_popcount_reference():
 
 def test_roty_convention():
     # exp(i*phi*sigma_y)|0> = cos(phi)|0> - sin(phi)|1>
-    out = apply_gate(basis_state(1, "0"), Gate("RotY", (1,), angle=np.pi / 4))
+    out = apply_gates(basis_state(1, "0"), (Gate("RotY", (1,), angle=np.pi / 4),))
     expected = np.array([np.cos(np.pi / 4), -np.sin(np.pi / 4)])
     assert np.allclose(out.amplitudes, expected, atol=1e-15)
     # and the matrix is the analytic 2x2 exponential of i*phi*sigma_y
@@ -80,10 +80,10 @@ def test_roty_convention():
 def test_cnot_examples():
     cnot = Gate("CNOT", (2,), (1,))
     assert np.allclose(
-        apply_gate(basis_state(2, "00"), cnot).amplitudes, basis_state(2, "00").amplitudes
+        apply_gates(basis_state(2, "00"), (cnot,)).amplitudes, basis_state(2, "00").amplitudes
     )
     assert np.allclose(
-        apply_gate(basis_state(2, "10"), cnot).amplitudes, basis_state(2, "11").amplitudes
+        apply_gates(basis_state(2, "10"), (cnot,)).amplitudes, basis_state(2, "11").amplitudes
     )
 
 
@@ -95,7 +95,7 @@ def test_apply_gate_preserves_norm():
         gate = _random_gate(rng, max(n, 2)) if n >= 2 else Gate("RotY", (1,), angle=0.3)
         if any(q > n for q in gate.qubits):
             continue
-        out = apply_gate(state, gate)
+        out = apply_gates(state, (gate,))
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-12
 
 
@@ -123,17 +123,17 @@ def test_apply_gate_matches_dense_embedding():
                     row = int("".join(map(str, out_bits)), 2)
                     dense[row, col] += u[tuple((localrow >> (k - 1 - p)) & 1 for p in range(k)) + in_bits]
         expected = dense @ state.amplitudes
-        got = apply_gate(state, gate).amplitudes
+        got = apply_gates(state, (gate,)).amplitudes
         assert np.allclose(got, expected, atol=1e-12), gate
 
 
 def test_global_z_equals_product_of_single_z():
     n, theta = 3, 0.21
     state = _random_state(np.random.default_rng(9), n)
-    out = apply_gate(state, Gate("GlobalZEvolution", (), angle=theta))
+    out = apply_gates(state, (Gate("GlobalZEvolution", (), angle=theta),))
     step = state
     for q in range(1, n + 1):
-        step = apply_gate(step, Gate("ZEvolution", (q,), angle=theta))
+        step = apply_gates(step, (Gate("ZEvolution", (q,), angle=theta),))
     assert np.allclose(out.amplitudes, step.amplitudes, atol=1e-13)
 
 
@@ -149,7 +149,7 @@ def test_gate_validation():
     with pytest.raises(ValueError):
         Gate("NOT", (0,))
     with pytest.raises(ValueError):
-        apply_gate(basis_state(2, "00"), Gate("NOT", (3,)))
+        apply_gates(basis_state(2, "00"), (Gate("NOT", (3,)),))
 
 
 def test_dagger_inverts():
@@ -157,7 +157,7 @@ def test_dagger_inverts():
     state = _random_state(rng, 3)
     for _ in range(20):
         g = _random_gate(rng, 3)
-        back = apply_gate(apply_gate(state, g), g.dagger())
+        back = apply_gates(state, (g, g.dagger()))
         assert np.allclose(back.amplitudes, state.amplitudes, atol=1e-12)
 
 
@@ -183,7 +183,7 @@ def test_kernel_is_bit_identical_to_the_moveaxis_reference():
                 angle = float(rng.uniform(-np.pi, np.pi)) if has_angle else None
                 gate = Gate(kind, qubits[n_c:], qubits[:n_c], angle)
                 expected = _moveaxis_reference(state, gate)
-                assert np.array_equal(apply_gate(state, gate).amplitudes, expected), (n, gate)
+                assert np.array_equal(apply_gates(state, (gate,)).amplitudes, expected), (n, gate)
 
 
 def test_apply_gates_rejects_an_out_of_register_gate_mid_list():

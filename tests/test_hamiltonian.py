@@ -254,5 +254,6 @@ def test_multiphase_family_members_are_exact_ground_states():
 
 
 def test_global_field_perturbation_diagonal():
-    v = global_field_perturbation(2).matrix
-    assert np.array_equal(v, np.diag([-2, 0, 0, 2]).astype(complex))
+    # V = -sum_i sigma_z^i is diagonal and kept as its diagonal
+    v = global_field_perturbation(2)
+    assert v.dtype == np.float64 and np.array_equal(v, [-2.0, 0.0, 0.0, 2.0])

@@ -10,7 +10,6 @@ from isingcrit.network import (
     GateNetwork,
     ReadoutResult,
     build_preparation_network,
-    cancel_swap_pairs,
     parse_network,
     preparation_network,
     prepared_state,
@@ -168,10 +167,9 @@ def test_protocol_network_and_swap_cancellation():
     full = protocol_network(prep, 0.5, np.pi / 2)
     n_swaps = sum(1 for g in full.gates if g.kind == "SWAP")
     assert n_swaps == 4
-    simplified = cancel_swap_pairs(full)
-    assert sum(1 for g in simplified.gates if g.kind == "SWAP") == 0
-    # equivalence on every basis input is asserted inside cancel_swap_pairs;
-    # double-check the full unitaries agree
+    # the SWAPs pair up across the echo step, which any qubit permutation
+    # leaves alone, so the network acts the same without them
+    simplified = GateNetwork(4, tuple(g for g in full.gates if g.kind != "SWAP"))
     assert np.max(np.abs(full.unitary() - simplified.unitary())) <= 1e-10
 
 

@@ -5,7 +5,6 @@ from isingcrit.states import (
     PureState,
     basis_state,
     fidelity,
-    pauli_string_apply,
     superposition,
 )
 
@@ -54,65 +53,6 @@ def test_pure_state_is_immutable():
     s = basis_state(2, "00")
     with pytest.raises(ValueError):
         s.amplitudes[0] = 0.0
-
-
-def test_pauli_string_examples():
-    zero = basis_state(1, "0")
-    assert np.allclose(pauli_string_apply(zero, "Z").amplitudes, zero.amplitudes)
-    assert np.allclose(pauli_string_apply(zero, "X").amplitudes, basis_state(1, "1").amplitudes)
-    s01 = basis_state(2, "01")
-    assert np.allclose(pauli_string_apply(s01, "ZZ").amplitudes, -s01.amplitudes)
-
-
-def test_pauli_string_matches_dense_kron():
-    # every string over {I,X,Y,Z} on up to 3 qubits against explicit matrices
-    from itertools import product
-
-    from isingcrit.states import PAULI_MATRICES
-
-    rng = np.random.default_rng(11)
-    for n in (1, 2, 3):
-        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        amps /= np.linalg.norm(amps)
-        state = PureState(amps, n)
-        for axes in product("IXYZ", repeat=n):
-            dense = np.array([[1.0 + 0j]])
-            for ax in axes:
-                dense = np.kron(dense, PAULI_MATRICES[ax])
-            expected = dense @ amps
-            got = pauli_string_apply(state, list(axes)).amplitudes
-            assert np.allclose(got, expected, atol=1e-12), axes
-
-
-def test_pauli_string_matches_parity_loop_reference():
-    # reference: bit masks per axis and a bit-by-bit parity count of the Z/Y bits
-    from itertools import product
-
-    rng = np.random.default_rng(13)
-    for n in (1, 2, 3, 4):
-        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        state = PureState(amps / np.linalg.norm(amps), n)
-        idx = np.arange(2**n)
-        for axes in product("IXYZ", repeat=n):
-            flip_mask = sum(1 << (n - 1 - q) for q, ax in enumerate(axes) if ax in "XY")
-            sign_mask = sum(1 << (n - 1 - q) for q, ax in enumerate(axes) if ax in "ZY")
-            masked, parity = idx & sign_mask, np.zeros(idx.size, dtype=np.int64)
-            while sign_mask:
-                parity += masked & 1
-                masked >>= 1
-                sign_mask >>= 1
-            phases = (1j) ** axes.count("Y") * np.where(parity % 2, -1.0, 1.0)
-            expected = np.empty(2**n, dtype=complex)
-            expected[idx ^ flip_mask] = phases * state.amplitudes
-            got = pauli_string_apply(state, axes).amplitudes
-            assert np.array_equal(got, expected), axes
-
-
-def test_pauli_string_rejects_bad_axes():
-    with pytest.raises(ValueError):
-        pauli_string_apply(basis_state(2, "00"), "X")
-    with pytest.raises(ValueError):
-        pauli_string_apply(basis_state(2, "00"), "XQ")
 
 
 def test_fidelity_examples():
