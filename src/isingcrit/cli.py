@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import closing
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .criticality import (
     default_b_z_grid,
     echo_scan,
     find_minima,
+    require_minima_grid,
 )
 from .hamiltonian import ChainParams, closed_form_energy, phase_labels
 from .network import preparation_network, prepared_state, run_protocol
@@ -107,13 +109,13 @@ def _cmd_spectrum(config: RunConfig):
     with_closed = config.bx == 0.0 and config.n >= 3
     columns = ["b_z", "e0", "e1", "gap"] + (["closed_form_energy"] if with_closed else [])
     rows = []
-    for bz in grid:
-        params = ChainParams(config.n, bz, config.bx)
-        w = dynamics.levels_for(params)
-        row = [bz, w[0], w[1], w[1] - w[0]]
-        if with_closed:
-            row.append(closed_form_energy(params))
-        rows.append(row)
+    fields = [ChainParams(config.n, bz, config.bx) for bz in grid]
+    with closing(dynamics.solve_ahead(dynamics.levels_for, fields)) as levels:
+        for params, w in zip(fields, levels):
+            row = [params.b_z, w[0], w[1], w[1] - w[0]]
+            if with_closed:
+                row.append(closed_form_energy(params))
+            rows.append(row)
     return columns, rows, []
 
 
@@ -151,6 +153,7 @@ def _cmd_protocol(config: RunConfig):
     if config.n not in (3, 4):
         raise ConfigError("protocol networks exist for --n 3 and --n 4 only")
     grid = config.grid()
+    require_minima_grid(grid)  # before the first protocol run
     columns = ["b_z", "amplitude", "l_value", "fidelity_prepared_vs_exact"]
     rows = []
     for bz in grid:

@@ -12,11 +12,16 @@ interval (no ANSATZ row) the chain uses the alternating pattern for b_z < 0,
 its mirror for b_z > 0 and their equal (minus-sign) superposition at exactly
 b_z = 0 — note the rule is discontinuous there, so scan grids should contain
 0.0 exactly rather than a rounding-dust neighbour.
+
+An echo scan solves each field's spectrum once, ahead of the grid point that
+reads it and possibly on another thread (`dynamics.solve_ahead`), and keeps a
+spectrum only while a later grid point still reads it.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +82,11 @@ class EchoScan:
 def _require_increasing(b_z) -> None:
     if any(b2 <= b1 for b1, b2 in zip(b_z, b_z[1:])):
         raise ValueError("scan grid must be strictly increasing in b_z")
+
+
+def require_minima_grid(b_z) -> None:
+    if len(b_z) < 3:
+        raise ValueError("minima detection requires at least 3 grid points")
 
 
 INTERVALS = {
@@ -218,8 +228,7 @@ def find_minima(
     ys = np.asarray(values, dtype=float)
     if xs.size != ys.size:
         raise ValueError("grid and value arrays differ in length")
-    if xs.size < 3:
-        raise ValueError("minima detection requires at least 3 grid points")
+    require_minima_grid(xs)
 
     # runs of equal consecutive values
     starts = [0]
@@ -252,6 +261,17 @@ def find_minima(
     return out
 
 
+def _exact_reads(pairs):
+    """For each grid point's (field, perturbed field): the fields it reads first, in that
+    order, and the fields kept for later points. On an increasing grid no later point reads
+    a field at or below both of a point's fields, so those are dropped."""
+    kept = set()
+    for params, shifted in pairs:
+        first = [p for p in dict.fromkeys((params, shifted)) if p not in kept]
+        kept = {p for p in kept.union(first) if p.b_z > min(params.b_z, shifted.b_z)}
+        yield first, kept
+
+
 def echo_scan(
     n_qubits: int,
     b_x: float,
@@ -269,6 +289,12 @@ def echo_scan(
     readout_amplitude runs the full measurement protocol (gate network,
     compiled echo step, one-qubit readout) and requires
     initial_state_source="approx_ground" with N in {3, 4}.
+
+    The grid must be strictly increasing with at least 3 points, checked
+    before any work. The echo kinds list their fields once, in first-use
+    order (grid point, then its perturbed field), and read the spectra from
+    `dynamics.solve_ahead`, which may solve later fields on threads; the
+    values are bit for bit the serial ones. readout_amplitude runs serially.
     """
     if value_kind not in VALUE_KINDS:
         raise ValueError(f"unknown value_kind {value_kind!r}")
@@ -281,6 +307,7 @@ def echo_scan(
                          'pass initial_state_source="approx_ground"')
     grid = np.asarray(b_z_grid, dtype=float)
     _require_increasing(grid)  # before the first solve
+    require_minima_grid(grid)
 
     values = np.empty(grid.size)
     if value_kind == READOUT_AMPLITUDE:
@@ -292,25 +319,28 @@ def echo_scan(
     else:
         exact_ground = initial_state_source == EXACT_GROUND  # a reflection-even state
         solve = dynamics.even_spectral_for if exact_ground else dynamics.spectral_for
-        v_even = dynamics.even_field_perturbation(n_qubits) if value_kind != EXACT_ECHO else None
-        solved = {}  # exact echo: the spectra a later grid point may read again
-        for i, bz in enumerate(grid):
-            params = ChainParams(n_qubits, bz, b_x)
-            if value_kind == EXACT_ECHO:
-                shifted = params.perturbed(epsilon)
-                for p in {params, shifted} - solved.keys():
-                    solved[p] = solve(p)
-                if exact_ground:
-                    values[i] = dynamics.ground_echo(solved[params], solved[shifted], tau)
-                else:
-                    initial = ground_state_approx(n_qubits, bz, b_x)
-                    values[i] = dynamics.echo_from_spectra(solved[params], solved[shifted], initial, tau)
-                # on an increasing grid no later point reads a field at or below both
-                solved = {p: s for p, s in solved.items() if p.b_z > min(bz, shifted.b_z)}
-            elif value_kind == PERTURBATIVE_ECHO:
-                values[i] = echo_perturbative(solve(params), v_even, epsilon, tau)
-            else:
-                values[i] = echo_two_level(solve(params), v_even, epsilon, tau)
+        points = [ChainParams(n_qubits, bz, b_x) for bz in grid]
+        if value_kind == EXACT_ECHO:
+            pairs = [(p, p.perturbed(epsilon)) for p in points]
+            reads = list(_exact_reads(pairs))
+            order = [p for first, _ in reads for p in first]
+            solved = {}  # the spectra a later grid point may read again
+            with closing(dynamics.solve_ahead(solve, order)) as spectra:
+                for i, ((params, shifted), (first, kept)) in enumerate(zip(pairs, reads)):
+                    for p in first:
+                        solved[p] = next(spectra)
+                    if exact_ground:
+                        values[i] = dynamics.ground_echo(solved[params], solved[shifted], tau)
+                    else:
+                        initial = ground_state_approx(n_qubits, grid[i], b_x)
+                        values[i] = dynamics.echo_from_spectra(solved[params], solved[shifted], initial, tau)
+                    solved = {p: solved[p] for p in kept}
+        else:
+            v_even = dynamics.even_field_perturbation(n_qubits)
+            expand = echo_perturbative if value_kind == PERTURBATIVE_ECHO else echo_two_level
+            with closing(dynamics.solve_ahead(solve, points)) as spectra:
+                for i, spec in enumerate(spectra):
+                    values[i] = expand(spec, v_even, epsilon, tau)
 
     minima = find_minima(grid, values)
     return EchoScan(

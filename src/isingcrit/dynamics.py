@@ -31,10 +31,19 @@ reads it in:
   `ground_state`, which maps one.
 * `spectral_for` (echoes of a given state, such as the approximate ground
   state of the scans): both sectors mapped to the 2^N computational basis.
+
+A scan hands its fields to `solve_ahead`, which yields their solves in order
+while later ones run on threads: each `eigh` releases the GIL. It takes as
+many threads as the usable cores hold solves, each solve having the BLAS
+threads that `OPENBLAS_NUM_THREADS` (else `OMP_NUM_THREADS`) gives it; with
+neither set, or at B_x = 0, it solves serially. Each solve is the serial
+call, so the results are bit for bit the serial ones.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -231,6 +240,84 @@ def even_spectral_for(params: ChainParams) -> SpectralDecomposition:
     if params.b_x == 0.0:
         return _sorted_diagonal(d[s.states])
     return SpectralDecomposition(*_sector_eigh(d[s.states], s.x_even, params.b_x))
+
+
+def _solve_threads(b_x: float) -> int:
+    """How many solves a scan runs at once: the usable cores over the BLAS threads each
+    solve takes (`OPENBLAS_NUM_THREADS`, else `OMP_NUM_THREADS`).
+
+    With neither set, BLAS takes the cores itself, so the scan stays serial; so it does at
+    B_x = 0, where no solve runs `eigh`.
+    """
+    try:
+        blas = int(os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or "")
+    except ValueError:  # unset or not a number
+        return 1
+    if b_x == 0.0 or blas < 1:
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return max(1, cores // blas)
+
+
+def solve_ahead(solve, fields):
+    """Yield `solve(p)` for each chain of `fields`, in order, while up to W later solves
+    run ahead on threads (W from `_solve_threads`; W = 1 solves each when it is read).
+
+    Each solve is the serial call, so the values are bit for bit the serial ones, and the
+    first failure in field order is raised. Close the generator (`contextlib.closing`) so
+    that an early exit joins its threads.
+    """
+    fields = list(fields)
+    threads = min(_solve_threads(fields[0].b_x), len(fields)) if fields else 1
+    if threads == 1:
+        yield from map(solve, fields)
+        return
+    lock = threading.Lock()
+    ready, room = threading.Condition(lock), threading.Condition(lock)
+    done = {}  # field index -> (result, None) or (None, exception), until it is read
+    claimed = read = 0
+    stop = False
+
+    def work():
+        nonlocal claimed
+        while True:
+            with lock:
+                while not stop and claimed < len(fields) and claimed > read + threads:
+                    room.wait()
+                if stop or claimed == len(fields):
+                    return
+                i, claimed = claimed, claimed + 1
+            try:
+                out = solve(fields[i]), None
+            except BaseException as exc:  # handed to the reader, who raises it in order
+                out = None, exc
+            with lock:
+                done[i] = out
+                ready.notify()
+
+    workers = [threading.Thread(target=work, daemon=True) for _ in range(threads)]
+    for t in workers:
+        t.start()
+    try:
+        for i in range(len(fields)):
+            with lock:
+                while i not in done:
+                    ready.wait()
+                result, exc = done.pop(i)
+                read = i + 1
+                room.notify()
+            if exc is not None:
+                raise exc
+            yield result
+    finally:
+        with lock:
+            stop = True
+            room.notify_all()
+        for t in workers:
+            t.join()
 
 
 def even_field_perturbation(n_qubits: int) -> np.ndarray:

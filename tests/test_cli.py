@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from isingcrit import cli, dynamics
 from isingcrit.cli import main
 from isingcrit.hamiltonian import ChainParams, closed_form_energy
 
@@ -211,3 +212,25 @@ def test_stdout_when_no_out(capsys):
     assert main(["spectrum", "--n", "2", "--bz-step", "1.0"]) == 0
     captured = capsys.readouterr()
     assert "b_z,e0,e1,gap" in captured.out
+
+
+def test_protocol_rejects_a_short_grid_before_any_run(monkeypatch, capsys):
+    runs = []
+    run = cli.run_protocol
+    monkeypatch.setattr(cli, "run_protocol", lambda *args: runs.append(args) or run(*args))
+    argv = ["protocol", "--n", "3", "--bz-min", "0", "--bz-max", "0.006", "--bz-step", "0.005"]
+    assert main(argv) == 1
+    assert "at least 3 grid points" in capsys.readouterr().err
+    assert runs == []
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_spectrum_rows_are_bit_identical_on_any_number_of_solve_threads(n, monkeypatch):
+    args = cli.build_parser().parse_args(["spectrum", "--n", str(n), "--bx", "0.1", "--bz-step", "0.05"])
+    config = cli._config_from_args(args)
+    rows = []
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(dynamics, "_solve_threads", lambda b_x: threads)
+        rows.append(np.array(cli._cmd_spectrum(config)[1]))
+    assert rows[0].shape == (121, 4)
+    assert np.array_equal(rows[1], rows[0]) and np.array_equal(rows[2], rows[0])

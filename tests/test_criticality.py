@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -334,6 +336,19 @@ def test_echo_scan_rejects_a_non_increasing_grid_before_any_solve(value_kind, so
     assert solved == []
 
 
+@pytest.mark.parametrize("value_kind, source", [
+    ("exact_echo", "exact_ground"), ("exact_echo", "approx_ground"), ("two_level_echo", "exact_ground"),
+])
+def test_echo_scan_rejects_a_short_grid_before_any_solve(value_kind, source, monkeypatch):
+    solved = []
+    for name in ("spectral_for", "even_spectral_for"):
+        solve = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name, lambda params, solve=solve: solved.append(params) or solve(params))
+    with pytest.raises(ValueError, match="at least 3 grid points"):
+        echo_scan(8, 0.1, 0.1, np.pi, [0.0, 0.02], value_kind=value_kind, initial_state_source=source)
+    assert solved == []
+
+
 def test_refined_minima_stable_under_grid_halving():
     coarse = echo_scan(3, 0.1, 0.2, np.pi, default_b_z_grid(step=0.04))
     fine = echo_scan(3, 0.1, 0.2, np.pi, default_b_z_grid(step=0.02))
@@ -363,12 +378,20 @@ def _counting_even_solver(monkeypatch):
     return solved
 
 
-@pytest.mark.parametrize("epsilon", [0.1, -0.1, 0.03])
-def test_exact_scan_solves_each_field_once(epsilon, monkeypatch):
+def _force_solve_threads(monkeypatch, threads):
+    monkeypatch.setattr(dynamics, "_solve_threads", lambda b_x: threads)
+
+
+@pytest.mark.parametrize("epsilon, threads", [
+    pytest.param(eps, threads, id=f"{eps}" + ("" if threads == 1 else f"-{threads}threads"))
+    for threads in (1, 2) for eps in (0.1, -0.1, 0.03)
+])
+def test_exact_scan_solves_each_field_once(epsilon, threads, monkeypatch):
     # b_z - epsilon is rounded like the grid, so a perturbed field that is a
     # grid point reuses that point's spectrum: 301 grid fields plus the 5
     # perturbed ones beyond the grid; an off-grid shift solves two per point.
     # The exact ground state is reflection-even, so only that sector is solved.
+    _force_solve_threads(monkeypatch, threads)
     solved = _counting_even_solver(monkeypatch)
     echo_scan(7, 0.1, epsilon, np.pi, default_b_z_grid())
     assert len(solved) == len(set(solved))
@@ -378,8 +401,12 @@ def test_exact_scan_solves_each_field_once(epsilon, monkeypatch):
         assert len(solved) == 306
 
 
-@pytest.mark.parametrize("value_kind", ["perturbative_echo", "two_level_echo"])
-def test_expansion_scans_solve_the_even_sector_once_per_field(value_kind, monkeypatch):
+@pytest.mark.parametrize("value_kind, threads", [
+    pytest.param(kind, threads, id=kind + ("" if threads == 1 else f"-{threads}threads"))
+    for threads in (1, 2) for kind in ("perturbative_echo", "two_level_echo")
+])
+def test_expansion_scans_solve_the_even_sector_once_per_field(value_kind, threads, monkeypatch):
+    _force_solve_threads(monkeypatch, threads)
     solved = _counting_even_solver(monkeypatch)
     echo_scan(7, 0.1, 0.1, np.pi, default_b_z_grid(), value_kind=value_kind)
     assert len(solved) == len(set(solved)) == 301
@@ -417,3 +444,59 @@ def test_exact_scan_values_equal_per_point_echo(n, source, epsilon):
         for bz in grid
     ]
     assert np.array_equal(scan.values, expected)
+
+
+def _scan_outcome(*args, **kwargs):
+    """An echo scan's values and minima, or the type and message of what it raised."""
+    try:
+        scan = echo_scan(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return scan.values, np.array(scan.minima)
+
+
+@pytest.mark.parametrize("b_x", [0.05, 0.1, -0.3])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_echo_scans_are_bit_identical_on_any_number_of_solve_threads(n, b_x, monkeypatch):
+    grid = default_b_z_grid(step=0.05)
+    kinds = [("exact_echo", "exact_ground"), ("perturbative_echo", "exact_ground"),
+             ("two_level_echo", "exact_ground"), ("exact_echo", "approx_ground")]
+    outcomes = {}
+    for threads in (1, 2, 3):
+        _force_solve_threads(monkeypatch, threads)
+        for kind, source in kinds:
+            outcomes[threads, kind, source] = _scan_outcome(
+                n, b_x, 0.1, np.pi, grid, value_kind=kind, initial_state_source=source)
+    for (threads, kind, source), outcome in outcomes.items():
+        serial = outcomes[1, kind, source]
+        assert all(np.array_equal(a, b) for a, b in zip(outcome, serial)), (threads, kind, source)
+    assert isinstance(outcomes[1, "exact_echo", "exact_ground"][0], np.ndarray)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_a_failed_solve_raises_the_first_failure_in_grid_order(threads, monkeypatch):
+    _force_solve_threads(monkeypatch, threads)
+    solve = dynamics.even_spectral_for
+
+    def failing_solve(params):
+        if params.b_z in (-1.0, -0.98, 0.5):
+            if params.b_z == -1.0:
+                time.sleep(0.05)  # let a later field fail first
+            raise RuntimeError(f"no spectrum at b_z = {params.b_z}")
+        return solve(params)
+
+    monkeypatch.setattr(dynamics, "even_spectral_for", failing_solve)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=r"at b_z = -1\.0$"):
+        echo_scan(7, 0.1, -0.1, np.pi, default_b_z_grid())
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_a_mid_scan_degenerate_gap_propagates_and_stops_the_solve_threads(threads, monkeypatch):
+    # at B_x = 0 the ground level is degenerate at the crossovers, the first at b_z = -2
+    _force_solve_threads(monkeypatch, threads)
+    before = threading.active_count()
+    with pytest.raises(DegenerateGapError):
+        echo_scan(4, 0.0, 0.1, np.pi, default_b_z_grid(), value_kind="two_level_echo")
+    assert threading.active_count() == before

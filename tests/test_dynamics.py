@@ -1,7 +1,9 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -518,3 +520,63 @@ def test_zero_field_spectrum_at_twelve_qubits_builds_no_eigenvectors(tmp_path):
     peak_mb = _spectrum_peak_rss_mb(["--n", "12", "--bx", "0", "--bz-step", "0.25"],
                                     tmp_path / "spectrum.csv")
     assert peak_mb < 64, f"peak RSS {peak_mb:.1f} MB"
+
+
+@pytest.mark.parametrize("env, cores, b_x, threads", [
+    ({}, 4, 0.1, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4, 0.1, 4),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 4, 0.1, 2),
+    ({"OMP_NUM_THREADS": "1"}, 4, 0.1, 4),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 0.1, 2),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 4, 0.1, 1),
+    ({"OPENBLAS_NUM_THREADS": "many"}, 4, 0.1, 1),
+    ({"OMP_NUM_THREADS": "0"}, 4, 0.1, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4, 0.0, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, 0.1, 1),
+])
+def test_solve_threads_are_the_usable_cores_over_the_blas_threads(env, cores, b_x, threads, monkeypatch):
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    assert dynamics._solve_threads(b_x) == threads
+
+
+def test_solve_ahead_yields_in_field_order_and_joins_its_threads_when_closed(monkeypatch):
+    monkeypatch.setattr(dynamics, "_solve_threads", lambda b_x: 3)
+    fields = [ChainParams(5, bz, 0.1) for bz in np.linspace(-2.0, 2.0, 9)]
+    before = threading.active_count()
+    assert [p.b_z for p in dynamics.solve_ahead(lambda p: p, fields)] == [p.b_z for p in fields]
+    with closing(dynamics.solve_ahead(levels_for, fields)) as levels:
+        assert np.array_equal(next(levels), levels_for(fields[0]))
+        assert threading.active_count() > before
+    assert threading.active_count() == before
+
+
+def test_solve_ahead_keeps_field_order_on_more_threads_than_cores(monkeypatch):
+    # switch threads as often as possible so that an unlocked update of the shared
+    # claim, read and result state would lose or reorder a solve
+    monkeypatch.setattr(dynamics, "_solve_threads", lambda b_x: 2 * os.cpu_count() + 2)
+    fields = [ChainParams(3, bz, 0.1) for bz in np.round(np.linspace(-3.0, 3.0, 601), 12)]
+    solved, read = [], []
+
+    def solve(p):
+        solved.append(p)
+        return float(np.sum(np.full(8, p.b_z)))
+
+    def consume():
+        read.extend(dynamics.solve_ahead(solve, fields))
+
+    interval, before = sys.getswitchinterval(), threading.active_count()
+    sys.setswitchinterval(1e-6)
+    try:
+        reader = threading.Thread(target=consume)
+        reader.start()
+        reader.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not reader.is_alive()
+    assert read == [8 * p.b_z for p in fields]
+    assert sorted(solved, key=lambda p: p.b_z) == fields
+    assert threading.active_count() == before
