@@ -13,9 +13,9 @@ its mirror for b_z > 0 and their equal (minus-sign) superposition at exactly
 b_z = 0 — note the rule is discontinuous there, so scan grids should contain
 0.0 exactly rather than a rounding-dust neighbour.
 
-An echo scan solves each field's spectrum once, ahead of the grid point that
-reads it and possibly on another thread (`dynamics.solve_ahead`), and keeps a
-spectrum only while a later grid point still reads it.
+An echo scan reads each field's spectrum through `dynamics.solve_ahead`,
+which solves each field once, possibly ahead on another thread, and holds
+it until its last read.
 """
 
 from __future__ import annotations
@@ -261,17 +261,6 @@ def find_minima(
     return out
 
 
-def _exact_reads(pairs):
-    """For each grid point's (field, perturbed field): the fields it reads first, in that
-    order, and the fields kept for later points. On an increasing grid no later point reads
-    a field at or below both of a point's fields, so those are dropped."""
-    kept = set()
-    for params, shifted in pairs:
-        first = [p for p in dict.fromkeys((params, shifted)) if p not in kept]
-        kept = {p for p in kept.union(first) if p.b_z > min(params.b_z, shifted.b_z)}
-        yield first, kept
-
-
 def echo_scan(
     n_qubits: int,
     b_x: float,
@@ -291,10 +280,11 @@ def echo_scan(
     initial_state_source="approx_ground" with N in {3, 4}.
 
     The grid must be strictly increasing with at least 3 points, checked
-    before any work. The echo kinds list their fields once, in first-use
-    order (grid point, then its perturbed field), and read the spectra from
-    `dynamics.solve_ahead`, which may solve later fields on threads; the
-    values are bit for bit the serial ones. readout_amplitude runs serially.
+    before any work. The echo kinds read their spectra, two per point for the
+    exact echo (the field, then b_z - epsilon) and one for the expansions, from
+    `dynamics.solve_ahead`, which solves each field once, up to W + 1 ahead on
+    W threads, and holds it until its last read; the values are bit for bit
+    the serial ones. readout_amplitude runs serially.
     """
     if value_kind not in VALUE_KINDS:
         raise ValueError(f"unknown value_kind {value_kind!r}")
@@ -320,27 +310,23 @@ def echo_scan(
         exact_ground = initial_state_source == EXACT_GROUND  # a reflection-even state
         solve = dynamics.even_spectral_for if exact_ground else dynamics.spectral_for
         points = [ChainParams(n_qubits, bz, b_x) for bz in grid]
+        # no name holds a point's spectra past the point: a loop variable would keep
+        # them alive while the next point's fields are solved
         if value_kind == EXACT_ECHO:
-            pairs = [(p, p.perturbed(epsilon)) for p in points]
-            reads = list(_exact_reads(pairs))
-            order = [p for first, _ in reads for p in first]
-            solved = {}  # the spectra a later grid point may read again
-            with closing(dynamics.solve_ahead(solve, order)) as spectra:
-                for i, ((params, shifted), (first, kept)) in enumerate(zip(pairs, reads)):
-                    for p in first:
-                        solved[p] = next(spectra)
+            reads = [q for p in points for q in (p, p.perturbed(epsilon))]
+            with closing(dynamics.solve_ahead(solve, reads)) as spectra:
+                for i, bz in enumerate(grid):
                     if exact_ground:
-                        values[i] = dynamics.ground_echo(solved[params], solved[shifted], tau)
+                        values[i] = dynamics.ground_echo(next(spectra), next(spectra), tau)
                     else:
-                        initial = ground_state_approx(n_qubits, grid[i], b_x)
-                        values[i] = dynamics.echo_from_spectra(solved[params], solved[shifted], initial, tau)
-                    solved = {p: solved[p] for p in kept}
+                        values[i] = dynamics.echo_from_spectra(
+                            next(spectra), next(spectra), ground_state_approx(n_qubits, bz, b_x), tau)
         else:
             v_even = dynamics.even_field_perturbation(n_qubits)
             expand = echo_perturbative if value_kind == PERTURBATIVE_ECHO else echo_two_level
             with closing(dynamics.solve_ahead(solve, points)) as spectra:
-                for i, spec in enumerate(spectra):
-                    values[i] = expand(spec, v_even, epsilon, tau)
+                for i in range(grid.size):
+                    values[i] = expand(next(spectra), v_even, epsilon, tau)
 
     minima = find_minima(grid, values)
     return EchoScan(

@@ -2,10 +2,9 @@
 
 Propagation goes through full spectral decomposition rather than a matrix
 exponential per time point. Nothing is memoized: every solver call solves,
-and a caller that reads a spectrum again keeps it, as the exact `echo_scan`
-does for the perturbed fields its grid meets again. The perturbed evolution
-uses H + epsilon*V with V = -sum_i sigma_z^i, i.e. a longitudinal field
-shifted to B_z - epsilon.
+and a scan that reads a field twice reads it through `solve_ahead`, which
+solves it once. The perturbed evolution uses H + epsilon*V with
+V = -sum_i sigma_z^i, i.e. a longitudinal field shifted to B_z - epsilon.
 
 The chain is solved from its parameters, with no dense 2^N x 2^N matrix. At
 B_x = 0 it is diagonal and its eigenbasis is a stable sort of
@@ -32,20 +31,21 @@ reads it in:
 * `spectral_for` (echoes of a given state, such as the approximate ground
   state of the scans): both sectors mapped to the 2^N computational basis.
 
-A scan hands its fields to `solve_ahead`, which yields their solves in order
-while later ones run on threads: each `eigh` releases the GIL. It takes as
-many threads as the usable cores hold solves, each solve having the BLAS
-threads that `OPENBLAS_NUM_THREADS` (else `OMP_NUM_THREADS`) gives it; with
-neither set, or at B_x = 0, it solves serially. Each solve is the serial
-call, so the results are bit for bit the serial ones.
+A scan hands its reads, in order, to `solve_ahead`: it solves each distinct
+field once, up to W + 1 fields ahead on W threads (each `eigh` releases the
+GIL), and holds the result until the field's last read. W is the usable
+cores over the BLAS threads per solve (`_solve_threads`); with no BLAS
+variable set, or at B_x = 0, W = 1 solves in the calling thread. Each solve
+is the serial call, so the results are bit for bit the serial ones.
 """
 
 from __future__ import annotations
 
 import os
-import threading
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -262,62 +262,35 @@ def _solve_threads(b_x: float) -> int:
     return max(1, cores // blas)
 
 
-def solve_ahead(solve, fields):
-    """Yield `solve(p)` for each chain of `fields`, in order, while up to W later solves
-    run ahead on threads (W from `_solve_threads`; W = 1 solves each when it is read).
+def solve_ahead(solve, reads):
+    """Yield `solve(p)` at each read p of `reads`, in order, solving each distinct field once
+    and holding its result only until its last read.
 
-    Each solve is the serial call, so the values are bit for bit the serial ones, and the
-    first failure in field order is raised. Close the generator (`contextlib.closing`) so
-    that an early exit joins its threads.
+    Fields are solved in first-read order, up to W + 1 of them ahead on W threads (W from
+    `_solve_threads`; W = 1 solves a field in the calling thread at its first read). Each solve
+    is the serial call, so the values are bit for bit the serial ones, and the first failure in
+    read order is raised. Close the generator (`contextlib.closing`) so that an early exit
+    joins its threads.
     """
-    fields = list(fields)
-    threads = min(_solve_threads(fields[0].b_x), len(fields)) if fields else 1
-    if threads == 1:
-        yield from map(solve, fields)
-        return
-    lock = threading.Lock()
-    ready, room = threading.Condition(lock), threading.Condition(lock)
-    done = {}  # field index -> (result, None) or (None, exception), until it is read
-    claimed = read = 0
-    stop = False
-
-    def work():
-        nonlocal claimed
-        while True:
-            with lock:
-                while not stop and claimed < len(fields) and claimed > read + threads:
-                    room.wait()
-                if stop or claimed == len(fields):
-                    return
-                i, claimed = claimed, claimed + 1
-            try:
-                out = solve(fields[i]), None
-            except BaseException as exc:  # handed to the reader, who raises it in order
-                out = None, exc
-            with lock:
-                done[i] = out
-                ready.notify()
-
-    workers = [threading.Thread(target=work, daemon=True) for _ in range(threads)]
-    for t in workers:
-        t.start()
+    reads = list(reads)
+    last = {p: i for i, p in enumerate(reads)}  # its keys: the distinct fields in first-read order
+    threads = min(_solve_threads(reads[0].b_x), len(last)) if reads else 1
+    pool = None
+    if threads > 1:  # imported here: it loads `logging`, which serial runs do without
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(threads)
+    fields, ahead, held = iter(last), deque(), {}
     try:
-        for i in range(len(fields)):
-            with lock:
-                while i not in done:
-                    ready.wait()
-                result, exc = done.pop(i)
-                read = i + 1
-                room.notify()
-            if exc is not None:
-                raise exc
-            yield result
+        for i, p in enumerate(reads):
+            if p not in held and pool is None:
+                held[p] = solve(p)
+            elif p not in held:
+                ahead.extend(pool.submit(solve, q) for q in islice(fields, threads + 1 - len(ahead)))
+                held[p] = ahead.popleft().result()
+            yield held[p] if last[p] > i else held.pop(p)
     finally:
-        with lock:
-            stop = True
-            room.notify_all()
-        for t in workers:
-            t.join()
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)  # waits for the running solves
 
 
 def even_field_perturbation(n_qubits: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -384,12 +385,13 @@ def _force_solve_threads(monkeypatch, threads):
 
 @pytest.mark.parametrize("epsilon, threads", [
     pytest.param(eps, threads, id=f"{eps}" + ("" if threads == 1 else f"-{threads}threads"))
-    for threads in (1, 2) for eps in (0.1, -0.1, 0.03)
+    for threads in (1, 2) for eps in (0.1, -0.1, 0.03, 0.0)
 ])
 def test_exact_scan_solves_each_field_once(epsilon, threads, monkeypatch):
     # b_z - epsilon is rounded like the grid, so a perturbed field that is a
     # grid point reuses that point's spectrum: 301 grid fields plus the 5
-    # perturbed ones beyond the grid; an off-grid shift solves two per point.
+    # perturbed ones beyond the grid; an off-grid shift solves two per point,
+    # and no shift reads each point's own field twice.
     # The exact ground state is reflection-even, so only that sector is solved.
     _force_solve_threads(monkeypatch, threads)
     solved = _counting_even_solver(monkeypatch)
@@ -398,7 +400,54 @@ def test_exact_scan_solves_each_field_once(epsilon, threads, monkeypatch):
     if epsilon == 0.03:
         assert 306 <= len(solved) <= 602
     else:
-        assert len(solved) == 306
+        assert len(solved) == (301 if epsilon == 0.0 else 306)
+
+
+def _live_spectra_peak(monkeypatch, name):
+    """Patch `dynamics.<name>` to count the spectra it returned that are still alive;
+    returns a list whose one entry is the peak of that count."""
+    # reentrant, as a finalizer runs in whichever thread drops the last reference
+    solve, lock, live, peak = getattr(dynamics, name), threading.RLock(), [0], [0]
+
+    def release():
+        with lock:
+            live[0] -= 1
+
+    def counting_solve(params):
+        spec = solve(params)
+        with lock:
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+        weakref.finalize(spec, release)
+        return spec
+
+    monkeypatch.setattr(dynamics, name, counting_solve)
+    return peak
+
+
+@pytest.mark.parametrize("source", INITIAL_STATE_SOURCES)
+@pytest.mark.parametrize("epsilon, serial_peak", [(0.1, 6), (-0.1, 6), (0.03, 2), (0.0, 1)])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_exact_scan_holds_each_spectrum_only_until_its_last_read(threads, epsilon, serial_peak,
+                                                                 source, monkeypatch):
+    # a field is held from its first read to its last: at |epsilon| = 0.1 that spans
+    # the 5 grid points between b_z and b_z - epsilon, an off-grid shift holds only the
+    # point's own pair, and no shift reads one field twice; W threads solve up to W
+    # fields more ahead of the reads
+    _force_solve_threads(monkeypatch, threads)
+    name = "even_spectral_for" if source == "exact_ground" else "spectral_for"
+    peak = _live_spectra_peak(monkeypatch, name)
+    echo_scan(7, 0.1, epsilon, np.pi, default_b_z_grid(), initial_state_source=source)
+    assert 1 <= peak[0] <= serial_peak + (threads if threads > 1 else 0)
+
+
+@pytest.mark.parametrize("value_kind", ["perturbative_echo", "two_level_echo"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_expansion_scans_hold_one_spectrum_at_a_time(threads, value_kind, monkeypatch):
+    _force_solve_threads(monkeypatch, threads)
+    peak = _live_spectra_peak(monkeypatch, "even_spectral_for")
+    echo_scan(7, 0.1, 0.1, np.pi, default_b_z_grid(), value_kind=value_kind)
+    assert 1 <= peak[0] <= 1 + (threads if threads > 1 else 0)
 
 
 @pytest.mark.parametrize("value_kind, threads", [

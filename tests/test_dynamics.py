@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from contextlib import closing
 from pathlib import Path
 
@@ -555,8 +556,8 @@ def test_solve_ahead_yields_in_field_order_and_joins_its_threads_when_closed(mon
 
 
 def test_solve_ahead_keeps_field_order_on_more_threads_than_cores(monkeypatch):
-    # switch threads as often as possible so that an unlocked update of the shared
-    # claim, read and result state would lose or reorder a solve
+    # switch threads as often as possible, so that a solve read out of field order, or a
+    # worker thread left running after the last read, would show
     monkeypatch.setattr(dynamics, "_solve_threads", lambda b_x: 2 * os.cpu_count() + 2)
     fields = [ChainParams(3, bz, 0.1) for bz in np.round(np.linspace(-3.0, 3.0, 601), 12)]
     solved, read = [], []
@@ -579,4 +580,36 @@ def test_solve_ahead_keeps_field_order_on_more_threads_than_cores(monkeypatch):
     assert not reader.is_alive()
     assert read == [8 * p.b_z for p in fields]
     assert sorted(solved, key=lambda p: p.b_z) == fields
+    assert threading.active_count() == before
+
+
+class _Solved:
+    """A solve result that a weak reference can watch."""
+
+    def __init__(self, params):
+        self.params = params
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_solve_ahead_solves_each_field_once_and_frees_it_after_its_last_read(threads, monkeypatch):
+    monkeypatch.setattr(dynamics, "_solve_threads", lambda b_x: threads)
+    a, b, c, d = (ChainParams(3, bz, 0.1) for bz in (-1.0, 0.0, 1.0, 2.0))
+    reads = [a, a, b, c, b, b, d, a, c]  # adjacent repeats, and a and c read again after others
+    last = {p: i for i, p in enumerate(reads)}
+    solved, refs = [], {}
+
+    def solve(p):
+        solved.append(p)
+        return _Solved(p)
+
+    before = threading.active_count()
+    with closing(dynamics.solve_ahead(solve, reads)) as spectra:
+        for i, p in enumerate(reads):
+            spec = next(spectra)
+            assert spec.params == p
+            assert p not in refs or refs[p]() is spec
+            refs[p] = weakref.ref(spec)
+            del spec
+            assert {q for q, ref in refs.items() if ref() is None} == {q for q in refs if last[q] <= i}
+    assert sorted(solved, key=lambda p: p.b_z) == [a, b, c, d]
     assert threading.active_count() == before
