@@ -7,18 +7,7 @@ gate-network measurement protocol whose one-qubit readout amplitude dips at
 the critical fields.
 """
 
-from .criticality import (
-    EchoScan,
-    MixingAngle,
-    default_b_z_grid,
-    echo_scan,
-    find_minima,
-    ground_state_approx,
-    ground_state_approx_even,
-    ground_state_approx_odd,
-    mixing_angle_even,
-    mixing_angle_odd,
-)
+from .criticality import EchoScan, echo_scan, find_minima, ground_state_approx
 from .dynamics import (
     SpectralDecomposition,
     diagonalize,
@@ -32,13 +21,16 @@ from .gates import Gate, apply_gates
 from .hamiltonian import (
     ChainParams,
     ChainSizeError,
+    MixingAngle,
     PhaseLabel,
     UnsupportedChainError,
     build_hamiltonian,
     closed_form_energy,
     closed_form_ground,
     crossover_points,
+    default_b_z_grid,
     global_field_perturbation,
+    mixing_angle,
     multiphase_family,
     phase_labels,
     phase_state,

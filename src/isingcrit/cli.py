@@ -22,12 +22,11 @@ from .criticality import (
     EXACT_GROUND,
     INITIAL_STATE_SOURCES,
     VALUE_KINDS,
-    default_b_z_grid,
     echo_scan,
     find_minima,
     require_minima_grid,
 )
-from .hamiltonian import ChainParams, closed_form_energy, phase_labels
+from .hamiltonian import ChainParams, closed_form_energy, default_b_z_grid, phase_labels
 from .network import preparation_network, prepared_state, run_protocol
 from .perturbation import (
     LandauZenerParams,
@@ -212,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--znu", type=float, default=1.0, help="gap-closing exponent (lz)")
         p.add_argument("--delta-min", type=float, default=0.1, help="minimum gap (lz)")
         p.add_argument("--readout-qubit", type=int, default=1)
-        p.add_argument("--format", default="csv", choices=("csv", "json"))
+        p.add_argument("--format", dest="output_format", default="csv", choices=("csv", "json"))
         p.add_argument("--out", default=None, help="output path (stdout if omitted)")
     return parser
 
@@ -221,23 +220,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
-    return RunConfig(
-        command=args.command,
-        n=args.n,
-        bz_min=args.bz_min,
-        bz_max=args.bz_max,
-        bz_step=args.bz_step,
-        bx=args.bx,
-        epsilon=args.epsilon,
-        tau=args.tau,
-        value_kind=args.value_kind,
-        initial_state=args.initial_state,
-        znu=args.znu,
-        delta_min=args.delta_min,
-        readout_qubit=args.readout_qubit,
-        output_format=args.format,
-        out=args.out,
-    )
+    return RunConfig(**vars(args))
 
 
 def run(config: RunConfig) -> str:

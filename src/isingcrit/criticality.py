@@ -1,16 +1,11 @@
 """Critical-point detection: approximate ground-state preparation, fixed-time
 echo scans over the longitudinal field, and minima extraction.
 
-The longitudinal axis is split into preparation intervals with a dedicated
-two-phase ansatz cos(phi)|m> - sin(phi)|n> on each. The table INTERVALS holds
-them: [-3,-1], (-1,1), [1,3] for odd chains and [-3,-1.44], (-1.44,0],
-(0,1.44), [1.44,3] for even chains (the 1.44 split point is adopted as a
-fixed constant). The table ANSATZ holds each interval's (m, n, b_c, c), read by
-the ansatz states and the gate networks alike: with d = b_c - |B_z|,
-tan(phi) = [d + sqrt(d^2 + c B_x^2)] / (sqrt(c) B_x). Inside the odd middle
-interval (no ANSATZ row) the chain uses the alternating pattern for b_z < 0,
-its mirror for b_z > 0 and their equal (minus-sign) superposition at exactly
-b_z = 0 — note the rule is discontinuous there, so scan grids should contain
+`ground_state_approx` prepares the ansatz of `hamiltonian.ANSATZ` on the
+interval holding b_z. The odd middle interval has no row: there the chain
+takes the alternating pattern for b_z < 0, its mirror for b_z > 0 and their
+minus-sign superposition at exactly b_z = 0, as the k = 1 odd network of
+`network` does. The rule is discontinuous at 0, so scan grids should contain
 0.0 exactly rather than a rounding-dust neighbour.
 
 An echo scan reads each field's spectrum through `dynamics.solve_ahead`,
@@ -26,8 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics
-from .hamiltonian import ChainParams, UnsupportedChainError, phase_state
+from . import dynamics, network
+from .hamiltonian import (
+    ANSATZ,
+    ChainParams,
+    UnsupportedChainError,
+    interval_index,
+    mixing_angle,
+    phase_state,
+)
 from .perturbation import echo_perturbative, echo_two_level
 from .states import PureState
 
@@ -41,17 +43,7 @@ EXACT_GROUND = "exact_ground"
 APPROX_GROUND = "approx_ground"
 INITIAL_STATE_SOURCES = (EXACT_GROUND, APPROX_GROUND)
 
-EVEN_SPLIT = 1.44
 DEFAULT_PROMINENCE = 1e-3
-
-
-@dataclass(frozen=True)
-class MixingAngle:
-    """Rotation angle of the two-phase ansatz cos(phi)|m> - sin(phi)|n>."""
-
-    phi: float
-    m: int
-    n: int
 
 
 @dataclass(frozen=True)
@@ -89,115 +81,27 @@ def require_minima_grid(b_z) -> None:
         raise ValueError("minima detection requires at least 3 grid points")
 
 
-INTERVALS = {
-    "odd": ((-3.0, -1.0), (-1.0, 1.0), (1.0, 3.0)),
-    "even": ((-3.0, -EVEN_SPLIT), (-EVEN_SPLIT, 0.0), (0.0, EVEN_SPLIT), (EVEN_SPLIT, 3.0)),
-}
-
-
-def intervals(parity: str) -> tuple[tuple[float, float], ...]:
-    if parity not in INTERVALS:
-        raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
-    return INTERVALS[parity]
-
-
-def interval_boundaries(parity: str) -> tuple[float, ...]:
-    """Interior points where the preparation rule switches branch."""
-    return tuple(hi for _, hi in intervals(parity)[:-1])
-
-
-def interval_index(parity: str, b_z: float) -> int:
-    """Index into intervals(parity) of the interval containing b_z.
-
-    The outer intervals absorb fields beyond the table. A boundary at or
-    below 0 belongs to the interval on its left, a positive one to the
-    interval on its right.
-    """
-    return sum(b_z > b if b <= 0 else b_z >= b for b in interval_boundaries(parity))
-
-
-# (m, n, b_c, c) per interval of INTERVALS; see the module docstring
-ANSATZ = {
-    "odd": ((1, 2, 2.0, 1.0), None, (4, 3, 2.0, 1.0)),
-    "even": ((1, 2, 2.0, 2.0), (2, 3, 1.0, 1.0), (4, 3, 1.0, 1.0), (5, 4, 2.0, 2.0)),
-}
-
-
-def _mixing_angle(row, b_z: float, b_x: float) -> MixingAngle:
-    """The ansatz angle of one ANSATZ row at (b_z, b_x)."""
-    if b_x <= 0:
-        raise ValueError("mixing angle requires b_x > 0")
-    m, n, b_c, c = row
-    d = b_c - abs(b_z)
-    phi = math.atan((d + math.sqrt(d * d + c * b_x * b_x)) / (math.sqrt(c) * b_x))
-    return MixingAngle(phi, m, n)
-
-
-def mixing_angle_odd(b_z: float, b_x: float) -> MixingAngle:
-    """Ansatz angle near |B_z| = 2 for odd chains, pairing phases (1,2) on the
-    negative side and (4,3) on the positive side."""
-    if b_z == 0:
-        raise ValueError("no crossover branch at b_z = 0; use the middle-interval rule")
-    return _mixing_angle(ANSATZ["odd"][0 if b_z < 0 else 2], b_z, b_x)
-
-
-def mixing_angle_even(b_z: float, b_x: float) -> MixingAngle:
-    """Ansatz angle for even chains; the branch switches at |B_z| = EVEN_SPLIT.
-
-    Near +-2 the phases pair as (1,2) / (5,4); near +-1 as (2,3) / (4,3).
-    """
-    return _mixing_angle(ANSATZ["even"][interval_index("even", b_z)], b_z, b_x)
-
-
-def _two_phase_state(n_qubits: int, angle: MixingAngle) -> PureState:
-    a = phase_state(n_qubits, angle.m).amplitudes
-    b = phase_state(n_qubits, angle.n).amplitudes
-    return PureState(math.cos(angle.phi) * a - math.sin(angle.phi) * b, n_qubits)
-
-
-def ground_state_approx_odd(n_qubits: int, b_z: float, b_x: float) -> PureState:
-    """Two-phase ansatz for an odd chain (see module docstring for intervals)."""
-    if n_qubits % 2 == 0:
-        raise UnsupportedChainError("ground_state_approx_odd requires odd N")
+def _require_approx_chain(n_qubits: int, b_x: float) -> None:
+    if n_qubits < 3:
+        raise UnsupportedChainError("approximate preparation requires N >= 3")
     if b_x <= 0:
         raise ValueError("approximate preparation requires b_x > 0")
-    if ANSATZ["odd"][interval_index("odd", b_z)] is not None:
-        return _two_phase_state(n_qubits, mixing_angle_odd(b_z, b_x))
-    if b_z < 0:
-        return phase_state(n_qubits, 2)
-    if b_z > 0:
-        return phase_state(n_qubits, 3)
-    amps = (phase_state(n_qubits, 2).amplitudes - phase_state(n_qubits, 3).amplitudes)
-    return PureState(amps / math.sqrt(2.0), n_qubits)
-
-
-def ground_state_approx_even(n_qubits: int, b_z: float, b_x: float) -> PureState:
-    """Two-phase ansatz for an even chain (N >= 4)."""
-    if n_qubits % 2 or n_qubits < 4:
-        raise UnsupportedChainError("ground_state_approx_even requires even N >= 4")
-    if b_x <= 0:
-        raise ValueError("approximate preparation requires b_x > 0")
-    return _two_phase_state(n_qubits, mixing_angle_even(b_z, b_x))
 
 
 def ground_state_approx(n_qubits: int, b_z: float, b_x: float) -> PureState:
-    if n_qubits % 2:
-        return ground_state_approx_odd(n_qubits, b_z, b_x)
-    return ground_state_approx_even(n_qubits, b_z, b_x)
-
-
-def default_b_z_grid(lo: float = -3.0, hi: float = 3.0, step: float = 0.02) -> np.ndarray:
-    """Dust-free grid lo, lo+step, ... up to hi (values rounded to 12 decimals).
-
-    The last point is hi when step divides hi - lo up to float dust, and
-    never lies past it.
-    """
-    if not all(math.isfinite(x) for x in (lo, hi, step)):
-        raise ValueError("grid bounds and step must be finite")
-    if step <= 0 or hi <= lo:
-        raise ValueError("grid requires step > 0 and hi > lo")
-    count = math.floor((hi - lo) / step + 1e-9) + 1
-    return np.round(lo + np.arange(count) * step, 12)
+    """Two-phase ansatz of the interval holding b_z, for N >= 3 and b_x > 0."""
+    _require_approx_chain(n_qubits, b_x)
+    parity = "odd" if n_qubits % 2 else "even"
+    k = interval_index(parity, b_z)
+    if ANSATZ[parity][k] is None:
+        if b_z != 0:
+            return phase_state(n_qubits, 2 if b_z < 0 else 3)
+        amps = phase_state(n_qubits, 2).amplitudes - phase_state(n_qubits, 3).amplitudes
+        return PureState(amps / math.sqrt(2.0), n_qubits)
+    angle = mixing_angle(parity, k, b_z, b_x)
+    a = phase_state(n_qubits, angle.m).amplitudes
+    b = phase_state(n_qubits, angle.n).amplitudes
+    return PureState(math.cos(angle.phi) * a - math.sin(angle.phi) * b, n_qubits)
 
 
 def _parabolic_vertex(x0, y0, x1, y1, x2, y2):
@@ -279,7 +183,8 @@ def echo_scan(
     compiled echo step, one-qubit readout) and requires
     initial_state_source="approx_ground" with N in {3, 4}.
 
-    The grid must be strictly increasing with at least 3 points, checked
+    The grid must be strictly increasing with at least 3 points, and an exact
+    echo of the approximate ground state needs N >= 3 and b_x > 0, both checked
     before any work. The echo kinds read their spectra, two per point for the
     exact echo (the field, then b_z - epsilon) and one for the expansions, from
     `dynamics.solve_ahead`, which solves each field once, up to W + 1 ahead on
@@ -301,13 +206,13 @@ def echo_scan(
 
     values = np.empty(grid.size)
     if value_kind == READOUT_AMPLITUDE:
-        from .network import preparation_network, run_protocol  # deferred: cyclic module pair
-
         for i, bz in enumerate(grid):
-            net = preparation_network(n_qubits, bz, b_x)
-            values[i] = run_protocol(net, epsilon, tau, readout_qubit).amplitude
+            net = network.preparation_network(n_qubits, bz, b_x)
+            values[i] = network.run_protocol(net, epsilon, tau, readout_qubit).amplitude
     else:
         exact_ground = initial_state_source == EXACT_GROUND  # a reflection-even state
+        if not exact_ground:
+            _require_approx_chain(n_qubits, b_x)  # before the first solve
         solve = dynamics.even_spectral_for if exact_ground else dynamics.spectral_for
         points = [ChainParams(n_qubits, bz, b_x) for bz in grid]
         # no name holds a point's spectra past the point: a loop variable would keep

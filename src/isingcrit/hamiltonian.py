@@ -19,10 +19,19 @@ are read from it; a crossover belongs to the phase on its left. At B_z = +-2
 the ground manifold is macroscopically degenerate; `closed_form_ground`
 returns the staggered-front family interpolating between the two adjacent
 phase patterns there.
+
+Away from B_x = 0 the ground state is approximated on each preparation
+interval of the table INTERVALS (the split point EVEN_SPLIT is a fixed
+constant) by cos(phi)|m> - sin(phi)|n>, from the interval's row (m, n, c) of
+the table ANSATZ, which the ansatz states and the gate networks alike read.
+Phases m and n meet at b_c = |CROSSOVERS[parity][min(m, n) - 1]|; with
+d = b_c - |B_z|, tan(phi) = [d + sqrt(d^2 + c B_x^2)] / (sqrt(c) B_x)
+(`mixing_angle`). The odd middle interval has no row; see `criticality`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +39,8 @@ import numpy as np
 from .states import HermitianOperator, PureState, basis_state, sigma_z_values, superposition
 
 MAX_QUBITS = 14
+# decimals of the scan grids and of ChainParams.perturbed: a field reached two ways compares equal
+FIELD_DECIMALS = 12
 
 # B_x = 0 crossover fields, which bound the phases of phase_labels
 CROSSOVERS = {"odd": (-2.0, 0.0, 2.0), "even": (-2.0, -1.0, 1.0, 2.0)}
@@ -74,11 +85,25 @@ class ChainParams:
     def perturbed(self, epsilon: float) -> "ChainParams":
         """Parameters of H + epsilon*V with V = -sum_i sigma_z^i.
 
-        The shifted field is rounded to 12 decimals, as the scan grids are, so
-        that b_z - epsilon lands exactly on a grid point (whose spectrum an
+        The shifted field is rounded to FIELD_DECIMALS, as the scan grids are,
+        so that b_z - epsilon lands exactly on a grid point (whose spectrum an
         exact scan keeps) instead of a rounding-dust neighbour.
         """
-        return ChainParams(self.n_qubits, float(np.round(self.b_z - epsilon, 12)), self.b_x)
+        return ChainParams(self.n_qubits, float(np.round(self.b_z - epsilon, FIELD_DECIMALS)), self.b_x)
+
+
+def default_b_z_grid(lo: float = -3.0, hi: float = 3.0, step: float = 0.02) -> np.ndarray:
+    """Dust-free grid lo, lo+step, ... up to hi (values rounded to FIELD_DECIMALS).
+
+    The last point is hi when step divides hi - lo up to float dust, and
+    never lies past it.
+    """
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise ValueError("grid bounds and step must be finite")
+    if step <= 0 or hi <= lo:
+        raise ValueError("grid requires step > 0 and hi > lo")
+    count = math.floor((hi - lo) / step + 1e-9) + 1
+    return np.round(lo + np.arange(count) * step, FIELD_DECIMALS)
 
 
 @dataclass(frozen=True)
@@ -239,3 +264,54 @@ def closed_form_ground(params: ChainParams) -> list[PureState]:
     # on an interior crossover the phase on its right meets the one holding it
     meeting = phase_labels(n)[k : k + 1 + (bz in CROSSOVERS[params.parity])]
     return [lab.state() for lab in meeting]
+
+
+EVEN_SPLIT = 1.44
+INTERVALS = {
+    "odd": ((-3.0, -1.0), (-1.0, 1.0), (1.0, 3.0)),
+    "even": ((-3.0, -EVEN_SPLIT), (-EVEN_SPLIT, 0.0), (0.0, EVEN_SPLIT), (EVEN_SPLIT, 3.0)),
+}
+# (m, n, c) per interval of INTERVALS; see the module docstring
+ANSATZ = {
+    "odd": ((1, 2, 1.0), None, (4, 3, 1.0)),
+    "even": ((1, 2, 2.0), (2, 3, 1.0), (4, 3, 1.0), (5, 4, 2.0)),
+}
+
+
+@dataclass(frozen=True)
+class MixingAngle:
+    """Rotation angle of the two-phase ansatz cos(phi)|m> - sin(phi)|n>."""
+
+    phi: float
+    m: int
+    n: int
+
+
+def interval_boundaries(parity: str) -> tuple[float, ...]:
+    """Interior points where the preparation rule switches branch."""
+    if parity not in INTERVALS:
+        raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
+    return tuple(hi for _, hi in INTERVALS[parity][:-1])
+
+
+def interval_index(parity: str, b_z: float) -> int:
+    """Index into INTERVALS[parity] of the interval containing b_z.
+
+    The outer intervals absorb fields beyond the table. A boundary at or
+    below 0 belongs to the interval on its left, a positive one to the
+    interval on its right.
+    """
+    return sum(b_z > b if b <= 0 else b_z >= b for b in interval_boundaries(parity))
+
+
+def mixing_angle(parity: str, k: int, b_z: float, b_x: float) -> MixingAngle:
+    """The ansatz angle of interval k of INTERVALS[parity] at (b_z, b_x)."""
+    row = ANSATZ[parity][k]
+    if row is None:
+        raise ValueError(f"no two-phase ansatz on the {parity} interval {INTERVALS[parity][k]}")
+    if b_x <= 0:
+        raise ValueError("mixing angle requires b_x > 0")
+    m, n, c = row
+    d = abs(CROSSOVERS[parity][min(m, n) - 1]) - abs(b_z)
+    phi = math.atan((d + math.sqrt(d * d + c * b_x * b_x)) / (math.sqrt(c) * b_x))
+    return MixingAngle(phi, m, n)

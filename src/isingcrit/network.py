@@ -23,15 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .criticality import (
-    ANSATZ,
+from .gates import GATE_ARITY, Gate, apply_gates
+from .hamiltonian import (
     INTERVALS,
-    _mixing_angle,
+    ChainParams,
+    UnsupportedChainError,
     default_b_z_grid,
     interval_index,
+    mixing_angle,
 )
-from .gates import GATE_ARITY, Gate, apply_gates
-from .hamiltonian import ChainParams, UnsupportedChainError
 from .states import PureState, basis_state
 
 AMPLITUDE_SLACK = 1e-12
@@ -86,11 +86,10 @@ def build_preparation_network(parity: str, interval, b_z: float, b_x: float) -> 
     """
     if parity not in _NETWORKS:
         raise UnsupportedChainError(f"no networks for parity {parity!r}")
-    lo, hi = float(interval[0]), float(interval[1])
-    for k, (a, b) in enumerate(INTERVALS[parity]):
-        if abs(a - lo) < 1e-9 and abs(b - hi) < 1e-9:
-            return _NETWORKS[parity](k, b_z, b_x)
-    raise ValueError(f"unknown {parity} interval {interval!r}")
+    key = (float(interval[0]), float(interval[1]))
+    if key not in INTERVALS[parity]:
+        raise ValueError(f"unknown {parity} interval {interval!r}")
+    return _NETWORKS[parity](INTERVALS[parity].index(key), b_z, b_x)
 
 
 def preparation_network(n_qubits: int, b_z: float, b_x: float) -> GateNetwork:
@@ -114,7 +113,7 @@ def _odd_network(k: int, b_z: float, b_x: float) -> GateNetwork:
             Gate("CNOT", (2,), (1,)),
         )
         return GateNetwork(3, gates, label)
-    phi = _mixing_angle(ANSATZ["odd"][k], b_z, b_x).phi
+    phi = mixing_angle("odd", k, b_z, b_x).phi
     gates: tuple[Gate, ...] = (Gate("RotY", (2,), angle=phi),)
     if k == 2:
         gates = gates + tuple(Gate("NOT", (q,)) for q in (1, 2, 3))
@@ -124,7 +123,7 @@ def _odd_network(k: int, b_z: float, b_x: float) -> GateNetwork:
 def _even_network(k: int, b_z: float, b_x: float) -> GateNetwork:
     lo, hi = INTERVALS["even"][k]
     label = f"even [{lo:g},{hi:g}]"
-    phi = _mixing_angle(ANSATZ["even"][k], b_z, b_x).phi
+    phi = mixing_angle("even", k, b_z, b_x).phi
     if k in (0, 3):
         gates = (
             Gate("RotY", (2,), angle=phi),

@@ -26,13 +26,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from isingcrit.criticality import (
-    default_b_z_grid,
-    echo_scan,
-    find_minima,
-    ground_state_approx,
-    interval_boundaries,
-)
+from isingcrit.criticality import echo_scan, find_minima, ground_state_approx
 from isingcrit.dynamics import (
     diagonalize,
     ground_state,
@@ -45,6 +39,8 @@ from isingcrit.hamiltonian import (
     build_hamiltonian,
     closed_form_energy,
     crossover_points,
+    default_b_z_grid,
+    interval_boundaries,
     multiphase_family,
 )
 from isingcrit.network import preparation_network, run_protocol

@@ -10,27 +10,24 @@ from scipy.signal import find_peaks
 from isingcrit import dynamics
 from isingcrit.cli import main
 from isingcrit.criticality import (
-    EVEN_SPLIT,
     INITIAL_STATE_SOURCES,
-    INTERVALS,
     EchoScan,
-    MixingAngle,
-    default_b_z_grid,
     echo_scan,
     find_minima,
     ground_state_approx,
-    ground_state_approx_even,
-    ground_state_approx_odd,
-    interval_boundaries,
-    interval_index,
-    mixing_angle_even,
-    mixing_angle_odd,
 )
 from isingcrit.dynamics import ground_state, loschmidt_echo_exact
 from isingcrit.hamiltonian import (
+    EVEN_SPLIT,
+    INTERVALS,
     ChainParams,
+    MixingAngle,
     UnsupportedChainError,
+    default_b_z_grid,
     global_field_perturbation,
+    interval_boundaries,
+    interval_index,
+    mixing_angle,
     phase_state,
 )
 from isingcrit.network import build_preparation_network, preparation_network
@@ -38,39 +35,44 @@ from isingcrit.perturbation import DegenerateGapError, echo_two_level
 from isingcrit.states import fidelity, superposition
 
 
+def _angle(parity, b_z, b_x):
+    """The mixing angle of the interval holding b_z."""
+    return mixing_angle(parity, interval_index(parity, b_z), b_z, b_x)
+
+
 def test_mixing_angle_odd_examples():
-    assert mixing_angle_odd(-2.0, 0.1).phi == pytest.approx(np.pi / 4)
-    assert mixing_angle_odd(-2.0, 0.1).m == 1 and mixing_angle_odd(-2.0, 0.1).n == 2
-    assert mixing_angle_odd(2.0, 0.1).m == 4 and mixing_angle_odd(2.0, 0.1).n == 3
+    assert _angle("odd", -2.0, 0.1).phi == pytest.approx(np.pi / 4)
+    assert _angle("odd", -2.0, 0.1).m == 1 and _angle("odd", -2.0, 0.1).n == 2
+    assert _angle("odd", 2.0, 0.1).m == 4 and _angle("odd", 2.0, 0.1).n == 3
     # deep in the uniform phase the angle closes to zero
-    assert mixing_angle_odd(-3.0, 1e-6).phi < 1e-5
+    assert _angle("odd", -3.0, 1e-6).phi < 1e-5
     # at the inner edge the ansatz is almost the pure alternating pattern
-    edge = mixing_angle_odd(-1.0, 0.1)
+    edge = _angle("odd", -1.0, 0.1)
     assert np.tan(edge.phi) == pytest.approx((1 + np.sqrt(1.01)) / 0.1, rel=1e-12)
     assert edge.phi == pytest.approx(1.520962, abs=1e-6)
-    fid = fidelity(ground_state_approx_odd(3, -1.0, 0.1), ground_state(ChainParams(3, -1.0, 0.1)))
+    fid = fidelity(ground_state_approx(3, -1.0, 0.1), ground_state(ChainParams(3, -1.0, 0.1)))
     assert fid == pytest.approx(0.998721, abs=1e-5)
 
 
 def test_mixing_angle_rejects_zero_transverse_field():
     with pytest.raises(ValueError):
-        mixing_angle_odd(-2.0, 0.0)
+        _angle("odd", -2.0, 0.0)
     with pytest.raises(ValueError):
-        mixing_angle_even(-2.0, 0.0)
+        _angle("even", -2.0, 0.0)
     with pytest.raises(ValueError):
-        mixing_angle_odd(0.0, 0.1)
+        _angle("odd", 0.0, 0.1)
 
 
 def test_mixing_angle_even_examples():
-    assert mixing_angle_even(-2.0, 0.1).phi == pytest.approx(np.pi / 4)
-    assert (mixing_angle_even(-2.0, 0.1).m, mixing_angle_even(-2.0, 0.1).n) == (1, 2)
-    assert mixing_angle_even(-1.0, 0.1).phi == pytest.approx(np.pi / 4)
-    assert (mixing_angle_even(-1.0, 0.1).m, mixing_angle_even(-1.0, 0.1).n) == (2, 3)
-    assert (mixing_angle_even(2.0, 0.1).m, mixing_angle_even(2.0, 0.1).n) == (5, 4)
-    assert (mixing_angle_even(0.5, 0.1).m, mixing_angle_even(0.5, 0.1).n) == (4, 3)
+    assert _angle("even", -2.0, 0.1).phi == pytest.approx(np.pi / 4)
+    assert (_angle("even", -2.0, 0.1).m, _angle("even", -2.0, 0.1).n) == (1, 2)
+    assert _angle("even", -1.0, 0.1).phi == pytest.approx(np.pi / 4)
+    assert (_angle("even", -1.0, 0.1).m, _angle("even", -1.0, 0.1).n) == (2, 3)
+    assert (_angle("even", 2.0, 0.1).m, _angle("even", 2.0, 0.1).n) == (5, 4)
+    assert (_angle("even", 0.5, 0.1).m, _angle("even", 0.5, 0.1).n) == (4, 3)
     # the branch switches exactly at |b_z| = 1.44
-    assert (mixing_angle_even(-1.44, 0.1).m, mixing_angle_even(-1.44, 0.1).n) == (1, 2)
-    assert (mixing_angle_even(-1.43, 0.1).m, mixing_angle_even(-1.43, 0.1).n) == (2, 3)
+    assert (_angle("even", -1.44, 0.1).m, _angle("even", -1.44, 0.1).n) == (1, 2)
+    assert (_angle("even", -1.43, 0.1).m, _angle("even", -1.43, 0.1).n) == (2, 3)
 
 
 # The three mixing-angle formulas the ANSATZ table replaced, kept as exact oracles.
@@ -99,15 +101,16 @@ def _ansatz_fields():
 def test_mixing_angles_equal_the_replaced_formulas_exactly():
     for b_x in (1e-3, 0.05, 0.1, 0.37, 1.0, 2.5):
         for b_z in _ansatz_fields():
-            if b_z != 0.0:
+            k = interval_index("odd", b_z)
+            if k != 1:  # the odd middle interval has no ansatz row
                 pair = (1, 2) if b_z < 0 else (4, 3)
-                assert mixing_angle_odd(b_z, b_x) == MixingAngle(
+                assert mixing_angle("odd", k, b_z, b_x) == MixingAngle(
                     _outer_phi_odd_reference(b_z, b_x), *pair
                 )
             k = interval_index("even", b_z)
             reference = _outer_phi_even_reference if k in (0, 3) else _inner_phi_even_reference
             pair = ((1, 2), (2, 3), (4, 3), (5, 4))[k]
-            assert mixing_angle_even(b_z, b_x) == MixingAngle(reference(b_z, b_x), *pair)
+            assert mixing_angle("even", k, b_z, b_x) == MixingAngle(reference(b_z, b_x), *pair)
 
 
 # (parity, interval index) -> (replaced formula, positions of its gates in the network)
@@ -161,35 +164,31 @@ def test_intervals_and_boundaries():
 
 def test_ground_state_approx_odd_examples():
     # deep paramagnetic: essentially the all-zeros ket
-    s = ground_state_approx_odd(3, -3.0, 0.1)
+    s = ground_state_approx(3, -3.0, 0.1)
     assert fidelity(s, ground_state(ChainParams(3, -3.0, 0.1))) >= 0.98
     # exactly at b_z = 0 the rule is the minus-superposition of the two patterns
-    s0 = ground_state_approx_odd(3, 0.0, 0.1)
+    s0 = ground_state_approx(3, 0.0, 0.1)
     target = superposition(3, {"010": 1.0, "101": -1.0})
     assert fidelity(s0, target) == pytest.approx(1.0, abs=1e-14)
     # measured against the dense oracle: the long-chain ansatz degrades
-    f7 = fidelity(ground_state_approx_odd(7, -1.8, 0.1), ground_state(ChainParams(7, -1.8, 0.1)))
+    f7 = fidelity(ground_state_approx(7, -1.8, 0.1), ground_state(ChainParams(7, -1.8, 0.1)))
     assert f7 == pytest.approx(0.80570, abs=1e-4)
 
 
 def test_ground_state_approx_even_examples():
-    s = ground_state_approx_even(4, -3.0, 0.1)
+    s = ground_state_approx(4, -3.0, 0.1)
     assert fidelity(s, ground_state(ChainParams(4, -3.0, 0.1))) >= 0.98
-    s0 = ground_state_approx_even(4, 0.0, 0.1)
+    s0 = ground_state_approx(4, 0.0, 0.1)
     assert fidelity(s0, phase_state(4, 3)) >= 0.99
-    f8 = fidelity(ground_state_approx_even(8, -1.2, 0.1), ground_state(ChainParams(8, -1.2, 0.1)))
+    f8 = fidelity(ground_state_approx(8, -1.2, 0.1), ground_state(ChainParams(8, -1.2, 0.1)))
     assert f8 == pytest.approx(0.67822, abs=1e-4)
 
 
 def test_ground_state_approx_validation():
     with pytest.raises(UnsupportedChainError):
-        ground_state_approx_odd(4, -2.0, 0.1)
-    with pytest.raises(UnsupportedChainError):
-        ground_state_approx_even(3, -2.0, 0.1)
-    with pytest.raises(UnsupportedChainError):
-        ground_state_approx_even(2, -2.0, 0.1)
+        ground_state_approx(2, -2.0, 0.1)
     with pytest.raises(ValueError):
-        ground_state_approx_odd(3, -2.0, 0.0)
+        ground_state_approx(3, -2.0, 0.0)
 
 
 def test_short_chain_ansatz_fidelity_over_scan():
@@ -348,6 +347,27 @@ def test_echo_scan_rejects_a_short_grid_before_any_solve(value_kind, source, mon
     with pytest.raises(ValueError, match="at least 3 grid points"):
         echo_scan(8, 0.1, 0.1, np.pi, [0.0, 0.02], value_kind=value_kind, initial_state_source=source)
     assert solved == []
+
+
+@pytest.mark.parametrize("n, b_x, error", [
+    (9, -0.1, ValueError), (9, 0.0, ValueError), (2, 0.1, UnsupportedChainError),
+    (1, 0.1, UnsupportedChainError),
+])
+def test_approx_ground_scan_rejects_its_chain_before_any_solve(n, b_x, error, monkeypatch):
+    # the approximate ground state needs N >= 3 and b_x > 0; a scan checks both
+    # before it starts solve threads or solves its first field
+    _force_solve_threads(monkeypatch, 2)
+    solved = []
+    for name in ("spectral_for", "even_spectral_for"):
+        solve = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name, lambda params, solve=solve: solved.append(params) or solve(params))
+    before = threading.active_count()
+    with pytest.raises(error):
+        echo_scan(n, b_x, 0.1, np.pi, default_b_z_grid(step=0.5), initial_state_source="approx_ground")
+    with pytest.raises(error):
+        ground_state_approx(n, -2.0, b_x)
+    assert solved == []
+    assert threading.active_count() == before
 
 
 def test_refined_minima_stable_under_grid_halving():

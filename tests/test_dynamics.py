@@ -30,9 +30,15 @@ from isingcrit.dynamics import (
     spectral_for,
 )
 from isingcrit import dynamics
-from isingcrit.criticality import EVEN_SPLIT, ground_state_approx
+from isingcrit.criticality import ground_state_approx
 from isingcrit.gates import global_z_phases
-from isingcrit.hamiltonian import CROSSOVERS, ChainParams, build_hamiltonian, hamiltonian_diagonal
+from isingcrit.hamiltonian import (
+    CROSSOVERS,
+    EVEN_SPLIT,
+    ChainParams,
+    build_hamiltonian,
+    hamiltonian_diagonal,
+)
 from isingcrit.perturbation import echo_perturbative
 from isingcrit.states import (
     HermitianOperator,

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from isingcrit.criticality import EVEN_SPLIT
 from isingcrit.hamiltonian import (
+    ANSATZ,
+    CROSSOVERS,
+    EVEN_SPLIT,
+    INTERVALS,
     ChainParams,
     ChainSizeError,
     UnsupportedChainError,
@@ -12,6 +17,7 @@ from isingcrit.hamiltonian import (
     crossover_points,
     global_field_perturbation,
     hamiltonian_diagonal,
+    mixing_angle,
     multiphase_family,
     phase_labels,
     phase_state,
@@ -257,3 +263,23 @@ def test_global_field_perturbation_diagonal():
     # V = -sum_i sigma_z^i is diagonal and kept as its diagonal
     v = global_field_perturbation(2)
     assert v.dtype == np.float64 and np.array_equal(v, [-2.0, 0.0, 0.0, 2.0])
+
+
+@pytest.mark.parametrize("n_qubits", range(3, 11))
+def test_ansatz_rows_mix_the_two_phases_meeting_at_a_crossover_of_their_interval(n_qubits):
+    # a row (m, n, c) takes its crossover b_c from the phase table: there the two
+    # phases are degenerate and the mixing angle is pi/4
+    parity = "odd" if n_qubits % 2 else "even"
+    labels = phase_labels(n_qubits)
+    assert len(ANSATZ[parity]) == len(INTERVALS[parity])
+    for k, row in enumerate(ANSATZ[parity]):
+        if row is None:
+            continue
+        m, n, _ = row
+        assert abs(m - n) == 1
+        b = CROSSOVERS[parity][min(m, n) - 1]
+        lo, hi = INTERVALS[parity][k]
+        assert lo <= b <= hi
+        assert labels[m - 1].energy(b) == labels[n - 1].energy(b)
+        assert mixing_angle(parity, k, b, 0.1).phi == pytest.approx(math.pi / 4)
+    assert [k for k, row in enumerate(ANSATZ[parity]) if row is None] == ([1] if parity == "odd" else [])

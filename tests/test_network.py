@@ -3,9 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isingcrit.criticality import INTERVALS, default_b_z_grid, echo_scan, ground_state_approx
+from isingcrit.criticality import echo_scan, ground_state_approx
 from isingcrit.gates import Gate, global_z_phases
-from isingcrit.hamiltonian import UnsupportedChainError
+from isingcrit.hamiltonian import INTERVALS, UnsupportedChainError, default_b_z_grid
 from isingcrit.network import (
     GateNetwork,
     ReadoutResult,

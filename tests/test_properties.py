@@ -8,9 +8,16 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from isingcrit.criticality import INTERVALS, find_minima, interval_boundaries, interval_index
+from isingcrit.criticality import find_minima
 from isingcrit.dynamics import echo_from_spectra, levels_for, loschmidt_echo_exact, spectral_for
-from isingcrit.hamiltonian import ChainParams, closed_form_energy, phase_labels
+from isingcrit.hamiltonian import (
+    INTERVALS,
+    ChainParams,
+    closed_form_energy,
+    interval_boundaries,
+    interval_index,
+    phase_labels,
+)
 from isingcrit.gates import GATE_ARITY, Gate
 from isingcrit.network import (
     AMPLITUDE_SLACK,
