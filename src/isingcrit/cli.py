@@ -63,10 +63,6 @@ class RunConfig:
     out: str | None
 
     def grid(self) -> np.ndarray:
-        if self.bz_step <= 0:
-            raise ConfigError("--bz-step must be positive")
-        if self.bz_min >= self.bz_max:
-            raise ConfigError("--bz-min must be below --bz-max")
         return default_b_z_grid(self.bz_min, self.bz_max, self.bz_step)
 
 
@@ -134,8 +130,6 @@ def _cmd_echo_scan(config: RunConfig):
 
 
 def _cmd_lz(config: RunConfig):
-    if config.delta_min <= 0:
-        raise ConfigError("--delta-min must be positive")
     grid = config.grid()
     columns = ["lambda", "gap", "matrix_element_sq", "gaussian_echo", "two_level_echo"]
     rows = []

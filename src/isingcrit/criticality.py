@@ -8,9 +8,10 @@ minus-sign superposition at exactly b_z = 0, as the k = 1 odd network of
 `network` does. The rule is discontinuous at 0, so scan grids should contain
 0.0 exactly rather than a rounding-dust neighbour.
 
-An echo scan reads each field's spectrum through `dynamics.solve_ahead`,
-which solves each field once, possibly ahead on another thread, and holds
-it until its last read.
+An echo scan reads each field's reflection-even spectrum through
+`dynamics.solve_ahead`, which solves each field once, possibly ahead on
+another thread, and holds it until its last read: the exact ground state and
+the ansatz (its kets palindromes or mirror pairs) both lie in that sector.
 """
 
 from __future__ import annotations
@@ -61,10 +62,6 @@ class EchoScan:
 
     def __post_init__(self):
         _require_increasing([p[0] for p in self.grid])
-
-    @property
-    def b_z_values(self) -> np.ndarray:
-        return np.array([p[0] for p in self.grid])
 
     @property
     def values(self) -> np.ndarray:
@@ -185,11 +182,11 @@ def echo_scan(
 
     The grid must be strictly increasing with at least 3 points, and an exact
     echo of the approximate ground state needs N >= 3 and b_x > 0, both checked
-    before any work. The echo kinds read their spectra, two per point for the
-    exact echo (the field, then b_z - epsilon) and one for the expansions, from
-    `dynamics.solve_ahead`, which solves each field once, up to W + 1 ahead on
-    W threads, and holds it until its last read; the values are bit for bit
-    the serial ones. readout_amplitude runs serially.
+    before any work. The echo kinds read even-sector spectra, two per point for
+    the exact echo (the field, then b_z - epsilon) and one for the expansions,
+    from `dynamics.solve_ahead`, which solves each field once, up to W + 1
+    ahead on W threads, and holds it until its last read; the values are bit
+    for bit the serial ones. readout_amplitude runs serially.
     """
     if value_kind not in VALUE_KINDS:
         raise ValueError(f"unknown value_kind {value_kind!r}")
@@ -210,26 +207,24 @@ def echo_scan(
             net = network.preparation_network(n_qubits, bz, b_x)
             values[i] = network.run_protocol(net, epsilon, tau, readout_qubit).amplitude
     else:
-        exact_ground = initial_state_source == EXACT_GROUND  # a reflection-even state
-        if not exact_ground:
+        if initial_state_source == APPROX_GROUND:
             _require_approx_chain(n_qubits, b_x)  # before the first solve
-        solve = dynamics.even_spectral_for if exact_ground else dynamics.spectral_for
         points = [ChainParams(n_qubits, bz, b_x) for bz in grid]
-        # no name holds a point's spectra past the point: a loop variable would keep
-        # them alive while the next point's fields are solved
+        # every read is even-sector (both initial states are); no name holds a point's spectra
+        # past the point: a loop variable would keep them alive while the next point's are solved
         if value_kind == EXACT_ECHO:
             reads = [q for p in points for q in (p, p.perturbed(epsilon))]
-            with closing(dynamics.solve_ahead(solve, reads)) as spectra:
+            with closing(dynamics.solve_ahead(dynamics.even_spectral_for, reads)) as spectra:
                 for i, bz in enumerate(grid):
-                    if exact_ground:
+                    if initial_state_source == EXACT_GROUND:
                         values[i] = dynamics.ground_echo(next(spectra), next(spectra), tau)
                     else:
-                        values[i] = dynamics.echo_from_spectra(
-                            next(spectra), next(spectra), ground_state_approx(n_qubits, bz, b_x), tau)
+                        approx = dynamics.even_amplitudes(ground_state_approx(n_qubits, bz, b_x))
+                        values[i] = dynamics.echo_from_spectra(next(spectra), next(spectra), approx, tau)
         else:
             v_even = dynamics.even_field_perturbation(n_qubits)
             expand = echo_perturbative if value_kind == PERTURBATIVE_ECHO else echo_two_level
-            with closing(dynamics.solve_ahead(solve, points)) as spectra:
+            with closing(dynamics.solve_ahead(dynamics.even_spectral_for, points)) as spectra:
                 for i in range(grid.size):
                     values[i] = expand(next(spectra), v_even, epsilon, tau)
 

@@ -26,10 +26,11 @@ reads it in:
   connected with non-positive off-diagonals, so by Perron-Frobenius its
   ground state is unique and even; at B_x = 0 the even basis holds a ground
   state too, since H(s) = H(R s). V is diagonal in the even basis as well
-  (`even_field_perturbation`), so nothing maps these vectors to 2^N rows but
-  `ground_state`, which maps one.
-* `spectral_for` (echoes of a given state, such as the approximate ground
-  state of the scans): both sectors mapped to the 2^N computational basis.
+  (`even_field_perturbation`), and the approximate ground state of the scans
+  lies in it, its kets being palindromes or mirror pairs (`even_amplitudes`),
+  so nothing maps these vectors to 2^N rows but `ground_state`, which maps one.
+* `spectral_for` (only `loschmidt_echo_exact` of a given state): both
+  sectors mapped to the 2^N computational basis.
 
 A scan hands its reads, in order, to `solve_ahead`: it solves each distinct
 field once, up to W + 1 fields ahead on W threads (each `eigh` releases the
@@ -298,6 +299,14 @@ def even_field_perturbation(n_qubits: int) -> np.ndarray:
     return global_field_perturbation(n_qubits)[_reflection_sectors(n_qubits).states]
 
 
+def even_amplitudes(state: PureState) -> np.ndarray:
+    """`state` in the even basis of `even_spectral_for`; ValueError if it has an odd part."""
+    s, a = _reflection_sectors(state.n_qubits), state.amplitudes
+    if np.any(a[s.rep] != a[s.mirror]):
+        raise ValueError("state is not reflection-even: its amplitudes differ on a mirror pair")
+    return a[s.states] / s.even_weight[s.states, 0]
+
+
 def ground_state(params: ChainParams) -> PureState:
     """`spectral_for(params)`'s first column, bit for bit: at B_x = 0 the first ket of the
     diagonal's stable sort, otherwise the even ground vector mapped to 2^N rows."""
@@ -340,15 +349,16 @@ def loschmidt_echo_exact(
         return ground_echo(even_spectral_for(params), even_spectral_for(params.perturbed(epsilon)), t)
     if initial.dim != 2 ** params.n_qubits:
         raise ValueError("initial state dimension does not match the chain")
-    return echo_from_spectra(spectral_for(params), spectral_for(params.perturbed(epsilon)), initial, t)
+    return echo_from_spectra(spectral_for(params), spectral_for(params.perturbed(epsilon)),
+                             initial.amplitudes, t)
 
 
 def echo_from_spectra(spec: SpectralDecomposition, perturbed: SpectralDecomposition,
-                      initial: PureState, t: float) -> float:
-    """The exact echo of `initial` from the decompositions of H and of H + eps*V."""
-    fwd = evolve(spec, initial, t)
-    bwd = evolve(perturbed, initial, t)
-    return float(abs(np.vdot(bwd.amplitudes, fwd.amplitudes)) ** 2)
+                      initial: np.ndarray, t: float) -> float:
+    """The exact echo of the amplitudes `initial` from decompositions of H and H + eps*V in its basis."""
+    fwd, bwd = (s.eigenvectors @ (np.exp(-1j * s.eigenvalues * t) * (s.eigenvectors.conj().T @ initial))
+                for s in (spec, perturbed))
+    return float(abs(np.vdot(bwd, fwd)) ** 2)
 
 
 def ground_echo(spec: SpectralDecomposition, perturbed: SpectralDecomposition, t: float) -> float:

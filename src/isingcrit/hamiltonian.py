@@ -101,7 +101,7 @@ def default_b_z_grid(lo: float = -3.0, hi: float = 3.0, step: float = 0.02) -> n
     if not all(math.isfinite(x) for x in (lo, hi, step)):
         raise ValueError("grid bounds and step must be finite")
     if step <= 0 or hi <= lo:
-        raise ValueError("grid requires step > 0 and hi > lo")
+        raise ValueError(f"grid requires step > 0 and hi > lo, got lo={lo}, hi={hi}, step={step}")
     count = math.floor((hi - lo) / step + 1e-9) + 1
     return np.round(lo + np.arange(count) * step, FIELD_DECIMALS)
 

@@ -170,11 +170,19 @@ def test_phase_diagram_requires_zero_transverse_field(tmp_path):
     assert code == 1
 
 
-def test_bad_grid_is_config_error(tmp_path):
-    code, _ = run_cli(["spectrum", "--n", "3", "--bz-min", "2", "--bz-max", "-2"], tmp_path)
-    assert code == 1
-    code, _ = run_cli(["spectrum", "--n", "3", "--bz-step", "-0.1"], tmp_path)
-    assert code == 1
+def test_bad_grid_is_config_error(tmp_path, capsys):
+    # the library's own checks, printed by `main` as configuration errors
+    for args, message in [
+        (["spectrum", "--n", "3", "--bz-min", "2", "--bz-max", "-2"],
+         "grid requires step > 0 and hi > lo, got lo=2.0, hi=-2.0, step=0.02"),
+        (["spectrum", "--n", "3", "--bz-step", "-0.1"],
+         "grid requires step > 0 and hi > lo, got lo=-3.0, hi=3.0, step=-0.1"),
+        (["lz", "--delta-min", "-1"], "delta_min must be positive"),
+    ]:
+        code, path = run_cli(args, tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not path.exists()
 
 
 @pytest.mark.parametrize(

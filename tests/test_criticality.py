@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -32,7 +33,7 @@ from isingcrit.hamiltonian import (
 )
 from isingcrit.network import build_preparation_network, preparation_network
 from isingcrit.perturbation import DegenerateGapError, echo_two_level
-from isingcrit.states import fidelity, superposition
+from isingcrit.states import fidelity, qubit_bit_values, superposition
 
 
 def _angle(parity, b_z, b_x):
@@ -182,6 +183,19 @@ def test_ground_state_approx_even_examples():
     assert fidelity(s0, phase_state(4, 3)) >= 0.99
     f8 = fidelity(ground_state_approx(8, -1.2, 0.1), ground_state(ChainParams(8, -1.2, 0.1)))
     assert f8 == pytest.approx(0.67822, abs=1e-4)
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_ground_state_approx_is_reflection_even(n):
+    # every phase ket is a palindrome or one of a mirror pair, so the ansatz is
+    # unchanged by chain reversal bit for bit, on every interval, its edges and 0
+    grid = default_b_z_grid()
+    parity = "odd" if n % 2 else "even"
+    assert {0.0, *(b for iv in INTERVALS[parity] for b in iv)} <= set(grid)
+    rev = qubit_bit_values(n) @ (1 << np.arange(n))
+    for bz in grid:
+        a = ground_state_approx(n, bz, 0.1).amplitudes
+        assert np.array_equal(a[rev], a), bz
 
 
 def test_ground_state_approx_validation():
@@ -403,19 +417,23 @@ def _force_solve_threads(monkeypatch, threads):
     monkeypatch.setattr(dynamics, "_solve_threads", lambda b_x: threads)
 
 
-@pytest.mark.parametrize("epsilon, threads", [
-    pytest.param(eps, threads, id=f"{eps}" + ("" if threads == 1 else f"-{threads}threads"))
-    for threads in (1, 2) for eps in (0.1, -0.1, 0.03, 0.0)
+@pytest.mark.parametrize("epsilon, threads, source", [
+    pytest.param(eps, threads, source, id=("" if source == "exact_ground" else "approx-")
+                 + f"{eps}" + ("" if threads == 1 else f"-{threads}threads"))
+    for source in INITIAL_STATE_SOURCES for threads in (1, 2) for eps in (0.1, -0.1, 0.03, 0.0)
 ])
-def test_exact_scan_solves_each_field_once(epsilon, threads, monkeypatch):
+def test_exact_scan_solves_each_field_once(epsilon, threads, source, monkeypatch):
     # b_z - epsilon is rounded like the grid, so a perturbed field that is a
     # grid point reuses that point's spectrum: 301 grid fields plus the 5
     # perturbed ones beyond the grid; an off-grid shift solves two per point,
     # and no shift reads each point's own field twice.
-    # The exact ground state is reflection-even, so only that sector is solved.
+    # Both initial states are reflection-even, so only that sector is solved.
     _force_solve_threads(monkeypatch, threads)
     solved = _counting_even_solver(monkeypatch)
-    echo_scan(7, 0.1, epsilon, np.pi, default_b_z_grid())
+    full_solves = []
+    monkeypatch.setattr(dynamics, "spectral_for", full_solves.append)
+    echo_scan(7, 0.1, epsilon, np.pi, default_b_z_grid(), initial_state_source=source)
+    assert full_solves == []
     assert len(solved) == len(set(solved))
     if epsilon == 0.03:
         assert 306 <= len(solved) <= 602
@@ -455,8 +473,7 @@ def test_exact_scan_holds_each_spectrum_only_until_its_last_read(threads, epsilo
     # point's own pair, and no shift reads one field twice; W threads solve up to W
     # fields more ahead of the reads
     _force_solve_threads(monkeypatch, threads)
-    name = "even_spectral_for" if source == "exact_ground" else "spectral_for"
-    peak = _live_spectra_peak(monkeypatch, name)
+    peak = _live_spectra_peak(monkeypatch, "even_spectral_for")
     echo_scan(7, 0.1, epsilon, np.pi, default_b_z_grid(), initial_state_source=source)
     assert 1 <= peak[0] <= serial_peak + (threads if threads > 1 else 0)
 
@@ -503,16 +520,35 @@ def test_two_level_scan_of_an_even_chain_at_small_transverse_field(tmp_path):
 @pytest.mark.parametrize("source", INITIAL_STATE_SOURCES)
 @pytest.mark.parametrize("epsilon", [0.1, -0.1])
 def test_exact_scan_values_equal_per_point_echo(n, source, epsilon):
+    # the approx echo's link to loschmidt_echo_exact of the given state is the
+    # property test_approx_echo_reads_only_the_even_levels
     grid = default_b_z_grid()
     scan = echo_scan(n, 0.1, epsilon, np.pi, grid, initial_state_source=source)
-    expected = [
-        loschmidt_echo_exact(
-            ChainParams(n, bz, 0.1), epsilon, np.pi,
-            ground_state_approx(n, bz, 0.1) if source == "approx_ground" else None,
-        )
-        for bz in grid
-    ]
+    points = [ChainParams(n, bz, 0.1) for bz in grid]
+    if source == "exact_ground":
+        expected = [loschmidt_echo_exact(p, epsilon, np.pi) for p in points]
+    else:
+        expected = [
+            dynamics.echo_from_spectra(
+                dynamics.even_spectral_for(p), dynamics.even_spectral_for(p.perturbed(epsilon)),
+                dynamics.even_amplitudes(ground_state_approx(n, p.b_z, 0.1)), np.pi)
+            for p in points
+        ]
     assert np.array_equal(scan.values, expected)
+
+
+def test_approx_scan_holds_no_full_basis_matrix(monkeypatch):
+    # two 2^N x 2^N float64 matrices are 16.8 MB at N = 10; solved in both sectors
+    # and mapped to 2^N rows, this scan traced 42 MB, in the even basis 9 MB
+    _force_solve_threads(monkeypatch, 1)
+    dynamics._reflection_sectors(10)  # the per-N sector tables are built outside the trace
+    tracemalloc.start()
+    try:
+        echo_scan(10, 0.1, 0.1, np.pi, [-1.9, -1.88, -1.86], initial_state_source="approx_ground")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * 4**10, f"traced peak {peak} bytes"
 
 
 def _scan_outcome(*args, **kwargs):

@@ -19,6 +19,7 @@ from isingcrit.dynamics import (
     _reflection_sectors,
     diagonalize,
     echo_from_spectra,
+    even_amplitudes,
     even_spectral_for,
     evolve,
     gap,
@@ -406,15 +407,19 @@ def test_exact_ground_state_is_reflection_even(n):
 def test_even_decomposition_rejects_a_state_with_an_odd_part():
     # even_spectral_for keeps its vectors in the even basis (20 rows at N = 5),
     # so a 2^N state, with an odd part (|00001> pairs with |10000>) or without
-    # one, is refused by shape where a silent echo would be wrong
+    # one, is refused by shape where a silent echo would be wrong; only
+    # even_amplitudes gathers a state into that basis, and only an even one
     params = ChainParams(5, -1.0, 0.1)
     even, shifted = even_spectral_for(params), even_spectral_for(params.perturbed(0.1))
     for ket in (basis_state(5, "00001"), basis_state(5, "00000")):
         assert evolve(spectral_for(params), ket, np.pi).dim == 32
         with pytest.raises(ValueError):
             evolve(even, ket, np.pi)
-        with pytest.raises(ValueError):
-            echo_from_spectra(even, shifted, ket, np.pi)
+        with pytest.raises(ValueError, match="mismatch"):
+            echo_from_spectra(even, shifted, ket.amplitudes, np.pi)
+    with pytest.raises(ValueError, match="reflection-even"):
+        even_amplitudes(basis_state(5, "00001"))
+    assert even_amplitudes(basis_state(5, "00000")).shape == (20,)
 
 
 def test_echo_of_a_state_of_the_wrong_size_fails_before_any_solve(monkeypatch):

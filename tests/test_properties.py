@@ -8,8 +8,15 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from isingcrit.criticality import find_minima
-from isingcrit.dynamics import echo_from_spectra, levels_for, loschmidt_echo_exact, spectral_for
+from isingcrit.criticality import find_minima, ground_state_approx
+from isingcrit.dynamics import (
+    echo_from_spectra,
+    even_amplitudes,
+    even_spectral_for,
+    levels_for,
+    loschmidt_echo_exact,
+    spectral_for,
+)
 from isingcrit.hamiltonian import (
     INTERVALS,
     ChainParams,
@@ -140,8 +147,20 @@ def test_default_echo_reads_only_the_even_levels(n, b_z, b_x, epsilon, tau):
     params = ChainParams(n, b_z, b_x)
     spec = spectral_for(params)
     full = echo_from_spectra(spec, spectral_for(params.perturbed(epsilon)),
-                             PureState(spec.eigenvectors[:, 0], n), tau)
+                             PureState(spec.eigenvectors[:, 0], n).amplitudes, tau)
     assert abs(loschmidt_echo_exact(params, epsilon, tau) - full) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 8), b_x=st.floats(0.05, 1.0), b_z=st.floats(-3.0, 3.0),
+       epsilon=st.floats(-0.5, 0.5), tau=st.floats(0.0, 2 * np.pi))
+def test_approx_echo_reads_only_the_even_levels(n, b_z, b_x, epsilon, tau):
+    # the ansatz is reflection-even too, so an approx-ground scan's echo from the
+    # even spectra equals the echo of the given state through both full decompositions
+    params, approx = ChainParams(n, b_z, b_x), ground_state_approx(n, b_z, b_x)
+    even = echo_from_spectra(even_spectral_for(params), even_spectral_for(params.perturbed(epsilon)),
+                             even_amplitudes(approx), tau)
+    assert abs(loschmidt_echo_exact(params, epsilon, tau, approx) - even) <= 1e-13
 
 
 @settings(max_examples=60, deadline=None)
