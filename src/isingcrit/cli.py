@@ -143,8 +143,6 @@ def _cmd_lz(config: RunConfig):
 
 
 def _cmd_protocol(config: RunConfig):
-    if config.n not in (3, 4):
-        raise ConfigError("protocol networks exist for --n 3 and --n 4 only")
     grid = config.grid()
     require_minima_grid(grid)  # before the first protocol run
     columns = ["b_z", "amplitude", "l_value", "fidelity_prepared_vs_exact"]

@@ -1,19 +1,21 @@
-"""Spectral machinery: diagonalization, propagators and the exact echo.
+"""Spectral machinery: diagonalization, the sector solvers and the exact echo.
 
 Propagation goes through full spectral decomposition rather than a matrix
-exponential per time point. Nothing is memoized: every solver call solves,
-and a scan that reads a field twice reads it through `solve_ahead`, which
-solves it once. The perturbed evolution uses H + epsilon*V with
-V = -sum_i sigma_z^i, i.e. a longitudinal field shifted to B_z - epsilon.
+exponential per time point, in one kernel, `SpectralDecomposition.propagate`.
+Nothing is memoized: every solver call solves, and a scan that reads a field
+twice reads it through `solve_ahead`, which solves it once. The perturbed
+evolution uses H + epsilon*V with V = -sum_i sigma_z^i, i.e. a longitudinal
+field shifted to B_z - epsilon.
 
 The chain is solved from its parameters, with no dense 2^N x 2^N matrix. At
 B_x = 0 it is diagonal and its eigenbasis is a stable sort of
-`hamiltonian_diagonal`. Otherwise it is real symmetric and commutes with
-chain reversal R (qubit i <-> qubit N+1-i): the reflection-even and -odd
-sectors, spanned by palindromes |i> = |R i> and (|i> +- |R i>)/sqrt(2), are
-each the diagonal of H plus B_x times sum_i sigma_x^i, built once per N from
-bit flips, and each gets one dense real `eigh`. `diagonalize` takes any
-Hermitian matrix: it sorts diagonal input and gives the rest one dense `eigh`.
+`hamiltonian_diagonal`, held as that order. Otherwise it is real symmetric
+and commutes with chain reversal R (qubit i <-> qubit N+1-i): the
+reflection-even and -odd sectors, spanned by palindromes |i> = |R i> and
+(|i> +- |R i>)/sqrt(2), are each the diagonal of H plus B_x times
+sum_i sigma_x^i, built once per N from bit flips, and each gets one dense
+real `eigh`. `diagonalize` takes any Hermitian matrix: it sorts diagonal
+input and gives the rest one dense `eigh`.
 
 Each reader calls the solver that builds only what it reads, in the basis it
 reads it in:
@@ -29,8 +31,11 @@ reads it in:
   (`even_field_perturbation`), and the approximate ground state of the scans
   lies in it, its kets being palindromes or mirror pairs (`even_amplitudes`),
   so nothing maps these vectors to 2^N rows but `ground_state`, which maps one.
-* `spectral_for` (only `loschmidt_echo_exact` of a given state): both
-  sectors mapped to the 2^N computational basis.
+* `loschmidt_echo_exact` of a given state: its even and its odd part, each
+  through its own sector's solve, in that sector's basis.
+
+`spectral_for`, both sectors mapped to the 2^N basis, is the reference the
+sector solvers are checked against; no reader in the package calls it.
 
 A scan hands its reads, in order, to `solve_ahead`: it solves each distinct
 field once, up to W + 1 fields ahead on W threads (each `eigh` releases the
@@ -63,25 +68,65 @@ from .states import (
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues with aligned orthonormal eigenvector columns.
+    """Ascending eigenvalues with aligned orthonormal eigenvectors.
 
-    Real eigenvectors are stored as float64, complex ones as complex128. The
-    arrays are kept as handed over, not copied, and marked read-only.
+    `vectors` holds them as dense columns or, for a diagonal operator, as the
+    stable sort order of its diagonal, eigenvector k being the basis ket
+    `vectors[k]`. Kernels read either form through `ground_vector`,
+    `coefficients` and `propagate`; `eigenvectors` builds the dense matrix of
+    a sort order on each read. `dtype` is the eigenvectors' (float64 if real,
+    else complex128; read from dense columns). Arrays are kept as handed over,
+    not copied, and marked read-only.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    vectors: np.ndarray
+    dtype: type = float
 
     def __post_init__(self):
-        v = np.asarray(self.eigenvectors)
-        for name, a in (("eigenvalues", np.asarray(self.eigenvalues, float)),
-                        ("eigenvectors", np.asarray(v, complex if np.iscomplexobj(v) else float))):
+        v = np.asarray(self.vectors)
+        if v.ndim == 2:
+            object.__setattr__(self, "dtype", complex if np.iscomplexobj(v) else float)
+            v = np.asarray(v, self.dtype)
+        for name, a in (("eigenvalues", np.asarray(self.eigenvalues, float)), ("vectors", v)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
     @property
     def ground_energy(self) -> float:
         return float(self.eigenvalues[0])
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        if self.vectors.ndim == 2:
+            return self.vectors
+        kets = np.zeros((self.vectors.size,) * 2, self.dtype)
+        kets[self.vectors, np.arange(self.vectors.size)] = 1.0
+        return kets
+
+    @property
+    def ground_vector(self) -> np.ndarray:
+        if self.vectors.ndim == 2:
+            return self.vectors[:, 0]
+        return np.eye(1, self.vectors.size, self.vectors[0], self.dtype)[0]
+
+    def coefficients(self, x: np.ndarray) -> np.ndarray:
+        """Y^dagger x: the vector x, given in the decomposed operator's basis, in its eigenbasis."""
+        if len(x) != self.eigenvalues.size:
+            raise ValueError(f"dimension mismatch: {len(x)} amplitudes, {self.eigenvalues.size} levels")
+        v = self.vectors
+        if v.ndim == 1:
+            return x[v]
+        return (v.conj() if np.iscomplexobj(v) else v).T @ x
+
+    def propagate(self, x: np.ndarray, t: float) -> np.ndarray:
+        """exp(-iHt) x = Y exp(-i E t) Y^dagger x."""
+        c = np.exp(-1j * self.eigenvalues * t) * self.coefficients(x)
+        if self.vectors.ndim == 2:
+            return self.vectors @ c
+        out = np.empty_like(c)
+        out[self.vectors] = c
+        return out
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
@@ -164,9 +209,7 @@ def _reflection_sectors(n_qubits: int) -> _ReflectionSectors:
 def _sorted_diagonal(diag: np.ndarray) -> SpectralDecomposition:
     """Eigenbasis of a diagonal matrix: the basis kets in stable order of its diagonal."""
     order = np.argsort(diag.real, kind="stable")
-    vecs = np.zeros((diag.size, diag.size), diag.dtype)
-    vecs[order, np.arange(diag.size)] = 1.0
-    return SpectralDecomposition(diag.real[order], vecs)
+    return SpectralDecomposition(diag.real[order], order, complex if np.iscomplexobj(diag) else float)
 
 
 def diagonalize(op: "HermitianOperator | np.ndarray") -> SpectralDecomposition:
@@ -190,21 +233,27 @@ def diagonalize(op: "HermitianOperator | np.ndarray") -> SpectralDecomposition:
     return SpectralDecomposition(w, _fix_phases(v))
 
 
-def _sector_eigh(diag: np.ndarray, x, b_x: float):
-    """`eigh` of one reflection sector: H's diagonal there plus b_x times its sigma_x triples."""
-    h = np.diag(diag)  # X flips change the popcount, which R keeps: no diagonal, zeros stay +0.0
-    h[x[:2]] = b_x * x[2]
-    return np.linalg.eigh(h)
+def _sector_spectral_for(params: ChainParams, odd: bool) -> SpectralDecomposition:
+    """One reflection sector's decomposition, in that sector's basis (odd row a: the pair
+    (|rep[a]> - |mirror[a]>)/sqrt(2) of `_reflection_sectors(N)`): H's diagonal there, sorted
+    at B_x = 0, else plus b_x times the sector's sigma_x triples, given one `eigh`."""
+    s = _reflection_sectors(params.n_qubits)
+    d = hamiltonian_diagonal(params)[s.rep if odd else s.states]
+    if params.b_x == 0.0:
+        return _sorted_diagonal(d)
+    rows, cols, x = s.x_odd if odd else s.x_even
+    h = np.diag(d)  # X flips change the popcount, which R keeps: no diagonal, zeros stay +0.0
+    h[rows, cols] = params.b_x * x
+    return SpectralDecomposition(*np.linalg.eigh(h))
 
 
-def _both_sectors(d: np.ndarray, s: _ReflectionSectors, b_x: float):
-    """Both sectors' `eigh`, merged: levels ascending (even first in a tie), the merge
+def _both_sectors(params: ChainParams):
+    """Both sectors' solves, merged: levels ascending (even first in a tie), the merge
     order, and each sector's vectors in its own basis."""
-    w_even, y_even = _sector_eigh(d[s.states], s.x_even, b_x)
-    w_odd, y_odd = _sector_eigh(d[s.rep], s.x_odd, b_x)
-    w = np.concatenate([w_even, w_odd])
+    even, odd = (_sector_spectral_for(params, odd) for odd in (False, True))
+    w = np.concatenate([even.eigenvalues, odd.eigenvalues])
     order = np.argsort(w, kind="stable")
-    return w[order], order, y_even, y_odd
+    return w[order], order, even.vectors, odd.vectors
 
 
 def spectral_for(params: ChainParams) -> SpectralDecomposition:
@@ -213,12 +262,11 @@ def spectral_for(params: ChainParams) -> SpectralDecomposition:
     At B_x = 0 it sorts the diagonal like `diagonalize`; otherwise it solves
     both reflection sectors and keeps even-sector levels first within a tie.
     """
-    d = hamiltonian_diagonal(params)
     if params.b_x == 0.0:
-        return _sorted_diagonal(d)
+        return _sorted_diagonal(hamiltonian_diagonal(params))
     s = _reflection_sectors(params.n_qubits)
-    w, order, y_even, y_odd = _both_sectors(d, s, params.b_x)
-    v_odd = np.zeros((d.size, y_odd.shape[1]))
+    w, order, y_even, y_odd = _both_sectors(params)
+    v_odd = np.zeros((s.even_row.size, y_odd.shape[1]))
     v_odd[s.rep] = np.sqrt(0.5) * y_odd
     v_odd[s.mirror] = -np.sqrt(0.5) * y_odd
     v = np.concatenate([y_even[s.even_row] * s.even_weight, v_odd], axis=1)
@@ -227,20 +275,15 @@ def spectral_for(params: ChainParams) -> SpectralDecomposition:
 
 def levels_for(params: ChainParams) -> np.ndarray:
     """`spectral_for(params).eigenvalues`, bit for bit, with no eigenvector matrix built."""
-    d = hamiltonian_diagonal(params)
     if params.b_x == 0.0:
-        return d[np.argsort(d, kind="stable")]  # `_sorted_diagonal`'s order
-    return _both_sectors(d, _reflection_sectors(params.n_qubits), params.b_x)[0]
+        return _sorted_diagonal(hamiltonian_diagonal(params)).eigenvalues
+    return _both_sectors(params)[0]
 
 
 def even_spectral_for(params: ChainParams) -> SpectralDecomposition:
     """The reflection-even levels, with vectors in the even basis: row a is the
     ket or pair of `_reflection_sectors(N).states[a]`."""
-    d = hamiltonian_diagonal(params)
-    s = _reflection_sectors(params.n_qubits)
-    if params.b_x == 0.0:
-        return _sorted_diagonal(d[s.states])
-    return SpectralDecomposition(*_sector_eigh(d[s.states], s.x_even, params.b_x))
+    return _sector_spectral_for(params, odd=False)
 
 
 def _solve_threads(b_x: float) -> int:
@@ -312,9 +355,9 @@ def ground_state(params: ChainParams) -> PureState:
     diagonal's stable sort, otherwise the even ground vector mapped to 2^N rows."""
     n = params.n_qubits
     if params.b_x == 0.0:
-        return PureState(np.eye(1, 2**n, int(np.argmin(hamiltonian_diagonal(params)))), n)
+        return PureState(_sorted_diagonal(hamiltonian_diagonal(params)).ground_vector, n)
     s = _reflection_sectors(n)
-    y0 = even_spectral_for(params).eigenvectors[:, :1]
+    y0 = even_spectral_for(params).ground_vector[:, None]
     return PureState(_fix_phases(y0[s.even_row] * s.even_weight), n)
 
 
@@ -328,13 +371,6 @@ def gap(params: ChainParams) -> float:
     return float(w[1] - w[0])
 
 
-def evolve(spec: SpectralDecomposition, state: PureState, t: float) -> PureState:
-    """exp(-i*H*t)|state> through the decomposition of H."""
-    coeffs = spec.eigenvectors.conj().T @ state.amplitudes
-    out = spec.eigenvectors @ (np.exp(-1j * spec.eigenvalues * t) * coeffs)
-    return PureState(out, state.n_qubits)
-
-
 def loschmidt_echo_exact(
     params: ChainParams,
     epsilon: float,
@@ -343,21 +379,31 @@ def loschmidt_echo_exact(
 ) -> float:
     """L = |<initial| exp(i(H+eps*V)t) exp(-iHt) |initial>|^2, V = -sum sigma_z.
 
-    Defaults to the exact ground state of H, whose echo reads the even sector only.
+    Defaults to the exact ground state of H, whose echo reads the even sector only. A
+    given state is split into its parts in the even and odd sectors, which H and V both
+    keep, so its echo amplitude is the sum of theirs, each propagated in its own sector.
     """
     if initial is None:
         return ground_echo(even_spectral_for(params), even_spectral_for(params.perturbed(epsilon)), t)
     if initial.dim != 2 ** params.n_qubits:
         raise ValueError("initial state dimension does not match the chain")
-    return echo_from_spectra(spectral_for(params), spectral_for(params.perturbed(epsilon)),
-                             initial.amplitudes, t)
+    s, a, r = _reflection_sectors(params.n_qubits), initial.amplitudes, np.sqrt(0.5)
+    palindromes = s.states[: s.states.size - s.rep.size]
+    parts = (np.concatenate([a[palindromes], r * (a[s.rep] + a[s.mirror])]), r * (a[s.rep] - a[s.mirror]))
+    amplitude = 0j
+    for odd, part in enumerate(parts):
+        if part.any():  # a sector the state has no part in adds nothing and is not solved
+            # one decomposition alive at a time: the forward leg's, then the backward leg's
+            fwd, bwd = (_sector_spectral_for(q, odd).propagate(part, t)
+                        for q in (params, params.perturbed(epsilon)))
+            amplitude += np.vdot(bwd, fwd)
+    return float(abs(amplitude) ** 2)
 
 
 def echo_from_spectra(spec: SpectralDecomposition, perturbed: SpectralDecomposition,
                       initial: np.ndarray, t: float) -> float:
     """The exact echo of the amplitudes `initial` from decompositions of H and H + eps*V in its basis."""
-    fwd, bwd = (s.eigenvectors @ (np.exp(-1j * s.eigenvalues * t) * (s.eigenvectors.conj().T @ initial))
-                for s in (spec, perturbed))
+    fwd, bwd = (s.propagate(initial, t) for s in (spec, perturbed))
     return float(abs(np.vdot(bwd, fwd)) ** 2)
 
 
@@ -365,5 +411,5 @@ def ground_echo(spec: SpectralDecomposition, perturbed: SpectralDecomposition, t
     """The exact echo of the ground vector y0 of `spec`, from real decompositions of H and of
     H + eps*V in one basis: y0 only picks up a phase under H, so L = |sum_k c_k^2 exp(i E'_k t)|^2
     with c = Y'^T y0."""
-    c = perturbed.eigenvectors.T @ spec.eigenvectors[:, 0]
+    c = perturbed.coefficients(spec.ground_vector)
     return float(abs(np.sum(c * c * np.exp(1j * perturbed.eigenvalues * t))) ** 2)

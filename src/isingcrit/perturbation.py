@@ -41,8 +41,8 @@ class DegenerateGapError(ValueError):
 
 def _coupling_to_ground(spec: SpectralDecomposition, v: np.ndarray) -> np.ndarray:
     """Vector of <a|V|0> over all eigenstates a; V is a Hermitian matrix or its 1-D diagonal."""
-    ground = spec.eigenvectors[:, 0]
-    return spec.eigenvectors.conj().T @ (v * ground if np.ndim(v) == 1 else v @ ground)
+    ground = spec.ground_vector
+    return spec.coefficients(v * ground if np.ndim(v) == 1 else v @ ground)
 
 
 def echo_perturbative(spec: SpectralDecomposition, v: np.ndarray, epsilon: float, t: float) -> float:

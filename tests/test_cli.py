@@ -146,9 +146,11 @@ def test_protocol_minima_near_crossovers(tmp_path):
         assert amplitude <= l_value + 1e-12
 
 
-def test_protocol_rejects_unsupported_size(tmp_path):
-    code, _ = run_cli(["protocol", "--n", "5"], tmp_path)
+def test_protocol_rejects_unsupported_size(tmp_path, capsys):
+    code, path = run_cli(["protocol", "--n", "5"], tmp_path)
     assert code == 1
+    assert capsys.readouterr().err == "error: preparation networks exist for N = 3 and N = 4 only\n"
+    assert not path.exists()
 
 
 def test_phase_diagram_energy_table(tmp_path):

@@ -15,14 +15,15 @@ import isingcrit
 from isingcrit.cli import main
 
 from isingcrit.dynamics import (
+    SpectralDecomposition,
     _fix_phases,
     _reflection_sectors,
     diagonalize,
     echo_from_spectra,
     even_amplitudes,
     even_spectral_for,
-    evolve,
     gap,
+    ground_echo,
     ground_energy,
     ground_state,
     levels_for,
@@ -40,7 +41,7 @@ from isingcrit.hamiltonian import (
     build_hamiltonian,
     hamiltonian_diagonal,
 )
-from isingcrit.perturbation import echo_perturbative
+from isingcrit.perturbation import echo_perturbative, echo_two_level
 from isingcrit.states import (
     HermitianOperator,
     PureState,
@@ -64,8 +65,10 @@ def _random_hermitian(rng, d):
 def test_diagonalize_diagonal_input():
     spec = diagonalize(np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex))
     assert np.array_equal(spec.eigenvalues, [-1.0, -1.0, 1.0, 1.0])
-    # eigenvectors are basis kets in stable (original index) order
-    assert spec.eigenvectors[1, 0] == 1 and spec.eigenvectors[2, 1] == 1
+    # eigenvectors are basis kets in stable (original index) order, held as that order
+    assert np.array_equal(spec.vectors, [1, 2, 0, 3])
+    assert spec.eigenvectors.dtype == np.complex128
+    assert np.array_equal(spec.eigenvectors, np.eye(4)[:, [1, 2, 0, 3]])
 
 
 def test_diagonalize_pauli_x():
@@ -121,15 +124,21 @@ def test_gap_minimum_sits_near_crossover():
     assert abs(grid[i] - (-2.0)) <= 0.05
 
 
+def _propagated(spec, state, t):
+    """`spec.propagate` of a state's amplitudes, as a state: the norm is checked on the way."""
+    return PureState(spec.propagate(state.amplitudes, t), state.n_qubits)
+
+
 def test_propagate_identity_at_zero_time():
     psi = basis_state(2, "01")
-    h = build_hamiltonian(ChainParams(2, 0.3, 0.2))
-    assert np.allclose(evolve(diagonalize(h), psi, 0.0).amplitudes, psi.amplitudes)
+    for bx in (0.2, 0.0):  # dense eigenvectors, and the sort order of a diagonal
+        h = build_hamiltonian(ChainParams(2, 0.3, bx))
+        assert np.allclose(_propagated(diagonalize(h), psi, 0.0).amplitudes, psi.amplitudes)
 
 
 def test_propagate_eigenstate_phase_only():
     sz = HermitianOperator(np.diag([1.0, -1.0]).astype(complex), 1)
-    out = evolve(diagonalize(sz), basis_state(1, "0"), 0.7)
+    out = _propagated(diagonalize(sz), basis_state(1, "0"), 0.7)
     assert fidelity(out, basis_state(1, "0")) == pytest.approx(1.0, abs=1e-12)
     assert out.amplitudes[0] == pytest.approx(np.exp(-1j * 0.7))
 
@@ -138,33 +147,33 @@ def test_propagate_plus_state_quarter_turn():
     # |<+|exp(-i*pi*sigma_z/2)|+>|^2 = 0
     plus = superposition(1, {"0": 1.0, "1": 1.0})
     sz = HermitianOperator(np.diag([1.0, -1.0]).astype(complex), 1)
-    out = evolve(diagonalize(sz), plus, np.pi / 2)
+    out = _propagated(diagonalize(sz), plus, np.pi / 2)
     assert fidelity(out, plus) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_propagate_unitary_and_group_property():
     rng = np.random.default_rng(33)
-    for _ in range(25):
+    for i in range(25):
         n = int(rng.integers(1, 5))
         psi = _random_state(rng, n)
-        h = HermitianOperator(_random_hermitian(rng, 2**n), n)
+        m = _random_hermitian(rng, 2**n) if i % 2 else np.diag(rng.normal(size=2**n))
         t1, t2 = rng.uniform(0, 3, size=2)
-        spec = diagonalize(h)
-        once = evolve(spec, psi, t1 + t2)
-        twice = evolve(spec, evolve(spec, psi, t1), t2)
+        spec = diagonalize(HermitianOperator(m, n))
+        once = _propagated(spec, psi, t1 + t2)
+        twice = _propagated(spec, _propagated(spec, psi, t1), t2)
         assert abs(np.linalg.norm(once.amplitudes) - 1) <= 1e-12
         assert fidelity(once, twice) >= 1 - 1e-10
 
 
 def test_propagate_matches_expm_oracle():
     rng = np.random.default_rng(34)
-    for _ in range(10):
+    for i in range(10):
         n = int(rng.integers(1, 4))
         psi = _random_state(rng, n)
-        m = _random_hermitian(rng, 2**n)
+        m = _random_hermitian(rng, 2**n) if i % 2 else np.diag(rng.normal(size=2**n))
         t = float(rng.uniform(0, 2))
         expected = expm(-1j * m * t) @ psi.amplitudes
-        got = evolve(diagonalize(HermitianOperator(m, n)), psi, t).amplitudes
+        got = _propagated(diagonalize(HermitianOperator(m, n)), psi, t).amplitudes
         assert np.allclose(got, expected, atol=1e-11)
 
 
@@ -406,17 +415,19 @@ def test_exact_ground_state_is_reflection_even(n):
 
 def test_even_decomposition_rejects_a_state_with_an_odd_part():
     # even_spectral_for keeps its vectors in the even basis (20 rows at N = 5),
-    # so a 2^N state, with an odd part (|00001> pairs with |10000>) or without
-    # one, is refused by shape where a silent echo would be wrong; only
-    # even_amplitudes gathers a state into that basis, and only an even one
-    params = ChainParams(5, -1.0, 0.1)
-    even, shifted = even_spectral_for(params), even_spectral_for(params.perturbed(0.1))
-    for ket in (basis_state(5, "00001"), basis_state(5, "00000")):
-        assert evolve(spectral_for(params), ket, np.pi).dim == 32
-        with pytest.raises(ValueError):
-            evolve(even, ket, np.pi)
-        with pytest.raises(ValueError, match="mismatch"):
-            echo_from_spectra(even, shifted, ket.amplitudes, np.pi)
+    # as dense columns or, at B_x = 0, as a sort order, so a 2^N state, with an
+    # odd part (|00001> pairs with |10000>) or without one, is refused by shape
+    # where a silent echo would be wrong; only even_amplitudes gathers a state
+    # into that basis, and only an even one
+    for bx in (0.1, 0.0):
+        params = ChainParams(5, -1.0, bx)
+        even, shifted = even_spectral_for(params), even_spectral_for(params.perturbed(0.1))
+        for ket in (basis_state(5, "00001"), basis_state(5, "00000")):
+            assert spectral_for(params).propagate(ket.amplitudes, np.pi).shape == (32,)
+            with pytest.raises(ValueError, match="mismatch"):
+                even.propagate(ket.amplitudes, np.pi)
+            with pytest.raises(ValueError, match="mismatch"):
+                echo_from_spectra(even, shifted, ket.amplitudes, np.pi)
     with pytest.raises(ValueError, match="reflection-even"):
         even_amplitudes(basis_state(5, "00001"))
     assert even_amplitudes(basis_state(5, "00000")).shape == (20,)
@@ -424,9 +435,10 @@ def test_even_decomposition_rejects_a_state_with_an_odd_part():
 
 def test_echo_of_a_state_of_the_wrong_size_fails_before_any_solve(monkeypatch):
     solved = []
-    for name in ("spectral_for", "even_spectral_for"):
+    for name in ("spectral_for", "even_spectral_for", "_sector_spectral_for"):
         solve = getattr(dynamics, name)
-        monkeypatch.setattr(dynamics, name, lambda params, solve=solve: solved.append(params) or solve(params))
+        monkeypatch.setattr(dynamics, name, lambda params, *args, solve=solve: solved.append(params)
+                            or solve(params, *args))
     with pytest.raises(ValueError, match="dimension"):
         loschmidt_echo_exact(ChainParams(3, -1.0, 0.1), 0.1, np.pi, basis_state(2, "00"))
     assert solved == []
@@ -434,7 +446,11 @@ def test_echo_of_a_state_of_the_wrong_size_fails_before_any_solve(monkeypatch):
 
 @pytest.mark.parametrize("reader", ["perturbative_echo", "exact_echo_at_zero_field"])
 def test_ground_state_readers_at_twelve_qubits_hold_no_full_basis_matrix(reader):
-    # one 2^N x 2^N float64 array is 134 MB at N = 12; an even-sector matrix is 35 MB
+    # one 2^N x 2^N float64 array is 134 MB at N = 12; an even-sector matrix is 35 MB,
+    # which the perturbative echo at B_x != 0 reads, and the zero-field echo holds none:
+    # its decompositions are sort orders
+    d_even = _reflection_sectors(12).states.size
+    bound = {"perturbative_echo": 8 * 4**12, "exact_echo_at_zero_field": 8 * d_even**2}[reader]
     read = {
         "perturbative_echo": lambda: echo_perturbative(
             even_spectral_for(ChainParams(12, -1.9, 0.1)), even_field_perturbation(12), 0.1, np.pi),
@@ -448,7 +464,49 @@ def test_ground_state_readers_at_twelve_qubits_hold_no_full_basis_matrix(reader)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 4**12, f"traced peak {peak} bytes"
+    assert peak < bound, f"traced peak {peak} bytes"
+
+
+@pytest.mark.parametrize("bx", [0.1, 0.0])
+def test_given_state_echo_at_eleven_qubits_holds_no_full_basis_matrix(bx):
+    # one 2^N x 2^N float64 array is 33.5 MB at N = 11; the state's even and odd parts
+    # are propagated in their own sectors (1040 and 1008 states wide), one
+    # decomposition at a time, and at B_x = 0 each decomposition is a sort order
+    psi = _random_state(np.random.default_rng(43), 11)
+    _reflection_sectors(11)  # the per-N sector tables are built outside the trace
+    tracemalloc.start()
+    try:
+        loschmidt_echo_exact(ChainParams(11, -1.9, bx), 0.1, np.pi, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 4**11, f"traced peak {peak} bytes"
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_sort_order_kernels_match_the_dense_permutation(n):
+    # a B_x = 0 decomposition holds its sort order; each kernel reads it like the
+    # permutation matrix `eigenvectors` builds, bit for bit
+    rng = np.random.default_rng(44)
+    v = even_field_perturbation(n)
+    for bz in (-2.5, -1.0, 0.0, 0.7):
+        params = ChainParams(n, bz, 0.0)
+        for solve in (spectral_for, even_spectral_for):
+            spec, shifted = solve(params), solve(params.perturbed(0.1))
+            assert spec.vectors.ndim == 1 and spec.eigenvectors.dtype == np.float64
+            dense, dense_shifted = (SpectralDecomposition(s.eigenvalues, s.eigenvectors)
+                                    for s in (spec, shifted))
+            x = rng.normal(size=spec.eigenvalues.size) + 1j * rng.normal(size=spec.eigenvalues.size)
+            assert np.array_equal(spec.ground_vector, dense.ground_vector)
+            assert np.array_equal(spec.coefficients(x), dense.coefficients(x))
+            assert np.array_equal(spec.propagate(x, 1.3), dense.propagate(x, 1.3))
+            assert ground_echo(spec, shifted, np.pi) == ground_echo(dense, dense_shifted, np.pi)
+            assert (echo_from_spectra(spec, shifted, x, np.pi)
+                    == echo_from_spectra(dense, dense_shifted, x, np.pi))
+            if solve is even_spectral_for:
+                assert echo_perturbative(spec, v, 0.1, np.pi) == echo_perturbative(dense, v, 0.1, np.pi)
+                if n > 1 and spec.eigenvalues[1] > spec.eigenvalues[0]:
+                    assert echo_two_level(spec, v, 0.1, np.pi) == echo_two_level(dense, v, 0.1, np.pi)
 
 
 def test_sector_data_at_twelve_qubits_is_sparse():
@@ -494,8 +552,8 @@ def test_import_and_first_solve_leave_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-def _spectrum_peak_rss_mb(argv, out_path) -> float:
-    """Peak RSS of one `isingcrit spectrum` run, in MB.
+def _cli_peak_rss_mb(argv, out_path) -> float:
+    """Peak RSS of one `isingcrit` run, in MB; `argv` starts with the subcommand.
 
     Linux carries the peak RSS of the spawning process across execve, so the
     child runs the sweep in a fork, whose RUSAGE_SELF counts only itself.
@@ -506,7 +564,7 @@ def _spectrum_peak_rss_mb(argv, out_path) -> float:
         "import os, resource, sys\n"
         "from isingcrit.cli import main\n"
         "if os.fork() == 0:\n"
-        "    code = main(['spectrum', *sys.argv[2:], '--out', sys.argv[1]])\n"
+        "    code = main([*sys.argv[2:], '--out', sys.argv[1]])\n"
         "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, flush=True)\n"  # KiB
         "    os._exit(code)\n"
         "sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))\n"
@@ -522,16 +580,24 @@ def _spectrum_peak_rss_mb(argv, out_path) -> float:
 def test_zero_field_spectrum_sweep_keeps_peak_memory_bounded(tmp_path):
     # a B_x = 0 eigenvector matrix at N = 10 is an 8 MB permutation; a sweep
     # that kept one per point would grow by that much per point
-    peak_mb = _spectrum_peak_rss_mb(["--n", "10", "--bx", "0", "--bz-step", "0.05"],
-                                    tmp_path / "spectrum.csv")
+    peak_mb = _cli_peak_rss_mb(["spectrum", "--n", "10", "--bx", "0", "--bz-step", "0.05"],
+                               tmp_path / "spectrum.csv")
     assert peak_mb < 128, f"peak RSS {peak_mb:.1f} MB"
 
 
 def test_zero_field_spectrum_at_twelve_qubits_builds_no_eigenvectors(tmp_path):
     # a single B_x = 0 eigenvector matrix at N = 12 takes 134 MB
-    peak_mb = _spectrum_peak_rss_mb(["--n", "12", "--bx", "0", "--bz-step", "0.25"],
-                                    tmp_path / "spectrum.csv")
+    peak_mb = _cli_peak_rss_mb(["spectrum", "--n", "12", "--bx", "0", "--bz-step", "0.25"],
+                               tmp_path / "spectrum.csv")
     assert peak_mb < 64, f"peak RSS {peak_mb:.1f} MB"
+
+
+def test_zero_field_echo_scan_at_fourteen_qubits_builds_no_eigenvectors(tmp_path):
+    # one B_x = 0 permutation matrix of the even sector, 8256 states wide, takes 545 MB at N = 14
+    peak_mb = _cli_peak_rss_mb(["echo-scan", "--n", "14", "--bx", "0", "--bz-step", "0.5"],
+                               tmp_path / "echo.csv")
+    print(f"echo-scan --n 14 --bx 0 --bz-step 0.5: peak RSS {peak_mb:.1f} MB")
+    assert peak_mb < 128, f"peak RSS {peak_mb:.1f} MB"
 
 
 @pytest.mark.parametrize("env, cores, b_x, threads", [

@@ -1,5 +1,5 @@
 """Property tests for the protocol readout, the interval table, the network
-text format, the phase energies, the exact echo (and its even-sector solve),
+text format, the phase energies, the exact echo (and its sector solves),
 the level solver and minima detection."""
 
 import string
@@ -161,6 +161,23 @@ def test_approx_echo_reads_only_the_even_levels(n, b_z, b_x, epsilon, tau):
     even = echo_from_spectra(even_spectral_for(params), even_spectral_for(params.perturbed(epsilon)),
                              even_amplitudes(approx), tau)
     assert abs(loschmidt_echo_exact(params, epsilon, tau, approx) - even) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), b_z=st.floats(-3.0, 3.0),
+       b_x=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), epsilon=st.floats(-0.5, 0.5),
+       tau=st.floats(0.0, 2 * np.pi), seed=st.integers(0, 2**32 - 1))
+def test_given_state_echo_is_the_sum_over_both_sectors(n, b_z, b_x, epsilon, tau, seed):
+    # a random complex state has an even and an odd part (none odd at N = 1, whose odd
+    # sector is empty); H and V keep both sectors, so the echo amplitudes of the parts,
+    # each propagated in its own sector, add up to the echo through both full decompositions
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    psi = PureState(amps / np.linalg.norm(amps), n)
+    params = ChainParams(n, b_z, b_x)
+    full = echo_from_spectra(spectral_for(params), spectral_for(params.perturbed(epsilon)),
+                             psi.amplitudes, tau)
+    assert abs(loschmidt_echo_exact(params, epsilon, tau, psi) - full) <= 1e-13
 
 
 @settings(max_examples=60, deadline=None)
