@@ -1,12 +1,9 @@
 """Critical-point detection: approximate ground-state preparation, fixed-time
 echo scans over the longitudinal field, and minima extraction.
 
-`ground_state_approx` prepares the ansatz of `hamiltonian.ANSATZ` on the
-interval holding b_z. The odd middle interval has no row: there the chain
-takes the alternating pattern for b_z < 0, its mirror for b_z > 0 and their
-minus-sign superposition at exactly b_z = 0, as the k = 1 odd network of
-`network` does. The rule is discontinuous at 0, so scan grids should contain
-0.0 exactly rather than a rounding-dust neighbour.
+`ground_state_approx` prepares the ansatz cos(phi)|m> - sin(phi)|n> of
+`hamiltonian.mixing_angle` on the interval holding b_z, the state the N = 3
+networks of `network` prepare bit for bit.
 
 An echo scan reads each field's reflection-even spectrum through
 `dynamics.solve_ahead`, which solves each field once, possibly ahead on
@@ -23,14 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, network
-from .hamiltonian import (
-    ANSATZ,
-    ChainParams,
-    UnsupportedChainError,
-    interval_index,
-    mixing_angle,
-    phase_state,
-)
+from .hamiltonian import ChainParams, chain_parity, interval_index, mixing_angle, phase_state
 from .perturbation import echo_perturbative, echo_two_level
 from .states import PureState
 
@@ -78,24 +68,11 @@ def require_minima_grid(b_z) -> None:
         raise ValueError("minima detection requires at least 3 grid points")
 
 
-def _require_approx_chain(n_qubits: int, b_x: float) -> None:
-    if n_qubits < 3:
-        raise UnsupportedChainError("approximate preparation requires N >= 3")
-    if b_x <= 0:
-        raise ValueError("approximate preparation requires b_x > 0")
-
-
 def ground_state_approx(n_qubits: int, b_z: float, b_x: float) -> PureState:
-    """Two-phase ansatz of the interval holding b_z, for N >= 3 and b_x > 0."""
-    _require_approx_chain(n_qubits, b_x)
-    parity = "odd" if n_qubits % 2 else "even"
-    k = interval_index(parity, b_z)
-    if ANSATZ[parity][k] is None:
-        if b_z != 0:
-            return phase_state(n_qubits, 2 if b_z < 0 else 3)
-        amps = phase_state(n_qubits, 2).amplitudes - phase_state(n_qubits, 3).amplitudes
-        return PureState(amps / math.sqrt(2.0), n_qubits)
-    angle = mixing_angle(parity, k, b_z, b_x)
+    """cos(phi)|m> - sin(phi)|n> on the interval holding b_z; N >= 3 (`phase_state`
+    raises UnsupportedChainError otherwise) and b_x > 0 (`mixing_angle`)."""
+    parity = chain_parity(n_qubits)
+    angle = mixing_angle(parity, interval_index(parity, b_z), b_z, b_x)
     a = phase_state(n_qubits, angle.m).amplitudes
     b = phase_state(n_qubits, angle.n).amplitudes
     return PureState(math.cos(angle.phi) * a - math.sin(angle.phi) * b, n_qubits)
@@ -180,13 +157,14 @@ def echo_scan(
     compiled echo step, one-qubit readout) and requires
     initial_state_source="approx_ground" with N in {3, 4}.
 
-    The grid must be strictly increasing with at least 3 points, and an exact
-    echo of the approximate ground state needs N >= 3 and b_x > 0, both checked
-    before any work. The echo kinds read even-sector spectra, two per point for
-    the exact echo (the field, then b_z - epsilon) and one for the expansions,
-    from `dynamics.solve_ahead`, which solves each field once, up to W + 1
-    ahead on W threads, and holds it until its last read; the values are bit
-    for bit the serial ones. readout_amplitude runs serially.
+    The grid must be strictly increasing with at least 3 points, checked
+    before any work, and an exact echo of the approximate ground state builds
+    its first ansatz, which checks N and b_x, before its first solve. The echo
+    kinds read even-sector spectra, two per point for the exact echo (the
+    field, then b_z - epsilon) and one for the expansions, from
+    `dynamics.solve_ahead`, which solves each field once, up to W + 1 ahead on
+    W threads, and holds it until its last read; the values are bit for bit
+    the serial ones. readout_amplitude runs serially.
     """
     if value_kind not in VALUE_KINDS:
         raise ValueError(f"unknown value_kind {value_kind!r}")
@@ -207,8 +185,6 @@ def echo_scan(
             net = network.preparation_network(n_qubits, bz, b_x)
             values[i] = network.run_protocol(net, epsilon, tau, readout_qubit).amplitude
     else:
-        if initial_state_source == APPROX_GROUND:
-            _require_approx_chain(n_qubits, b_x)  # before the first solve
         points = [ChainParams(n_qubits, bz, b_x) for bz in grid]
         # every read is even-sector (both initial states are); no name holds a point's spectra
         # past the point: a loop variable would keep them alive while the next point's are solved
@@ -218,7 +194,7 @@ def echo_scan(
                 for i, bz in enumerate(grid):
                     if initial_state_source == EXACT_GROUND:
                         values[i] = dynamics.ground_echo(next(spectra), next(spectra), tau)
-                    else:
+                    else:  # built before the point's reads: a bad chain fails before the first solve
                         approx = dynamics.even_amplitudes(ground_state_approx(n_qubits, bz, b_x))
                         values[i] = dynamics.echo_from_spectra(next(spectra), next(spectra), approx, tau)
         else:

@@ -12,6 +12,7 @@ which fixes the relative sign of the prepared two-phase superpositions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,8 +61,13 @@ class Gate:
         if self.kind not in GATE_ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         n_t, n_c, has_angle = GATE_ARITY[self.kind]
-        targets = tuple(int(q) for q in self.targets)
-        controls = tuple(int(q) for q in self.controls)
+        try:
+            targets = tuple(operator.index(q) for q in self.targets)
+            controls = tuple(operator.index(q) for q in self.controls)
+        except TypeError:
+            raise ValueError(
+                f"qubit indices must be integers, got {self.targets!r} / {self.controls!r}"
+            ) from None
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "controls", controls)
         if len(targets) != n_t or len(controls) != n_c:

@@ -23,10 +23,14 @@ phase patterns there.
 Away from B_x = 0 the ground state is approximated on each preparation
 interval of the table INTERVALS (the split point EVEN_SPLIT is a fixed
 constant) by cos(phi)|m> - sin(phi)|n>, from the interval's row (m, n, c) of
-the table ANSATZ, which the ansatz states and the gate networks alike read.
-Phases m and n meet at b_c = |CROSSOVERS[parity][min(m, n) - 1]|; with
-d = b_c - |B_z|, tan(phi) = [d + sqrt(d^2 + c B_x^2)] / (sqrt(c) B_x)
-(`mixing_angle`). The odd middle interval has no row; see `criticality`.
+the table ANSATZ, which the ansatz states and the gate networks alike read
+through `mixing_angle`, for B_x > 0 only. Phases m and n meet at
+b_c = |CROSSOVERS[parity][min(m, n) - 1]|; with d = b_c - |B_z|,
+tan(phi) = [d + sqrt(d^2 + c B_x^2)] / (sqrt(c) B_x). The odd middle row has
+c = None and a step rule instead: phi = 0, pi/4 and pi/2 for B_z < 0, = 0 and
+> 0, so the chain takes the alternating pattern, the minus-sign superposition
+at exactly 0 and the mirrored pattern. The rule is discontinuous at 0, so scan
+grids should contain 0.0 exactly rather than a rounding-dust neighbour.
 """
 
 from __future__ import annotations
@@ -44,6 +48,11 @@ FIELD_DECIMALS = 12
 
 # B_x = 0 crossover fields, which bound the phases of phase_labels
 CROSSOVERS = {"odd": (-2.0, 0.0, 2.0), "even": (-2.0, -1.0, 1.0, 2.0)}
+
+
+def chain_parity(n_qubits: int) -> str:
+    """'odd' or 'even': the key of an N-qubit chain in CROSSOVERS, INTERVALS and ANSATZ."""
+    return "odd" if n_qubits % 2 else "even"
 
 
 class ChainSizeError(ValueError):
@@ -80,7 +89,7 @@ class ChainParams:
 
     @property
     def parity(self) -> str:
-        return "odd" if self.n_qubits % 2 else "even"
+        return chain_parity(self.n_qubits)
 
     def perturbed(self, epsilon: float) -> "ChainParams":
         """Parameters of H + epsilon*V with V = -sum_i sigma_z^i.
@@ -149,8 +158,8 @@ def _even_kets(n: int) -> list[tuple[str, ...]]:
 def phase_labels(n_qubits: int) -> list[PhaseLabel]:
     """Catalog of the B_x = 0 phases: four for odd N, five for even N > 2."""
     _require_closed_form_size(n_qubits)
-    parity = "odd" if n_qubits % 2 else "even"
-    kets = _odd_kets(n_qubits) if n_qubits % 2 else _even_kets(n_qubits)
+    parity = chain_parity(n_qubits)
+    kets = (_odd_kets if parity == "odd" else _even_kets)(n_qubits)
     edges = (-np.inf,) + CROSSOVERS[parity] + (np.inf,)
     return [
         PhaseLabel(parity, k + 1, kets[k], edges[k : k + 2]) for k in range(len(kets))
@@ -200,7 +209,7 @@ def global_field_perturbation(n_qubits: int) -> np.ndarray:
 def crossover_points(n_qubits: int) -> list[float]:
     """Fields where B_x = 0 ground-state branches intersect."""
     _require_closed_form_size(n_qubits)
-    return list(CROSSOVERS["odd" if n_qubits % 2 else "even"])
+    return list(CROSSOVERS[chain_parity(n_qubits)])
 
 
 def _phase_index(params: ChainParams) -> int:
@@ -271,9 +280,9 @@ INTERVALS = {
     "odd": ((-3.0, -1.0), (-1.0, 1.0), (1.0, 3.0)),
     "even": ((-3.0, -EVEN_SPLIT), (-EVEN_SPLIT, 0.0), (0.0, EVEN_SPLIT), (EVEN_SPLIT, 3.0)),
 }
-# (m, n, c) per interval of INTERVALS; see the module docstring
+# (m, n, c) per interval of INTERVALS, c = None for the step rule; see the module docstring
 ANSATZ = {
-    "odd": ((1, 2, 1.0), None, (4, 3, 1.0)),
+    "odd": ((1, 2, 1.0), (2, 3, None), (4, 3, 1.0)),
     "even": ((1, 2, 2.0), (2, 3, 1.0), (4, 3, 1.0), (5, 4, 2.0)),
 }
 
@@ -305,13 +314,17 @@ def interval_index(parity: str, b_z: float) -> int:
 
 
 def mixing_angle(parity: str, k: int, b_z: float, b_x: float) -> MixingAngle:
-    """The ansatz angle of interval k of INTERVALS[parity] at (b_z, b_x)."""
-    row = ANSATZ[parity][k]
-    if row is None:
-        raise ValueError(f"no two-phase ansatz on the {parity} interval {INTERVALS[parity][k]}")
+    """The ansatz angle of interval k of INTERVALS[parity] at (b_z, b_x), for b_x > 0."""
+    if parity not in ANSATZ:
+        raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
+    if not 0 <= k < len(ANSATZ[parity]):
+        raise ValueError(f"{parity} interval index {k} out of range 0..{len(ANSATZ[parity]) - 1}")
     if b_x <= 0:
         raise ValueError("mixing angle requires b_x > 0")
-    m, n, c = row
-    d = abs(CROSSOVERS[parity][min(m, n) - 1]) - abs(b_z)
-    phi = math.atan((d + math.sqrt(d * d + c * b_x * b_x)) / (math.sqrt(c) * b_x))
+    m, n, c = ANSATZ[parity][k]
+    if c is None:
+        phi = 0.0 if b_z < 0 else (math.pi / 4 if b_z == 0 else math.pi / 2)
+    else:
+        d = abs(CROSSOVERS[parity][min(m, n) - 1]) - abs(b_z)
+        phi = math.atan((d + math.sqrt(d * d + c * b_x * b_x)) / (math.sqrt(c) * b_x))
     return MixingAngle(phi, m, n)

@@ -9,7 +9,12 @@ population difference A = P_s - P_n between the all-zeros ket and the ket
 with only the readout qubit set, so A <= P_s always and the minima of A over
 b_z land where the echo minima do.
 
-Networks are defined for the three-qubit (odd) and four-qubit (even) chains.
+Networks are defined for the three-qubit (odd) and four-qubit (even) chains
+and built from `hamiltonian.mixing_angle`, the one source of the ansatz
+angles: each size's core gates for the interval's angle, then a NOT on every
+qubit for a mirrored ANSATZ row (m > n). The three-qubit networks prepare the
+ansatz states of `criticality.ground_state_approx` bit for bit.
+
 A line-oriented text format serializes them: a NETWORK header followed by
 one ``GATE kind target(s) [control(s)] [angle]`` line per gate, fields
 space-separated, arity fixed by the kind.
@@ -28,6 +33,7 @@ from .hamiltonian import (
     INTERVALS,
     ChainParams,
     UnsupportedChainError,
+    chain_parity,
     default_b_z_grid,
     interval_index,
     mixing_angle,
@@ -76,80 +82,72 @@ class ReadoutResult:
             raise ValueError("readout amplitude exceeds the echo population")
 
 
-def build_preparation_network(parity: str, interval, b_z: float, b_x: float) -> GateNetwork:
-    """U0 for one preparation interval; acts on |0...0>.
+def build_preparation_network(n_qubits: int, interval, b_z: float, b_x: float) -> GateNetwork:
+    """U0 for one preparation interval of an N-qubit chain; acts on |0...0>.
 
-    Only the experimentally compiled sizes exist: N=3 for odd parity, N=4
-    for even. The construction reproduces the interval's two-phase ansatz
-    exactly; networks for the mirrored (positive-field) intervals append NOT
-    gates on every qubit.
+    Only the experimentally compiled sizes exist: N = 3 (odd) and N = 4
+    (even). The network prepares the interval's two-phase ansatz from its
+    `mixing_angle`; for a row with m > n (the mirrored, positive-field
+    intervals) it ends with a NOT on every qubit.
     """
-    if parity not in _NETWORKS:
-        raise UnsupportedChainError(f"no networks for parity {parity!r}")
+    if n_qubits not in _GATES:
+        raise UnsupportedChainError("preparation networks exist for N = 3 and N = 4 only")
+    parity = chain_parity(n_qubits)
     key = (float(interval[0]), float(interval[1]))
     if key not in INTERVALS[parity]:
         raise ValueError(f"unknown {parity} interval {interval!r}")
-    return _NETWORKS[parity](INTERVALS[parity].index(key), b_z, b_x)
+    k = INTERVALS[parity].index(key)
+    angle = mixing_angle(parity, k, b_z, b_x)
+    gates = _GATES[n_qubits](k, angle.phi)
+    if angle.m > angle.n:
+        gates += tuple(Gate("NOT", (q,)) for q in range(1, n_qubits + 1))
+    return GateNetwork(n_qubits, gates, f"{parity} [{key[0]:g},{key[1]:g}]")
 
 
 def preparation_network(n_qubits: int, b_z: float, b_x: float) -> GateNetwork:
     """U0 for the interval containing b_z (N must be 3 or 4)."""
-    if n_qubits not in (3, 4):
-        raise UnsupportedChainError("preparation networks exist for N = 3 and N = 4 only")
-    parity = "odd" if n_qubits % 2 else "even"
-    return _NETWORKS[parity](interval_index(parity, b_z), b_z, b_x)
+    parity = chain_parity(n_qubits)
+    return build_preparation_network(n_qubits, INTERVALS[parity][interval_index(parity, b_z)], b_z, b_x)
 
 
-def _odd_network(k: int, b_z: float, b_x: float) -> GateNetwork:
-    lo, hi = INTERVALS["odd"][k]
-    label = f"odd [{lo:g},{hi:g}]"
+def _odd_gates(k: int, phi: float) -> tuple[Gate, ...]:
+    """Gates taking |000> to the ansatz of odd interval k, before the mirror NOTs."""
     if k == 1:
         # pivot rotation on qubit 1, fan-out sets qubit3 = qubit1, qubit2 = NOT qubit1
-        theta = 0.0 if b_z < 0 else (math.pi / 4 if b_z == 0 else math.pi / 2)
-        gates = (
-            Gate("RotY", (1,), angle=theta),
+        return (
+            Gate("RotY", (1,), angle=phi),
             Gate("CNOT", (3,), (1,)),
             Gate("NOT", (2,)),
             Gate("CNOT", (2,), (1,)),
         )
-        return GateNetwork(3, gates, label)
-    phi = mixing_angle("odd", k, b_z, b_x).phi
-    gates: tuple[Gate, ...] = (Gate("RotY", (2,), angle=phi),)
-    if k == 2:
-        gates = gates + tuple(Gate("NOT", (q,)) for q in (1, 2, 3))
-    return GateNetwork(3, gates, label)
+    return (Gate("RotY", (2,), angle=phi),)
 
 
-def _even_network(k: int, b_z: float, b_x: float) -> GateNetwork:
-    lo, hi = INTERVALS["even"][k]
-    label = f"even [{lo:g},{hi:g}]"
-    phi = mixing_angle("even", k, b_z, b_x).phi
+def _even_gates(k: int, phi: float) -> tuple[Gate, ...]:
+    """Gates taking |0000> to the ansatz of even interval k, before the mirror NOTs."""
     if k in (0, 3):
-        gates = (
+        return (
             Gate("RotY", (2,), angle=phi),
             Gate("ControlledRotY", (3,), (2,), angle=-math.pi / 4),
             Gate("CNOT", (2,), (3,)),
         )
-    else:
-        # Branch selector on qubits 2/3, then conditional rotations on the
-        # chain ends; the trailing SWAP pair is the full chain reversal, which
-        # leaves the (reversal-symmetric) target invariant and cancels against
-        # the diagonal echo step in the composed protocol.
-        gates = (
-            Gate("Hadamard", (2,)),
-            Gate("NOT", (3,)),
-            Gate("CNOT", (3,), (2,)),
-            Gate("ControlledRotY", (4,), (2,), angle=phi),
-            Gate("ControlledRotY", (1,), (3,), angle=phi),
-            Gate("SWAP", (2, 3)),
-            Gate("SWAP", (1, 4)),
-        )
-    if k >= 2:
-        gates = gates + tuple(Gate("NOT", (q,)) for q in (1, 2, 3, 4))
-    return GateNetwork(4, gates, label)
+    # Branch selector on qubits 2/3, then conditional rotations on the
+    # chain ends; the trailing SWAP pair is the full chain reversal, which
+    # leaves the (reversal-symmetric) target invariant and cancels against
+    # the diagonal echo step in the composed protocol.
+    return (
+        Gate("Hadamard", (2,)),
+        Gate("NOT", (3,)),
+        Gate("CNOT", (3,), (2,)),
+        Gate("ControlledRotY", (4,), (2,), angle=phi),
+        Gate("ControlledRotY", (1,), (3,), angle=phi),
+        Gate("SWAP", (2, 3)),
+        Gate("SWAP", (1, 4)),
+    )
 
 
-_NETWORKS = {"odd": _odd_network, "even": _even_network}
+# the compiled chain sizes
+_GATES = {3: _odd_gates, 4: _even_gates}
 
 
 def protocol_network(prep: GateNetwork, epsilon: float, tau: float) -> GateNetwork:
@@ -186,13 +184,10 @@ def protocol_vs_exact(
     single compiled echo step, against the exact ground state evolved with
     the exact forward/backward unitaries.
     """
-    if n_qubits not in (3, 4):
-        raise UnsupportedChainError("protocol comparison exists for N = 3 and N = 4 only")
-    parity = "odd" if n_qubits % 2 else "even"
     lo, hi = float(interval[0]), float(interval[1])
     worst = 0.0
     for bz in default_b_z_grid(lo, hi, step):
-        net = build_preparation_network(parity, (lo, hi), bz, b_x)
+        net = build_preparation_network(n_qubits, (lo, hi), bz, b_x)
         l_value = run_protocol(net, epsilon, tau, 1).l_value
         exact = dynamics.loschmidt_echo_exact(ChainParams(n_qubits, bz, b_x), epsilon, tau)
         worst = max(worst, abs(l_value - exact))
@@ -217,8 +212,10 @@ def parse_network(text: str) -> GateNetwork:
     n_field, _, rest = header.partition(" ")
     if not n_field.startswith("n="):
         raise ValueError(f"malformed NETWORK header {lines[0]!r}")
+    if rest and not rest.startswith("label="):
+        raise ValueError(f"malformed NETWORK header {lines[0]!r}")
     n = int(n_field[2:])
-    label = rest[len("label="):] if rest.startswith("label=") else ""
+    label = rest[len("label="):]
     gates = []
     for ln in lines[1:]:
         tokens = ln.split()

@@ -153,6 +153,16 @@ def test_protocol_rejects_unsupported_size(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_protocol_rejects_a_non_positive_transverse_field(tmp_path, capsys):
+    # every preparation interval reads mixing_angle, the odd middle one included
+    args = ["protocol", "--n", "3", "--bz-min", "-0.5", "--bz-max", "0.5", "--bz-step", "0.25"]
+    for bx in ("-0.2", "0"):
+        code, path = run_cli(args + ["--bx", bx], tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err == "error: mixing angle requires b_x > 0\n"
+        assert not path.exists()
+
+
 def test_phase_diagram_energy_table(tmp_path):
     code, path = run_cli(
         ["phase-diagram", "--n", "8", "--bx", "0", "--bz-step", "0.5", "--format", "json"],

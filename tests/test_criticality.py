@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 import time
 import tracemalloc
@@ -60,8 +61,20 @@ def test_mixing_angle_rejects_zero_transverse_field():
         _angle("odd", -2.0, 0.0)
     with pytest.raises(ValueError):
         _angle("even", -2.0, 0.0)
+    # the odd middle interval's step rule has the same b_x domain
     with pytest.raises(ValueError):
-        _angle("odd", 0.0, 0.1)
+        _angle("odd", 0.0, 0.0)
+    assert _angle("odd", 0.0, 0.1) == MixingAngle(math.pi / 4, 2, 3)
+
+
+@pytest.mark.parametrize("parity, k, message", [
+    ("odd", -1, "odd interval index -1 out of range 0..2"),
+    ("odd", 7, "odd interval index 7 out of range 0..2"),
+    ("spin", 0, "parity must be 'odd' or 'even', got 'spin'"),
+])
+def test_mixing_angle_rejects_an_unknown_interval(parity, k, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        mixing_angle(parity, k, 2.0, 0.1)
 
 
 def test_mixing_angle_even_examples():
@@ -92,6 +105,11 @@ def _inner_phi_even_reference(b_z, b_x):
     return math.atan((d + math.sqrt(d * d + b_x * b_x)) / b_x)
 
 
+# the pivot angle the odd middle-interval network had before its ANSATZ row
+def _middle_phi_odd_reference(b_z, b_x):
+    return 0.0 if b_z < 0 else (math.pi / 4 if b_z == 0 else math.pi / 2)
+
+
 def _ansatz_fields():
     special = [-2.0, -1.0, 0.0, 1.0, 2.0, -EVEN_SPLIT, EVEN_SPLIT, -3.0, 3.0]
     near = [float(np.nextafter(c, d)) for c in special for d in (-np.inf, np.inf)]
@@ -103,11 +121,9 @@ def test_mixing_angles_equal_the_replaced_formulas_exactly():
     for b_x in (1e-3, 0.05, 0.1, 0.37, 1.0, 2.5):
         for b_z in _ansatz_fields():
             k = interval_index("odd", b_z)
-            if k != 1:  # the odd middle interval has no ansatz row
-                pair = (1, 2) if b_z < 0 else (4, 3)
-                assert mixing_angle("odd", k, b_z, b_x) == MixingAngle(
-                    _outer_phi_odd_reference(b_z, b_x), *pair
-                )
+            reference = _middle_phi_odd_reference if k == 1 else _outer_phi_odd_reference
+            pair = ((1, 2), (2, 3), (4, 3))[k]
+            assert mixing_angle("odd", k, b_z, b_x) == MixingAngle(reference(b_z, b_x), *pair)
             k = interval_index("even", b_z)
             reference = _outer_phi_even_reference if k in (0, 3) else _inner_phi_even_reference
             pair = ((1, 2), (2, 3), (4, 3), (5, 4))[k]
@@ -117,6 +133,7 @@ def test_mixing_angles_equal_the_replaced_formulas_exactly():
 # (parity, interval index) -> (replaced formula, positions of its gates in the network)
 _NETWORK_PHI = {
     ("odd", 0): (_outer_phi_odd_reference, (0,)),
+    ("odd", 1): (_middle_phi_odd_reference, (0,)),
     ("odd", 2): (_outer_phi_odd_reference, (0,)),
     ("even", 0): (_outer_phi_even_reference, (0,)),
     ("even", 1): (_inner_phi_even_reference, (3, 4)),
@@ -128,12 +145,13 @@ _NETWORK_PHI = {
 def test_network_angles_equal_the_replaced_formulas_exactly():
     # identical gates give bit-identical protocol amplitudes; explicit
     # intervals keep their own formula even at a shared endpoint
+    n_qubits = {"odd": 3, "even": 4}
     for (parity, k), (reference, positions) in _NETWORK_PHI.items():
         lo, hi = INTERVALS[parity][k]
         fields = [b for b in _ansatz_fields() if lo <= b <= hi]
         for b_x in (0.05, 0.1, 0.37):
             for b_z in fields:
-                net = build_preparation_network(parity, (lo, hi), b_z, b_x)
+                net = build_preparation_network(n_qubits[parity], (lo, hi), b_z, b_x)
                 phi = reference(b_z, b_x)
                 assert [net.gates[i].angle for i in positions] == [phi] * len(positions)
     for n, parity in ((3, "odd"), (4, "even")):

@@ -148,6 +148,11 @@ def test_gate_validation():
         Gate("Twist", (1,))
     with pytest.raises(ValueError):
         Gate("NOT", (0,))
+    with pytest.raises(ValueError, match="integers"):
+        Gate("NOT", (1.7,))  # not truncated to qubit 1
+    with pytest.raises(ValueError, match="integers"):
+        Gate("CNOT", (2,), (np.float64(1.0),))
+    assert Gate("CNOT", (np.int64(2),), (1,)).targets == (2,)
     with pytest.raises(ValueError):
         apply_gates(basis_state(2, "00"), (Gate("NOT", (3,)),))
 

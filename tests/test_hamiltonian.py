@@ -268,18 +268,15 @@ def test_global_field_perturbation_diagonal():
 @pytest.mark.parametrize("n_qubits", range(3, 11))
 def test_ansatz_rows_mix_the_two_phases_meeting_at_a_crossover_of_their_interval(n_qubits):
     # a row (m, n, c) takes its crossover b_c from the phase table: there the two
-    # phases are degenerate and the mixing angle is pi/4
+    # phases are degenerate and the mixing angle is pi/4, the step rule's (c = None) included
     parity = "odd" if n_qubits % 2 else "even"
     labels = phase_labels(n_qubits)
     assert len(ANSATZ[parity]) == len(INTERVALS[parity])
-    for k, row in enumerate(ANSATZ[parity]):
-        if row is None:
-            continue
-        m, n, _ = row
+    for k, (m, n, _) in enumerate(ANSATZ[parity]):
         assert abs(m - n) == 1
         b = CROSSOVERS[parity][min(m, n) - 1]
         lo, hi = INTERVALS[parity][k]
         assert lo <= b <= hi
         assert labels[m - 1].energy(b) == labels[n - 1].energy(b)
         assert mixing_angle(parity, k, b, 0.1).phi == pytest.approx(math.pi / 4)
-    assert [k for k, row in enumerate(ANSATZ[parity]) if row is None] == ([1] if parity == "odd" else [])
+    assert [k for k, row in enumerate(ANSATZ[parity]) if row[2] is None] == ([1] if parity == "odd" else [])

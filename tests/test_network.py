@@ -32,17 +32,38 @@ def test_constructions_reproduce_the_ansatz_exactly():
         assert f >= 1 - 1e-10, (n, bz, f)
 
 
+@pytest.mark.parametrize("b_x", [0.05, 0.1, 0.37])
+def test_three_qubit_networks_prepare_the_ansatz_bit_for_bit(b_x):
+    # both realizations read one mixing_angle, the odd middle interval's step included
+    for bz in default_b_z_grid(step=0.005):
+        net = preparation_network(3, bz, b_x)
+        assert np.array_equal(prepared_state(net).amplitudes, ground_state_approx(3, bz, b_x).amplitudes), bz
+
+
+@pytest.mark.parametrize("b_x", [0.0, -0.2])
+@pytest.mark.parametrize("n, parity", [(3, "odd"), (4, "even")])
+def test_both_realizations_reject_a_non_positive_transverse_field(n, parity, b_x):
+    for lo, hi in INTERVALS[parity]:
+        for bz in (lo, 0.5 * (lo + hi), hi):
+            with pytest.raises(ValueError, match="b_x > 0"):
+                ground_state_approx(n, bz, b_x)
+            with pytest.raises(ValueError, match="b_x > 0"):
+                preparation_network(n, bz, b_x)
+            with pytest.raises(ValueError, match="b_x > 0"):
+                build_preparation_network(n, (lo, hi), bz, b_x)
+
+
 def test_crossover_network_prepares_equal_superposition():
     # at the left multiphase point the prepared state is the pi/4 mix of the
     # uniform and alternating patterns
-    net = build_preparation_network("odd", (-3.0, -1.0), -2.0, 0.1)
+    net = build_preparation_network(3, (-3.0, -1.0), -2.0, 0.1)
     psi = prepared_state(net).amplitudes
     assert psi[0b000] == pytest.approx(np.cos(np.pi / 4))
     assert psi[0b010] == pytest.approx(-np.sin(np.pi / 4))
 
 
 def test_deep_phase_network_is_nearly_uniform():
-    net = build_preparation_network("even", (-3.0, -1.44), -3.0, 0.1)
+    net = build_preparation_network(4, (-3.0, -1.44), -3.0, 0.1)
     psi = prepared_state(net).amplitudes
     assert abs(psi[0]) ** 2 >= 0.99
 
@@ -50,9 +71,9 @@ def test_deep_phase_network_is_nearly_uniform():
 def test_middle_network_rotation_steps():
     # the three-branch pivot rotation: identity / pi/4 / pi/2
     for bz, target in ((-0.5, "010"), (0.5, "101")):
-        net = build_preparation_network("odd", (-1.0, 1.0), bz, 0.1)
+        net = build_preparation_network(3, (-1.0, 1.0), bz, 0.1)
         assert fidelity(prepared_state(net), basis_state(3, target)) >= 1 - 1e-12
-    net0 = build_preparation_network("odd", (-1.0, 1.0), 0.0, 0.1)
+    net0 = build_preparation_network(3, (-1.0, 1.0), 0.0, 0.1)
     psi = prepared_state(net0).amplitudes
     assert psi[0b010] == pytest.approx(1 / np.sqrt(2))
     assert psi[0b101] == pytest.approx(-1 / np.sqrt(2))
@@ -68,23 +89,25 @@ def test_unsupported_sizes_raise():
     with pytest.raises(UnsupportedChainError):
         preparation_network(5, -2.0, 0.1)
     with pytest.raises(ValueError):
-        build_preparation_network("odd", (-3.0, -1.44), -2.0, 0.1)
+        build_preparation_network(3, (-3.0, -1.44), -2.0, 0.1)
+    with pytest.raises(UnsupportedChainError):
+        build_preparation_network(5, (-3.0, -1.0), -2.0, 0.1)
     with pytest.raises(UnsupportedChainError):
         protocol_vs_exact(5, 0.1, 0.1, np.pi, (-3.0, -1.0))
 
 
 def test_golden_serializations():
     cases = [
-        ("net3_outer_left.txt", "odd", INTERVALS["odd"][0], -2.0),
-        ("net3_middle_zero.txt", "odd", INTERVALS["odd"][1], 0.0),
-        ("net3_outer_right.txt", "odd", INTERVALS["odd"][2], 2.0),
-        ("net4_outer_left.txt", "even", INTERVALS["even"][0], -2.0),
-        ("net4_middle_left.txt", "even", INTERVALS["even"][1], -1.0),
-        ("net4_middle_right.txt", "even", INTERVALS["even"][2], 1.0),
-        ("net4_outer_right.txt", "even", INTERVALS["even"][3], 2.0),
+        ("net3_outer_left.txt", 3, INTERVALS["odd"][0], -2.0),
+        ("net3_middle_zero.txt", 3, INTERVALS["odd"][1], 0.0),
+        ("net3_outer_right.txt", 3, INTERVALS["odd"][2], 2.0),
+        ("net4_outer_left.txt", 4, INTERVALS["even"][0], -2.0),
+        ("net4_middle_left.txt", 4, INTERVALS["even"][1], -1.0),
+        ("net4_middle_right.txt", 4, INTERVALS["even"][2], 1.0),
+        ("net4_outer_right.txt", 4, INTERVALS["even"][3], 2.0),
     ]
-    for fname, parity, interval, bz in cases:
-        net = build_preparation_network(parity, interval, bz, 0.1)
+    for fname, n, interval, bz in cases:
+        net = build_preparation_network(n, interval, bz, 0.1)
         assert serialize_network(net) == (GOLDEN / fname).read_text(), fname
 
 
@@ -111,6 +134,8 @@ def test_parse_rejects_malformed_text():
         parse_network("NETWORK n=1 label=x\nGATE RotY 1 nan\n")
     with pytest.raises(ValueError):
         parse_network("NETWORK n=1 label=x\nGATE RotY 1 -inf\n")
+    with pytest.raises(ValueError):
+        parse_network("NETWORK n=3 foo=bar\nGATE NOT 1\n")
 
 
 def test_run_protocol_identity_at_zero_perturbation():
