@@ -40,11 +40,9 @@ def scan(n, epsilon, tau, readout_qubit):
     worst_fid = 1.0
     for bz in grid:
         net = preparation_network(n, bz, B_X)
-        amplitudes.append(run_protocol(net, epsilon, tau, readout_qubit).amplitude)
-        worst_fid = min(
-            worst_fid,
-            fidelity(prepared_state(net), ground_state(ChainParams(n, bz, B_X))),
-        )
+        prepared = prepared_state(net)  # U0 once: the readout and the fidelity share it
+        amplitudes.append(run_protocol(net, epsilon, tau, readout_qubit, prepared).amplitude)
+        worst_fid = min(worst_fid, fidelity(prepared, ground_state(ChainParams(n, bz, B_X))))
     minima = find_minima(grid, amplitudes)
     print(f"N={n}, epsilon={epsilon}, tau={tau:.4f}, readout on qubit {readout_qubit}:")
     print("  amplitude minima:",

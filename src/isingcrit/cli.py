@@ -149,10 +149,9 @@ def _cmd_protocol(config: RunConfig):
     rows = []
     for bz in grid:
         net = preparation_network(config.n, bz, config.bx)
-        res = run_protocol(net, config.epsilon, config.tau, config.readout_qubit)
-        fid = fidelity(
-            prepared_state(net), dynamics.ground_state(ChainParams(config.n, bz, config.bx))
-        )
+        prepared = prepared_state(net)  # U0 runs once: the readout and the fidelity share it
+        res = run_protocol(net, config.epsilon, config.tau, config.readout_qubit, prepared)
+        fid = fidelity(prepared, dynamics.ground_state(ChainParams(config.n, bz, config.bx)))
         rows.append([bz, res.amplitude, res.l_value, fid])
     minima = find_minima([r[0] for r in rows], [r[1] for r in rows])
     return columns, rows, minima

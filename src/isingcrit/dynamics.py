@@ -14,8 +14,9 @@ and commutes with chain reversal R (qubit i <-> qubit N+1-i): the
 reflection-even and -odd sectors, spanned by palindromes |i> = |R i> and
 (|i> +- |R i>)/sqrt(2), are each the diagonal of H plus B_x times
 sum_i sigma_x^i, built once per N from bit flips, and each gets one dense
-real `eigh`. `diagonalize` takes any Hermitian matrix: it sorts diagonal
-input and gives the rest one dense `eigh`.
+real `eigh`. The diagonal is formed from the bond sum and sum_i sigma_z^i on
+the sector's rows, also kept once per N. `diagonalize` takes any Hermitian
+matrix: it sorts diagonal input and gives the rest one dense `eigh`.
 
 Each reader calls the solver that builds only what it reads, in the basis it
 reads it in:
@@ -55,7 +56,7 @@ from itertools import islice
 
 import numpy as np
 
-from .hamiltonian import ChainParams, global_field_perturbation, hamiltonian_diagonal
+from .hamiltonian import ChainParams, diagonal_terms, global_field_perturbation, hamiltonian_diagonal
 from .states import (
     HERMITIAN_TOL,
     HermitianOperator,
@@ -145,7 +146,9 @@ class _ReflectionSectors:
     i < R i contributes (|i> + |R i>)/sqrt(2) to the even sector and
     (|i> - |R i>)/sqrt(2) to the odd one. The even basis lists palindromes
     first, then pairs; the odd basis lists the same pairs. Each sigma_x block
-    is kept as (row, column, value) triples of its nonzeros, about N per row.
+    is kept as (row, column, value) triples of its nonzeros, about N per row,
+    and H's diagonal as its two field-free terms on the sector's rows, which
+    R keeps: a state and its mirror share them.
     """
 
     states: np.ndarray  # basis index of each even-basis state
@@ -155,6 +158,8 @@ class _ReflectionSectors:
     even_weight: np.ndarray  # column: 1 for palindromes, 1/sqrt(2) for pair members
     x_even: tuple[np.ndarray, np.ndarray, np.ndarray]  # sum_i sigma_x^i in the even basis
     x_odd: tuple[np.ndarray, np.ndarray, np.ndarray]  # and in the odd basis
+    diagonal_even: tuple[np.ndarray, np.ndarray]  # `diagonal_terms` on the even rows
+    diagonal_odd: tuple[np.ndarray, np.ndarray]  # and on the odd rows
 
 
 def _summed_triples(rows, cols, vals, size: int):
@@ -195,6 +200,7 @@ def _reflection_sectors(n_qubits: int) -> _ReflectionSectors:
         t = np.lexsort((rr, cc))  # the transpose, re-sorted row-major
         if not (np.array_equal(cc[t], rr) and np.array_equal(rr[t], cc) and np.array_equal(vv[t], vv)):
             raise ArithmeticError("sector blocks of sum_i sigma_x^i are not symmetric")
+    terms = diagonal_terms(n_qubits)
     return _ReflectionSectors(
         states=states,
         rep=rep,
@@ -203,6 +209,8 @@ def _reflection_sectors(n_qubits: int) -> _ReflectionSectors:
         even_weight=np.where(rev == idx, 1.0, r)[:, None],
         x_even=(er, ec, ev),
         x_odd=x_odd,
+        diagonal_even=tuple(frozen_array(t[states], np.int64) for t in terms),
+        diagonal_odd=tuple(frozen_array(t[rep], np.int64) for t in terms),
     )
 
 
@@ -233,12 +241,19 @@ def diagonalize(op: "HermitianOperator | np.ndarray") -> SpectralDecomposition:
     return SpectralDecomposition(w, _fix_phases(v))
 
 
+def _sector_diagonal(params: ChainParams, odd: bool) -> np.ndarray:
+    """`hamiltonian_diagonal(params)` on one sector's rows, bit for bit, from the stored terms."""
+    s = _reflection_sectors(params.n_qubits)
+    zz, magnetization = s.diagonal_odd if odd else s.diagonal_even
+    return zz + params.b_z * magnetization
+
+
 def _sector_spectral_for(params: ChainParams, odd: bool) -> SpectralDecomposition:
     """One reflection sector's decomposition, in that sector's basis (odd row a: the pair
     (|rep[a]> - |mirror[a]>)/sqrt(2) of `_reflection_sectors(N)`): H's diagonal there, sorted
     at B_x = 0, else plus b_x times the sector's sigma_x triples, given one `eigh`."""
     s = _reflection_sectors(params.n_qubits)
-    d = hamiltonian_diagonal(params)[s.rep if odd else s.states]
+    d = _sector_diagonal(params, odd)
     if params.b_x == 0.0:
         return _sorted_diagonal(d)
     rows, cols, x = s.x_odd if odd else s.x_even

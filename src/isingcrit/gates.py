@@ -33,9 +33,6 @@ GATE_ARITY = {
     "GlobalZEvolution": (0, 0, True),
 }
 
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
 
 def roty_matrix(phi: float) -> np.ndarray:
     """exp(i*phi*sigma_y) = [[cos, sin], [-sin, cos]]."""
@@ -43,11 +40,24 @@ def roty_matrix(phi: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]], dtype=complex)
 
 
+_EYE4 = frozen_array(np.eye(4), complex)
+
+
 def _controlled(u: np.ndarray) -> np.ndarray:
-    dim = u.shape[0]
-    out = np.eye(2 * dim, dtype=complex)
-    out[dim:, dim:] = u
+    """The 2x2 unitary u on the target, conditioned on the control (the first qubit)."""
+    out = _EYE4.copy()
+    out[2:, 2:] = u
     return out
+
+
+_X = frozen_array([[0, 1], [1, 0]], complex)
+# the angle-free gates' matrices, read-only and shared by every application
+_FIXED = {
+    "NOT": _X,
+    "Hadamard": frozen_array(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)),
+    "CNOT": frozen_array(_controlled(_X)),
+    "SWAP": frozen_array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], complex),
+}
 
 
 @dataclass(frozen=True)
@@ -62,8 +72,8 @@ class Gate:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         n_t, n_c, has_angle = GATE_ARITY[self.kind]
         try:
-            targets = tuple(operator.index(q) for q in self.targets)
-            controls = tuple(operator.index(q) for q in self.controls)
+            targets = tuple(map(operator.index, self.targets))
+            controls = tuple(map(operator.index, self.controls))
         except TypeError:
             raise ValueError(
                 f"qubit indices must be integers, got {self.targets!r} / {self.controls!r}"
@@ -86,7 +96,7 @@ class Gate:
         qubits = controls + targets
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"repeated qubit index in {qubits}")
-        if any(q < 1 for q in qubits):
+        if min(qubits, default=1) < 1:
             raise ValueError(f"qubit indices must be >= 1, got {qubits}")
 
     @property
@@ -100,20 +110,12 @@ class Gate:
         GlobalZEvolution acts on the whole register and has no fixed-size
         matrix; use apply_gates or global_z_phases for it.
         """
+        if self.kind in _FIXED:
+            return _FIXED[self.kind].copy()
         if self.kind == "RotY":
             return roty_matrix(self.angle)
-        if self.kind == "NOT":
-            return _X.copy()
-        if self.kind == "Hadamard":
-            return _H.copy()
-        if self.kind == "CNOT":
-            return _controlled(_X)
         if self.kind == "ControlledRotY":
             return _controlled(roty_matrix(self.angle))
-        if self.kind == "SWAP":
-            return np.array(
-                [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-            )
         if self.kind == "ZZEvolution":
             # exp(-i*theta*sigma_z x sigma_z)
             p = np.exp(-1j * self.angle)
@@ -129,15 +131,27 @@ class Gate:
         return Gate(self.kind, self.targets, self.controls, -self.angle)
 
 
+@lru_cache(maxsize=None)
+def _z_sums(n_qubits: int) -> np.ndarray:
+    """sum_i sigma_z^i over the 2^N basis (int64, read-only), built once per N."""
+    return frozen_array(sigma_z_values(n_qubits).sum(axis=1), np.int64)
+
+
 def global_z_phases(n_qubits: int, angle: float) -> np.ndarray:
     """Diagonal of exp(-i*angle*sum_i sigma_z^i) over the 2^N basis."""
-    return np.exp(-1j * angle * sigma_z_values(n_qubits).sum(axis=1))
+    return np.exp(-1j * angle * _z_sums(n_qubits))
 
 
 @lru_cache(maxsize=None)
 def _slots(n_qubits: int, qubits: tuple[int, ...]) -> np.ndarray:
     """(2^k, 2^(N-k)) basis indices: row r holds the kets whose k gate-qubit bits
-    (controls first, MSB first) spell r, in register order, kept by a stable sort."""
+    (controls first, MSB first) spell r, in register order, kept by a stable sort.
+
+    Raises for a qubit outside the register; cached, so the check costs nothing
+    once a gate's placement has been seen.
+    """
+    if max(qubits) > n_qubits:
+        raise ValueError(f"gate qubits {qubits} exceed register size {n_qubits}")
     bits = qubit_bit_values(n_qubits)[:, [q - 1 for q in qubits]]
     row = bits @ (1 << np.arange(len(qubits) - 1, -1, -1))
     return frozen_array(np.argsort(row, kind="stable").reshape(2 ** len(qubits), -1), np.intp)
@@ -147,11 +161,12 @@ def _apply(amps: np.ndarray, n_qubits: int, gate: Gate) -> np.ndarray:
     """The gate applied to a bare amplitude array; a new array, amps is not written."""
     if gate.kind == "GlobalZEvolution":
         return global_z_phases(n_qubits, gate.angle) * amps
-    if any(q > n_qubits for q in gate.qubits):
-        raise ValueError(f"gate qubits {gate.qubits} exceed register size {n_qubits}")
-    slots = _slots(n_qubits, gate.qubits)
+    slots = _slots(n_qubits, gate.qubits)  # raises for a gate outside the register
+    u = _FIXED.get(gate.kind)  # shared and read-only; matrix() would copy it
+    if u is None:
+        u = gate.matrix()
     out = np.empty_like(amps)
-    out[slots] = gate.matrix() @ amps[slots]
+    out[slots] = u @ amps[slots]
     return out
 
 
@@ -161,4 +176,3 @@ def apply_gates(state: PureState, gates) -> PureState:
     for g in gates:
         amps = _apply(amps, state.n_qubits, g)
     return PureState(amps, state.n_qubits)
-

@@ -167,7 +167,10 @@ def phase_labels(n_qubits: int) -> list[PhaseLabel]:
 
 
 def phase_state(n_qubits: int, k: int) -> PureState:
-    """The k-th phase ket/superposition (k is 1-based)."""
+    """The k-th phase ket/superposition (k is 1-based), a 2^N vector: N is capped at
+    MAX_QUBITS like ChainParams (the phase catalogue itself has no cap)."""
+    if n_qubits > MAX_QUBITS:
+        raise ChainSizeError(f"n_qubits={n_qubits} exceeds the cap of {MAX_QUBITS}")
     labels = phase_labels(n_qubits)
     if not 1 <= k <= len(labels):
         raise ValueError(f"phase index {k} out of range 1..{len(labels)}")
@@ -183,12 +186,17 @@ def _require_closed_form_size(n_qubits: int) -> None:
             raise UnsupportedChainError("even-chain closed forms require N >= 4 (N=2 excluded)")
 
 
+def diagonal_terms(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two field-free parts of H's diagonal, as int64 over the 2^N basis: the
+    bond sum sum_i sigma_z^i sigma_z^{i+1} and the magnetization sum_i sigma_z^i."""
+    z = sigma_z_values(n_qubits)
+    return np.sum(z[:, :-1] * z[:, 1:], axis=1), z.sum(axis=1)  # no bonds, all zeros, at n = 1
+
+
 def hamiltonian_diagonal(params: ChainParams) -> np.ndarray:
     """Diagonal of H in the computational basis (the full H when B_x = 0)."""
-    n = params.n_qubits
-    z = sigma_z_values(n)
-    zz = np.sum(z[:, :-1] * z[:, 1:], axis=1)  # no bonds, all zeros, at n = 1
-    return zz + params.b_z * z.sum(axis=1)
+    zz, magnetization = diagonal_terms(params.n_qubits)
+    return zz + params.b_z * magnetization
 
 
 def build_hamiltonian(params: ChainParams) -> HermitianOperator:

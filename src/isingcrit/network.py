@@ -2,7 +2,11 @@
 
 A preparation network U0 maps |0...0> to the interval's approximate ground
 state; the protocol network applies U0, the compiled diagonal echo step
-exp(-i*tau*eps*sum sigma_z), then U0^dagger, and one qubit is read out. The
+exp(-i*tau*eps*sum sigma_z), then U0^dagger, and one qubit is read out.
+`run_protocol` runs U0 once per point: it takes the prepared state U0|0...0>
+from a caller that holds it (the `protocol` command, whose fidelity column
+reads the same state) and applies the echo step and U0^dagger to it gate by
+gate; `protocol_network`, the composed network, is its unitary reference. The
 state is pure, so its computational-basis populations are |psi|^2, which is
 the diagonal of the dephased density matrix. The readout amplitude is the
 population difference A = P_s - P_n between the all-zeros ket and the ket
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,7 +61,7 @@ class GateNetwork:
             raise ValueError(f"register size must be >= 1, got {self.n_qubits}")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
-            if any(q > self.n_qubits for q in g.qubits):
+            if max(g.qubits, default=0) > self.n_qubits:
                 raise ValueError(
                     f"gate {g.kind} on qubits {g.qubits} exceeds register size {self.n_qubits}"
                 )
@@ -150,19 +155,39 @@ def _even_gates(k: int, phi: float) -> tuple[Gate, ...]:
 _GATES = {3: _odd_gates, 4: _even_gates}
 
 
+def _echo_then_undo(prep: GateNetwork, epsilon: float, tau: float) -> tuple[Gate, ...]:
+    """The gates after U0: the compiled echo step, then U0^dagger."""
+    echo = Gate("GlobalZEvolution", (), angle=tau * epsilon)
+    return (echo,) + tuple(g.dagger() for g in reversed(prep.gates))
+
+
 def protocol_network(prep: GateNetwork, epsilon: float, tau: float) -> GateNetwork:
     """Full unitary part of the protocol: U0^dagger . echo step . U0."""
-    echo = Gate("GlobalZEvolution", (), angle=tau * epsilon)
-    gates = prep.gates + (echo,) + tuple(g.dagger() for g in reversed(prep.gates))
+    gates = prep.gates + _echo_then_undo(prep, epsilon, tau)
     return GateNetwork(prep.n_qubits, gates, f"{prep.label} protocol")
 
 
-def run_protocol(network: GateNetwork, epsilon: float, tau: float, readout_qubit: int) -> ReadoutResult:
-    """Execute the protocol and read the population difference on one qubit."""
+def run_protocol(
+    network: GateNetwork,
+    epsilon: float,
+    tau: float,
+    readout_qubit: int,
+    prepared: PureState | None = None,
+) -> ReadoutResult:
+    """Execute the protocol and read the population difference on one qubit.
+
+    `prepared` is U0|0...0>, i.e. `prepared_state(network)`, for a caller that
+    holds it already; it is built here otherwise. The echo step and U0^dagger
+    are then applied to it gate by gate, so U0 runs once per call either way.
+    """
     n = network.n_qubits
     if not 1 <= readout_qubit <= n:
         raise ValueError(f"readout qubit {readout_qubit} outside 1..{n}")
-    amps = protocol_network(network, epsilon, tau).apply(basis_state(n, "0" * n)).amplitudes
+    if prepared is None:
+        prepared = prepared_state(network)
+    elif prepared.n_qubits != n:
+        raise ValueError(f"prepared state has {prepared.n_qubits} qubits, the network {n}")
+    amps = apply_gates(prepared, _echo_then_undo(network, epsilon, tau)).amplitudes
     populations = (amps * amps.conj()).real
     s = 0
     m = 1 << (n - readout_qubit)
@@ -238,6 +263,12 @@ def parse_network(text: str) -> GateNetwork:
     return GateNetwork(n, tuple(gates), label)
 
 
+@lru_cache(maxsize=None)
+def _all_zeros(n_qubits: int) -> PureState:
+    """|0...0>, built once per register size (a PureState is immutable)."""
+    return basis_state(n_qubits, "0" * n_qubits)
+
+
 def prepared_state(network: GateNetwork) -> PureState:
     """Convenience: the network applied to |0...0>."""
-    return network.apply(basis_state(network.n_qubits, "0" * network.n_qubits))
+    return network.apply(_all_zeros(network.n_qubits))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from isingcrit import cli, dynamics
+from isingcrit import cli, dynamics, gates
 from isingcrit.cli import main
 from isingcrit.hamiltonian import ChainParams, closed_form_energy
 
@@ -175,6 +175,27 @@ def test_phase_diagram_energy_table(tmp_path):
     for row in doc["rows"]:
         bz, e_min = row[0], row[-1]
         assert e_min == pytest.approx(closed_form_energy(ChainParams(8, bz, 0.0)), abs=1e-9)
+
+
+def test_phase_diagram_has_no_register_cap(tmp_path):
+    # closed-form energies only, no 2^N vector: N = 16 runs past the state cap
+    code, path = run_cli(["phase-diagram", "--n", "16", "--bx", "0", "--bz-step", "0.5"], tmp_path)
+    assert code == 0
+    assert "b_z,e_phase_1,e_phase_2,e_phase_3,e_phase_4,e_phase_5,e_min" in path.read_text()
+
+
+@pytest.mark.parametrize("bz, prep_gates", [(-3.0, 3), (-1.0, 7)])
+def test_protocol_runs_its_preparation_once_per_point(bz, prep_gates, monkeypatch, tmp_path):
+    # U0 once (its state also feeds the fidelity column), the echo step, U0^dagger:
+    # an N = 4 outer-interval point applies 3 + 1 + 3 gates, a middle-interval one 7 + 1 + 7
+    applied = []
+    apply = gates._apply
+    monkeypatch.setattr(gates, "_apply", lambda *args: applied.append(args[2].kind) or apply(*args))
+    argv = ["protocol", "--n", "4", "--bz-min", str(bz), "--bz-max", str(bz + 0.1), "--bz-step", "0.05"]
+    code, _ = run_cli(argv, tmp_path)
+    assert code == 0
+    assert len(applied) == 3 * (2 * prep_gates + 1)
+    assert applied.count("GlobalZEvolution") == 3
 
 
 def test_phase_diagram_requires_zero_transverse_field(tmp_path):

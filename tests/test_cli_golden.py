@@ -42,3 +42,21 @@ def test_golden_dir_holds_exactly_the_configs():
 def test_cli_output_matches_golden(name, capsys):
     assert main(GOLDEN_CONFIGS[name]) == 0
     assert capsys.readouterr().out == (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["readout_amplitude_n3.csv", "readout_amplitude_n4.csv"])
+def test_protocol_readout_matches_the_readout_golden(name, capsys):
+    # the protocol command prepares each point once and hands that state to the
+    # readout; its b_z and amplitude columns and its minima are the readout scan's
+    argv = GOLDEN_CONFIGS[name]
+    protocol = ["protocol"] + [a for a in argv[1:] if a not in
+                               ("--value-kind", "readout_amplitude", "--initial-state", "approx_ground")]
+    assert main(protocol) == 0
+    out = capsys.readouterr().out.splitlines()
+    golden = (GOLDEN_DIR / name).read_text(encoding="utf-8").splitlines()
+    rows = out[out.index("b_z,amplitude,l_value,fidelity_prepared_vs_exact") + 1:]
+    golden_rows = golden[golden.index("b_z,value") + 1:]
+    assert [",".join(r.split(",")[:2]) for r in rows if not r.startswith("#")] == [
+        r for r in golden_rows if not r.startswith("#")]
+    assert [r for r in rows if r.startswith("# minim")] == [
+        r for r in golden_rows if r.startswith("# minim")]

@@ -23,6 +23,7 @@ from isingcrit.hamiltonian import (
     EVEN_SPLIT,
     INTERVALS,
     ChainParams,
+    ChainSizeError,
     MixingAngle,
     UnsupportedChainError,
     default_b_z_grid,
@@ -221,6 +222,8 @@ def test_ground_state_approx_validation():
         ground_state_approx(2, -2.0, 0.1)
     with pytest.raises(ValueError):
         ground_state_approx(3, -2.0, 0.0)
+    with pytest.raises(ChainSizeError, match="exceeds the cap"):
+        ground_state_approx(15, -2.0, 0.1)
 
 
 def test_short_chain_ansatz_fidelity_over_scan():

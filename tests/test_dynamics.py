@@ -48,6 +48,7 @@ from isingcrit.states import (
     basis_state,
     fidelity,
     qubit_bit_values,
+    sigma_z_values,
     superposition,
 )
 
@@ -507,6 +508,22 @@ def test_sort_order_kernels_match_the_dense_permutation(n):
                 assert echo_perturbative(spec, v, 0.1, np.pi) == echo_perturbative(dense, v, 0.1, np.pi)
                 if n > 1 and spec.eigenvalues[1] > spec.eigenvalues[0]:
                     assert echo_two_level(spec, v, 0.1, np.pi) == echo_two_level(dense, v, 0.1, np.pi)
+
+
+def test_sector_diagonal_is_the_hamiltonian_diagonal_on_the_sector_rows():
+    # the solvers form each sector's diagonal from its stored zz and sum sigma_z
+    # terms; it must be H's diagonal on those rows bit for bit, and H's diagonal
+    # the bond sum plus b_z times the magnetization, read off the sigma_z table
+    rng = np.random.default_rng(45)
+    for n in range(1, 13):
+        s = _reflection_sectors(n)
+        z = sigma_z_values(n)
+        for bz in np.concatenate([rng.uniform(-3, 3, 5), [0.0, -2.0, 1.44]]):
+            params = ChainParams(n, float(bz), 0.1)
+            full = hamiltonian_diagonal(params)
+            assert np.array_equal(full, np.sum(z[:, :-1] * z[:, 1:], axis=1) + params.b_z * z.sum(axis=1))
+            for odd, rows in ((False, s.states), (True, s.rep)):
+                assert np.array_equal(dynamics._sector_diagonal(params, odd), full[rows]), (n, bz, odd)
 
 
 def test_sector_data_at_twelve_qubits_is_sparse():

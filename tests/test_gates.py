@@ -5,7 +5,7 @@ import pytest
 
 from isingcrit import gates as gates_module
 from isingcrit.gates import GATE_ARITY, Gate, apply_gates, global_z_phases, roty_matrix
-from isingcrit.states import PureState, basis_state
+from isingcrit.states import PureState, basis_state, sigma_z_values
 
 
 def _random_gate(rng, n):
@@ -63,6 +63,28 @@ def test_global_z_phases_match_popcount_reference():
         for angle in (0.0, 0.37, -1.9, np.pi):
             expected = np.exp(-1j * angle * (n - 2 * ones))
             assert np.array_equal(global_z_phases(n, angle), expected), (n, angle)
+
+
+def test_global_z_phases_equal_the_sigma_z_table_formula():
+    for n in range(1, 7):
+        for angle in (0.0, 0.37, -1.9, np.pi, 2.5e-3):
+            expected = np.exp(-1j * angle * sigma_z_values(n).sum(axis=1))
+            assert np.array_equal(global_z_phases(n, angle), expected), (n, angle)
+
+
+@pytest.mark.parametrize("kind", ["NOT", "Hadamard", "CNOT", "SWAP", "RotY", "ControlledRotY"])
+def test_gate_matrix_is_a_fresh_writable_copy(kind):
+    n_t, n_c, has_angle = GATE_ARITY[kind]
+    gate = Gate(kind, tuple(range(n_c + 1, n_c + n_t + 1)), tuple(range(1, n_c + 1)),
+                0.3 if has_angle else None)
+    state = _random_state(np.random.default_rng(7), 3)
+    before = apply_gates(state, (gate,)).amplitudes
+    u = gate.matrix()
+    assert u.flags.writeable and not np.shares_memory(u, gate.matrix())
+    expected = u.copy()
+    u[:] = 0
+    assert np.array_equal(gate.matrix(), expected)
+    assert np.array_equal(apply_gates(state, (gate,)).amplitudes, before)
 
 
 def test_roty_convention():

@@ -45,6 +45,15 @@ def test_chain_cap_enforced():
         ChainParams(15, 0.0, 0.0)
 
 
+def test_phase_state_is_capped_like_chain_params():
+    # a phase state is a 2^N vector; the catalogue itself (phase_labels) stays uncapped
+    assert phase_state(14, 1).amplitudes.size == 2**14
+    for n in (15, 16):
+        with pytest.raises(ChainSizeError, match=f"n_qubits={n} exceeds the cap of 14"):
+            phase_state(n, 1)
+    assert len(phase_labels(16)) == 5
+
+
 @pytest.mark.parametrize(
     "args, field",
     [
