@@ -13,7 +13,6 @@ import json
 import math
 import sys
 from contextlib import closing
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,26 +43,8 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n: int
-    bz_min: float
-    bz_max: float
-    bz_step: float
-    bx: float
-    epsilon: float
-    tau: float
-    value_kind: str
-    initial_state: str
-    znu: float
-    delta_min: float
-    readout_qubit: int
-    output_format: str
-    out: str | None
-
-    def grid(self) -> np.ndarray:
-        return default_b_z_grid(self.bz_min, self.bz_max, self.bz_step)
+def _grid(config: argparse.Namespace) -> np.ndarray:
+    return default_b_z_grid(config.bz_min, config.bz_max, config.bz_step)
 
 
 def _fmt(x) -> str:
@@ -76,18 +57,18 @@ def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _emit(config: RunConfig, columns, rows, minima) -> str:
+def _emit(config: argparse.Namespace, columns, rows, minima) -> str:
     if config.output_format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
-            "config": {k: v for k, v in asdict(config).items()},
+            "config": vars(config),
             "columns": list(columns),
             "rows": [[_round12(v) for v in row] for row in rows],
             "minima": [[_round12(b), _round12(v)] for b, v in minima],
         }
         return json.dumps(payload, indent=2) + "\n"
     lines = [f"# schema_version = {SCHEMA_VERSION}"]
-    for k, v in asdict(config).items():
+    for k, v in vars(config).items():
         lines.append(f"# {k} = {_fmt(v)}")
     lines.append(",".join(columns))
     for row in rows:
@@ -99,8 +80,8 @@ def _emit(config: RunConfig, columns, rows, minima) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_spectrum(config: RunConfig):
-    grid = config.grid()
+def _cmd_spectrum(config: argparse.Namespace):
+    grid = _grid(config)
     with_closed = config.bx == 0.0 and config.n >= 3
     columns = ["b_z", "e0", "e1", "gap"] + (["closed_form_energy"] if with_closed else [])
     rows = []
@@ -114,13 +95,13 @@ def _cmd_spectrum(config: RunConfig):
     return columns, rows, []
 
 
-def _cmd_echo_scan(config: RunConfig):
+def _cmd_echo_scan(config: argparse.Namespace):
     scan = echo_scan(
         config.n,
         config.bx,
         config.epsilon,
         config.tau,
-        config.grid(),
+        _grid(config),
         value_kind=config.value_kind,
         initial_state_source=config.initial_state,
         readout_qubit=config.readout_qubit,
@@ -129,8 +110,8 @@ def _cmd_echo_scan(config: RunConfig):
     return ["b_z", "value"], rows, list(scan.minima)
 
 
-def _cmd_lz(config: RunConfig):
-    grid = config.grid()
+def _cmd_lz(config: argparse.Namespace):
+    grid = _grid(config)
     columns = ["lambda", "gap", "matrix_element_sq", "gaussian_echo", "two_level_echo"]
     rows = []
     for lam in grid:
@@ -142,8 +123,8 @@ def _cmd_lz(config: RunConfig):
     return columns, rows, []
 
 
-def _cmd_protocol(config: RunConfig):
-    grid = config.grid()
+def _cmd_protocol(config: argparse.Namespace):
+    grid = _grid(config)
     require_minima_grid(grid)  # before the first protocol run
     columns = ["b_z", "amplitude", "l_value", "fidelity_prepared_vs_exact"]
     rows = []
@@ -157,11 +138,11 @@ def _cmd_protocol(config: RunConfig):
     return columns, rows, minima
 
 
-def _cmd_phase_diagram(config: RunConfig):
+def _cmd_phase_diagram(config: argparse.Namespace):
     if config.bx != 0.0:
         raise ConfigError("phase-diagram uses the closed forms; --bx must be 0")
     labels = phase_labels(config.n)
-    grid = config.grid()
+    grid = _grid(config)
     columns = ["b_z"] + [f"e_phase_{lab.k}" for lab in labels] + ["e_min"]
     rows = []
     for bz in grid:
@@ -207,14 +188,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """The parsed options, in the parser's order, as the run's config once every float is finite."""
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
-    return RunConfig(**vars(args))
+    return args
 
 
-def run(config: RunConfig) -> str:
+def run(config: argparse.Namespace) -> str:
     columns, rows, minima = _COMMANDS[config.command](config)
     return _emit(config, columns, rows, minima)
 

@@ -2,10 +2,9 @@
 
 Propagation goes through full spectral decomposition rather than a matrix
 exponential per time point, in one kernel, `SpectralDecomposition.propagate`.
-Nothing is memoized: every solver call solves, and a scan that reads a field
-twice reads it through `solve_ahead`, which solves it once. The perturbed
-evolution uses H + epsilon*V with V = -sum_i sigma_z^i, i.e. a longitudinal
-field shifted to B_z - epsilon.
+Every solver call solves; a scan that reads a field twice reads it through
+`solve_ahead`, which solves it once. The perturbed evolution uses H + epsilon*V
+with V = -sum_i sigma_z^i, i.e. a longitudinal field shifted to B_z - epsilon.
 
 The chain is solved from its parameters, with no dense 2^N x 2^N matrix. At
 B_x = 0 it is diagonal and its eigenbasis is a stable sort of
@@ -29,9 +28,10 @@ reads it in:
   connected with non-positive off-diagonals, so by Perron-Frobenius its
   ground state is unique and even; at B_x = 0 the even basis holds a ground
   state too, since H(s) = H(R s). V is diagonal in the even basis as well
-  (`even_field_perturbation`), and the approximate ground state of the scans
-  lies in it, its kets being palindromes or mirror pairs (`even_amplitudes`),
-  so nothing maps these vectors to 2^N rows but `ground_state`, which maps one.
+  (`even_field_perturbation`, read from the stored sum_i sigma_z^i), and the
+  approximate ground state of the scans lies in it, its kets being palindromes
+  or mirror pairs (`even_amplitudes`), so nothing maps these vectors to 2^N
+  rows but `ground_state`, which maps one.
 * `loschmidt_echo_exact` of a given state: its even and its odd part, each
   through its own sector's solve, in that sector's basis.
 
@@ -56,7 +56,7 @@ from itertools import islice
 
 import numpy as np
 
-from .hamiltonian import ChainParams, diagonal_terms, global_field_perturbation, hamiltonian_diagonal
+from .hamiltonian import ChainParams, diagonal_terms, hamiltonian_diagonal
 from .states import (
     HERMITIAN_TOL,
     HermitianOperator,
@@ -148,7 +148,8 @@ class _ReflectionSectors:
     first, then pairs; the odd basis lists the same pairs. Each sigma_x block
     is kept as (row, column, value) triples of its nonzeros, about N per row,
     and H's diagonal as its two field-free terms on the sector's rows, which
-    R keeps: a state and its mirror share them.
+    R keeps: a state and its mirror share them. One instance per N is shared
+    by every solve, so every array is read-only.
     """
 
     states: np.ndarray  # basis index of each even-basis state
@@ -160,6 +161,11 @@ class _ReflectionSectors:
     x_odd: tuple[np.ndarray, np.ndarray, np.ndarray]  # and in the odd basis
     diagonal_even: tuple[np.ndarray, np.ndarray]  # `diagonal_terms` on the even rows
     diagonal_odd: tuple[np.ndarray, np.ndarray]  # and on the odd rows
+
+    def __post_init__(self):
+        for field in vars(self).values():
+            for a in field if isinstance(field, tuple) else (field,):
+                a.setflags(write=False)
 
 
 def _summed_triples(rows, cols, vals, size: int):
@@ -209,8 +215,8 @@ def _reflection_sectors(n_qubits: int) -> _ReflectionSectors:
         even_weight=np.where(rev == idx, 1.0, r)[:, None],
         x_even=(er, ec, ev),
         x_odd=x_odd,
-        diagonal_even=tuple(frozen_array(t[states], np.int64) for t in terms),
-        diagonal_odd=tuple(frozen_array(t[rep], np.int64) for t in terms),
+        diagonal_even=tuple(t[states] for t in terms),
+        diagonal_odd=tuple(t[rep] for t in terms),
     )
 
 
@@ -354,7 +360,7 @@ def solve_ahead(solve, reads):
 
 def even_field_perturbation(n_qubits: int) -> np.ndarray:
     """V = -sum_i sigma_z^i in the even basis of `even_spectral_for`: a diagonal, as V(s) = V(R s)."""
-    return global_field_perturbation(n_qubits)[_reflection_sectors(n_qubits).states]
+    return -_reflection_sectors(n_qubits).diagonal_even[1].astype(float)
 
 
 def even_amplitudes(state: PureState) -> np.ndarray:

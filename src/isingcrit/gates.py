@@ -18,7 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .states import PureState, frozen_array, qubit_bit_values, sigma_z_values
+from .hamiltonian import diagonal_terms
+from .states import PureState, frozen_array, qubit_bit_values
 
 # kind -> (n_targets, n_controls, has_angle)
 GATE_ARITY = {
@@ -50,14 +51,34 @@ def _controlled(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _zz_evolution(theta: float) -> np.ndarray:
+    """exp(-i*theta*sigma_z x sigma_z)"""
+    p = np.exp(-1j * theta)
+    return np.diag([p, p.conjugate(), p.conjugate(), p])
+
+
 _X = frozen_array([[0, 1], [1, 0]], complex)
-# the angle-free gates' matrices, read-only and shared by every application
-_FIXED = {
+# kind -> unitary on the gate's own qubits (controls first): a function of the angle for
+# the kinds that take one, else a read-only matrix shared by every application.
+# GlobalZEvolution acts on the whole register and has none (see global_z_phases).
+_UNITARY = {
+    "RotY": roty_matrix,
     "NOT": _X,
     "Hadamard": frozen_array(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)),
     "CNOT": frozen_array(_controlled(_X)),
+    "ControlledRotY": lambda phi: _controlled(roty_matrix(phi)),
     "SWAP": frozen_array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], complex),
+    "ZZEvolution": _zz_evolution,
+    "ZEvolution": lambda theta: np.diag([np.exp(-1j * theta), np.exp(1j * theta)]),
 }
+
+
+def _unitary(gate: Gate) -> np.ndarray:
+    """The gate's entry of _UNITARY, evaluated at its angle; read-only for the angle-free kinds."""
+    u = _UNITARY.get(gate.kind)
+    if u is None:
+        raise ValueError(f"{gate.kind} has no fixed-size matrix")
+    return u(gate.angle) if callable(u) else u
 
 
 @dataclass(frozen=True)
@@ -108,21 +129,10 @@ class Gate:
         """Unitary on the gate's own qubits (controls first in the ordering).
 
         GlobalZEvolution acts on the whole register and has no fixed-size
-        matrix; use apply_gates or global_z_phases for it.
+        matrix; use apply_gates or global_z_phases for it. The result is a fresh,
+        writable array.
         """
-        if self.kind in _FIXED:
-            return _FIXED[self.kind].copy()
-        if self.kind == "RotY":
-            return roty_matrix(self.angle)
-        if self.kind == "ControlledRotY":
-            return _controlled(roty_matrix(self.angle))
-        if self.kind == "ZZEvolution":
-            # exp(-i*theta*sigma_z x sigma_z)
-            p = np.exp(-1j * self.angle)
-            return np.diag([p, p.conjugate(), p.conjugate(), p])
-        if self.kind == "ZEvolution":
-            return np.diag([np.exp(-1j * self.angle), np.exp(1j * self.angle)])
-        raise ValueError(f"{self.kind} has no fixed-size matrix")
+        return np.array(_unitary(self))
 
     def dagger(self) -> "Gate":
         """Inverse gate (all kinds here are self-inverse or angle-negating)."""
@@ -134,7 +144,7 @@ class Gate:
 @lru_cache(maxsize=None)
 def _z_sums(n_qubits: int) -> np.ndarray:
     """sum_i sigma_z^i over the 2^N basis (int64, read-only), built once per N."""
-    return frozen_array(sigma_z_values(n_qubits).sum(axis=1), np.int64)
+    return frozen_array(diagonal_terms(n_qubits)[1], np.int64)
 
 
 def global_z_phases(n_qubits: int, angle: float) -> np.ndarray:
@@ -162,11 +172,8 @@ def _apply(amps: np.ndarray, n_qubits: int, gate: Gate) -> np.ndarray:
     if gate.kind == "GlobalZEvolution":
         return global_z_phases(n_qubits, gate.angle) * amps
     slots = _slots(n_qubits, gate.qubits)  # raises for a gate outside the register
-    u = _FIXED.get(gate.kind)  # shared and read-only; matrix() would copy it
-    if u is None:
-        u = gate.matrix()
     out = np.empty_like(amps)
-    out[slots] = u @ amps[slots]
+    out[slots] = _unitary(gate) @ amps[slots]
     return out
 
 

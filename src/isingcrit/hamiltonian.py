@@ -9,7 +9,10 @@ The model on N qubits with open boundaries is
 with the coupling strength as the unit of energy. The detection perturbation
 V = -sum_i sigma_z^i is diagonal in the computational basis, so
 `global_field_perturbation` returns that diagonal as a float64 vector, and
-H + eps*V is the chain at B_z - eps (`ChainParams.perturbed`).
+H + eps*V is the chain at B_z - eps (`ChainParams.perturbed`). One function,
+`diagonal_terms`, sums the sigma_z table; H's diagonal, V and the gates' echo
+step read it. Every 2^N state built here is capped at MAX_QUBITS, as
+`ChainParams` is.
 
 At B_x = 0 the Hamiltonian is diagonal in the computational basis and the
 ground state is a simple product (or two-ket) pattern that changes at the
@@ -63,6 +66,12 @@ class UnsupportedChainError(ValueError):
     """No closed form / network is defined for this chain size."""
 
 
+def _require_register_size(n_qubits: int) -> None:
+    """ChainSizeError past MAX_QUBITS, the cap of `ChainParams` and of every 2^N phase state."""
+    if n_qubits > MAX_QUBITS:
+        raise ChainSizeError(f"n_qubits={n_qubits} exceeds the cap of {MAX_QUBITS}")
+
+
 @dataclass(frozen=True)
 class ChainParams:
     """Chain size and field components (fields in units of the coupling)."""
@@ -76,10 +85,7 @@ class ChainParams:
             raise ValueError(f"n_qubits must be an integer, got {self.n_qubits!r}")
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
-        if self.n_qubits > MAX_QUBITS:
-            raise ChainSizeError(
-                f"n_qubits={self.n_qubits} exceeds the cap of {MAX_QUBITS}"
-            )
+        _require_register_size(self.n_qubits)
         object.__setattr__(self, "n_qubits", int(self.n_qubits))
         for name in ("b_z", "b_x"):
             value = float(getattr(self, name))
@@ -125,7 +131,10 @@ class PhaseLabel:
     interval: tuple[float, float]
 
     def state(self) -> PureState:
-        return superposition(len(self.kets[0]), {b: 1.0 for b in self.kets})
+        """The phase's ket or two-ket superposition, a 2^N vector: N is capped at MAX_QUBITS."""
+        n = len(self.kets[0])
+        _require_register_size(n)
+        return superposition(n, {b: 1.0 for b in self.kets})
 
     def energy(self, b_z: float) -> float:
         """B_x = 0 energy m*b_z + zz, from the magnetization m and the bond sum
@@ -169,8 +178,7 @@ def phase_labels(n_qubits: int) -> list[PhaseLabel]:
 def phase_state(n_qubits: int, k: int) -> PureState:
     """The k-th phase ket/superposition (k is 1-based), a 2^N vector: N is capped at
     MAX_QUBITS like ChainParams (the phase catalogue itself has no cap)."""
-    if n_qubits > MAX_QUBITS:
-        raise ChainSizeError(f"n_qubits={n_qubits} exceeds the cap of {MAX_QUBITS}")
+    _require_register_size(n_qubits)
     labels = phase_labels(n_qubits)
     if not 1 <= k <= len(labels):
         raise ValueError(f"phase index {k} out of range 1..{len(labels)}")
@@ -211,7 +219,7 @@ def build_hamiltonian(params: ChainParams) -> HermitianOperator:
 
 def global_field_perturbation(n_qubits: int) -> np.ndarray:
     """The detection perturbation V = -sum_i sigma_z^i, stored as its diagonal (float64)."""
-    return -sigma_z_values(n_qubits).sum(axis=1).astype(float)
+    return -diagonal_terms(n_qubits)[1].astype(float)
 
 
 def crossover_points(n_qubits: int) -> list[float]:
@@ -248,6 +256,7 @@ def multiphase_family(n_qubits: int, b_c: float) -> list[PureState]:
     _require_closed_form_size(n_qubits)
     if b_c not in (-2.0, 2.0):
         raise ValueError("multiphase family exists at B_z = +-2 only")
+    _require_register_size(n_qubits)
     n = n_qubits
     states: list[PureState] = []
     if n % 2:

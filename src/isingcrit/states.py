@@ -102,21 +102,18 @@ def basis_state(n_qubits: int, bits: str) -> PureState:
     >>> complex(basis_state(3, "101").amplitudes[5])
     (1+0j)
     """
-    if len(bits) != n_qubits:
-        raise ValueError(f"bit string {bits!r} has length {len(bits)}, expected {n_qubits}")
-    if set(bits) - {"0", "1"}:
-        raise ValueError(f"bit string {bits!r} contains non-binary characters")
-    amps = np.zeros(2 ** n_qubits, dtype=complex)
-    amps[int(bits, 2)] = 1.0
-    return PureState(amps, n_qubits)
+    return superposition(n_qubits, {bits: 1.0})
 
 
 def superposition(n_qubits: int, terms: dict[str, complex]) -> PureState:
-    """Normalized superposition of basis kets, e.g. {"0101": 1, "1010": 1}."""
+    """Normalized superposition of basis kets, e.g. {"0101": 1, "1010": 1}; each bit
+    string holds exactly N characters, each '0' or '1'."""
     amps = np.zeros(2 ** n_qubits, dtype=complex)
     for bits, coeff in terms.items():
         if len(bits) != n_qubits:
             raise ValueError(f"bit string {bits!r} has length {len(bits)}, expected {n_qubits}")
+        if set(bits) - {"0", "1"}:
+            raise ValueError(f"bit string {bits!r} contains non-binary characters")
         amps[int(bits, 2)] += coeff
     norm = np.linalg.norm(amps)
     if norm == 0:

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -88,6 +89,33 @@ def test_echo_scan_embeds_config(tmp_path):
     assert doc["config"]["command"] == "echo-scan"
     assert doc["config"]["n"] == 4
     assert doc["config"]["bz_step"] == 0.5
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--n", "3"],
+    ["echo-scan", "--n", "3", "--epsilon", "0.2"],
+    ["lz", "--znu", "2"],
+    ["protocol", "--n", "3"],
+    ["phase-diagram", "--n", "5", "--bx", "0"],
+])
+def test_csv_header_and_json_config_list_the_parser_options_in_order(argv, capsys):
+    # the parsed options are the config: both formats list every option of the
+    # subcommand, in the parser's order, with the same values
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = ["command"] + [a.dest for a in sub.choices[argv[0]]._actions if a.dest != "help"]
+    argv = argv + ["--bz-step", "0.5"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = [ln[2:].split(" = ", 1) for ln in lines[1:] if ln.startswith("# ") and " = " in ln]
+    assert main(argv + ["--format", "json"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert [k for k, _ in header] == list(config) == options
+    assert config["command"] == argv[0] and config["output_format"] == "json"
+    assert dict(header)["output_format"] == "csv"
+    for k, v in header:
+        if k != "output_format":
+            assert v == cli._fmt(config[k]), k
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -39,6 +39,7 @@ from isingcrit.hamiltonian import (
     EVEN_SPLIT,
     ChainParams,
     build_hamiltonian,
+    global_field_perturbation,
     hamiltonian_diagonal,
 )
 from isingcrit.perturbation import echo_perturbative, echo_two_level
@@ -524,6 +525,28 @@ def test_sector_diagonal_is_the_hamiltonian_diagonal_on_the_sector_rows():
             assert np.array_equal(full, np.sum(z[:, :-1] * z[:, 1:], axis=1) + params.b_z * z.sum(axis=1))
             for odd, rows in ((False, s.states), (True, s.rep)):
                 assert np.array_equal(dynamics._sector_diagonal(params, odd), full[rows]), (n, bz, odd)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_reflection_sectors_are_read_only(n):
+    # one cached instance per N serves every solve, so no caller may write into it
+    sectors = _reflection_sectors(n)
+    arrays = {f"{name}[{i}]" if isinstance(v, tuple) else name: a
+              for name, v in vars(sectors).items()
+              for i, a in enumerate(v if isinstance(v, tuple) else (v,))}
+    assert len(arrays) == 15
+    for name, a in arrays.items():
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_field_perturbation_equals_the_sigma_z_table_formula_as_bytes(n):
+    # bytes, not values: -0.0 where sum_i sigma_z^i = 0 must stay -0.0
+    v = global_field_perturbation(n)
+    assert v.tobytes() == (-sigma_z_values(n).sum(axis=1).astype(float)).tobytes()
+    assert even_field_perturbation(n).tobytes() == v[_reflection_sectors(n).states].tobytes()
 
 
 def test_sector_data_at_twelve_qubits_is_sparse():

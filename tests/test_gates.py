@@ -72,7 +72,22 @@ def test_global_z_phases_equal_the_sigma_z_table_formula():
             assert np.array_equal(global_z_phases(n, angle), expected), (n, angle)
 
 
-@pytest.mark.parametrize("kind", ["NOT", "Hadamard", "CNOT", "SWAP", "RotY", "ControlledRotY"])
+def test_every_kind_but_the_global_one_has_one_unitary_entry():
+    # the table is the one source of Gate.matrix() and of the kernel: a function of
+    # the angle exactly for the kinds that take one, else a shared read-only matrix
+    assert set(gates_module._UNITARY) == set(GATE_ARITY) - {"GlobalZEvolution"}
+    for kind, u in gates_module._UNITARY.items():
+        n_t, n_c, has_angle = GATE_ARITY[kind]
+        assert callable(u) == has_angle, kind
+        if not has_angle:
+            assert not u.flags.writeable, kind
+        size = 2 ** (n_t + n_c)
+        assert (u(0.3) if has_angle else u).shape == (size, size), kind
+    with pytest.raises(ValueError, match="no fixed-size matrix"):
+        Gate("GlobalZEvolution", (), angle=0.3).matrix()
+
+
+@pytest.mark.parametrize("kind", [k for k in GATE_ARITY if k != "GlobalZEvolution"])
 def test_gate_matrix_is_a_fresh_writable_copy(kind):
     n_t, n_c, has_angle = GATE_ARITY[kind]
     gate = Gate(kind, tuple(range(n_c + 1, n_c + n_t + 1)), tuple(range(1, n_c + 1)),

@@ -46,12 +46,17 @@ def test_chain_cap_enforced():
 
 
 def test_phase_state_is_capped_like_chain_params():
-    # a phase state is a 2^N vector; the catalogue itself (phase_labels) stays uncapped
+    # a phase state, a phase's ket and a multiphase family are 2^N vectors; the
+    # catalogue itself (phase_labels) stays uncapped
     assert phase_state(14, 1).amplitudes.size == 2**14
+    assert [s.amplitudes.size for s in multiphase_family(14, 2.0)] == [2**14] * 7
     for n in (15, 16):
-        with pytest.raises(ChainSizeError, match=f"n_qubits={n} exceeds the cap of 14"):
-            phase_state(n, 1)
-    assert len(phase_labels(16)) == 5
+        builders = [lambda: phase_state(n, 1), lambda: multiphase_family(n, -2.0),
+                    lambda: multiphase_family(n, 2.0), *(lab.state for lab in phase_labels(n))]
+        for build in builders:
+            with pytest.raises(ChainSizeError, match=f"n_qubits={n} exceeds the cap of 14"):
+                build()
+    assert len(phase_labels(15)) == 4 and len(phase_labels(16)) == 5
 
 
 @pytest.mark.parametrize(

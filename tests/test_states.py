@@ -39,6 +39,15 @@ def test_basis_state_rejects_bad_input():
         basis_state(2, "02")
 
 
+@pytest.mark.parametrize("bits", ["-1", "+1", "0_1", " 11"])
+def test_superposition_rejects_non_binary_characters(bits):
+    # int(bits, 2) alone would read these as |11>, |01>, |001> and |011>
+    with pytest.raises(ValueError, match="non-binary"):
+        superposition(len(bits), {bits: 1.0})
+    with pytest.raises(ValueError, match="non-binary"):
+        superposition(len(bits), {"1" * len(bits): 1.0, bits: 1.0})
+
+
 def test_pure_state_validation():
     with pytest.raises(ValueError):
         PureState(np.array([1.0, 1.0]), 1)  # not normalized
