@@ -84,14 +84,15 @@ def _cmd_spectrum(config: argparse.Namespace):
     grid = _grid(config)
     with_closed = config.bx == 0.0 and config.n >= 3
     columns = ["b_z", "e0", "e1", "gap"] + (["closed_form_energy"] if with_closed else [])
-    rows = []
     fields = [ChainParams(config.n, bz, config.bx) for bz in grid]
-    with closing(dynamics.solve_ahead(dynamics.levels_for, fields)) as levels:
-        for params, w in zip(fields, levels):
-            row = [params.b_z, w[0], w[1], w[1] - w[0]]
+    rows = [None] * len(fields)
+    order, levels = dynamics.solve_points(dynamics.levels_for, [(p,) for p in fields], None)
+    with closing(levels):
+        for i in order:
+            w = next(levels)
+            rows[i] = [fields[i].b_z, w[0], w[1], w[1] - w[0]]
             if with_closed:
-                row.append(closed_form_energy(params))
-            rows.append(row)
+                rows[i].append(closed_form_energy(fields[i]))
     return columns, rows, []
 
 

@@ -6,9 +6,13 @@ echo scans over the longitudinal field, and minima extraction.
 networks of `network` prepare bit for bit.
 
 An echo scan reads each field's reflection-even spectrum through
-`dynamics.solve_ahead`, which solves each field once, possibly ahead on
-another thread, and holds it until its last read: the exact ground state and
-the ansatz (its kets palindromes or mirror pairs) both lie in that sector.
+`dynamics.solve_points`: the exact ground state and the ansatz (its kets
+palindromes or mirror pairs) both lie in that sector. At B_x != 0 it solves
+each |b_z| once, possibly ahead on another thread, and gives a field at
+b_z < 0 the spin-flip mirror of that solve (`dynamics.mirror_even`). It
+visits the points grouped by the pair of |fields| they read, chain by chain,
+so at most two solved fields are held at once, and the scan writes each
+value at its grid index.
 """
 
 from __future__ import annotations
@@ -162,9 +166,10 @@ def echo_scan(
     its first ansatz, which checks N and b_x, before its first solve. The echo
     kinds read even-sector spectra, two per point for the exact echo (the
     field, then b_z - epsilon) and one for the expansions, from
-    `dynamics.solve_ahead`, which solves each field once, up to W + 1 ahead on
-    W threads, and holds it until its last read; the values are bit for bit
-    the serial ones. readout_amplitude runs serially.
+    `dynamics.solve_points`, which solves each |b_z| once, up to W + 1 ahead on
+    W threads, mirrors it for b_z < 0, and holds it until its last read; the
+    points are visited in its order, and the values are bit for bit the serial
+    ones and the per-point solvers'. readout_amplitude runs serially.
     """
     if value_kind not in VALUE_KINDS:
         raise ValueError(f"unknown value_kind {value_kind!r}")
@@ -186,23 +191,21 @@ def echo_scan(
             values[i] = network.run_protocol(net, epsilon, tau, readout_qubit).amplitude
     else:
         points = [ChainParams(n_qubits, bz, b_x) for bz in grid]
+        reads = [(p, p.perturbed(epsilon)) if value_kind == EXACT_ECHO else (p,) for p in points]
+        v_even = dynamics.even_field_perturbation(n_qubits)
+        expand = echo_perturbative if value_kind == PERTURBATIVE_ECHO else echo_two_level
         # every read is even-sector (both initial states are); no name holds a point's spectra
         # past the point: a loop variable would keep them alive while the next point's are solved
-        if value_kind == EXACT_ECHO:
-            reads = [q for p in points for q in (p, p.perturbed(epsilon))]
-            with closing(dynamics.solve_ahead(dynamics.even_spectral_for, reads)) as spectra:
-                for i, bz in enumerate(grid):
-                    if initial_state_source == EXACT_GROUND:
-                        values[i] = dynamics.ground_echo(next(spectra), next(spectra), tau)
-                    else:  # built before the point's reads: a bad chain fails before the first solve
-                        approx = dynamics.even_amplitudes(ground_state_approx(n_qubits, bz, b_x))
-                        values[i] = dynamics.echo_from_spectra(next(spectra), next(spectra), approx, tau)
-        else:
-            v_even = dynamics.even_field_perturbation(n_qubits)
-            expand = echo_perturbative if value_kind == PERTURBATIVE_ECHO else echo_two_level
-            with closing(dynamics.solve_ahead(dynamics.even_spectral_for, points)) as spectra:
-                for i in range(grid.size):
+        order, spectra = dynamics.solve_points(dynamics.even_spectral_for, reads, dynamics.mirror_even)
+        with closing(spectra):
+            for i in order:
+                if value_kind != EXACT_ECHO:
                     values[i] = expand(next(spectra), v_even, epsilon, tau)
+                elif initial_state_source == EXACT_GROUND:
+                    values[i] = dynamics.ground_echo(next(spectra), next(spectra), tau)
+                else:  # built before the point's reads: a bad chain fails before the first solve
+                    approx = dynamics.even_amplitudes(ground_state_approx(n_qubits, grid[i], b_x))
+                    values[i] = dynamics.echo_from_spectra(next(spectra), next(spectra), approx, tau)
 
     minima = find_minima(grid, values)
     return EchoScan(

@@ -3,7 +3,7 @@
 Propagation goes through full spectral decomposition rather than a matrix
 exponential per time point, in one kernel, `SpectralDecomposition.propagate`.
 Every solver call solves; a scan that reads a field twice reads it through
-`solve_ahead`, which solves it once. The perturbed evolution uses H + epsilon*V
+`solve_points`, which solves it once. The perturbed evolution uses H + epsilon*V
 with V = -sum_i sigma_z^i, i.e. a longitudinal field shifted to B_z - epsilon.
 
 The chain is solved from its parameters, with no dense 2^N x 2^N matrix. At
@@ -16,6 +16,14 @@ sum_i sigma_x^i, built once per N from bit flips, and each gets one dense
 real `eigh`. The diagonal is formed from the bond sum and sum_i sigma_z^i on
 the sector's rows, also kept once per N. `diagonalize` takes any Hermitian
 matrix: it sorts diagonal input and gives the rest one dense `eigh`.
+
+The mirror rule: the global spin flip P = prod_i sigma_x^i commutes with R
+and maps H(b_z) to H(-b_z) exactly (V to -V). On each sector's rows it is a
+permutation, kept once per N, under which the sector diagonal at -b_z is the
+one at b_z, bit for bit, and the sigma_x triples map onto themselves. So at
+B_x != 0 every sector solve diagonalizes at |b_z|, and for b_z < 0 returns the
+same levels with the vector rows permuted; every reader below gets that one
+mirrored decomposition. B_x = 0 sorts its own diagonal at each field.
 
 Each reader calls the solver that builds only what it reads, in the basis it
 reads it in:
@@ -38,18 +46,25 @@ reads it in:
 `spectral_for`, both sectors mapped to the 2^N basis, is the reference the
 sector solvers are checked against; no reader in the package calls it.
 
-A scan hands its reads, in order, to `solve_ahead`: it solves each distinct
-field once, up to W + 1 fields ahead on W threads (each `eigh` releases the
-GIL), and holds the result until the field's last read. W is the usable
-cores over the BLAS threads per solve (`_solve_threads`); with no BLAS
-variable set, or at B_x = 0, W = 1 solves in the calling thread. Each solve
-is the serial call, so the results are bit for bit the serial ones.
+A scan hands the fields each point reads to `solve_points`, which owns the
+solved field (|b_z| at B_x != 0) and the visit order. It groups the points by
+the set of fields they read; an echo scan's |b_z| is read by at most two such
+groups, so the groups form chains, and walked chain by chain at most two
+solved fields are held at once. Their reads, in that order, go to
+`solve_ahead`: it solves each distinct field once, up to W + 1 fields ahead on
+W threads (each `eigh` releases the GIL), and holds the result until the
+field's last read; a read at b_z < 0 is mirrored. W is the usable cores over
+the BLAS threads per solve (`_solve_threads`); with no BLAS variable set, or
+at B_x = 0, W = 1 solves in the calling thread. Each solve is the serial
+call, so the results are bit for bit the serial ones, and bit for bit the
+per-point solvers' own.
 """
 
 from __future__ import annotations
 
 import os
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -118,16 +133,25 @@ class SpectralDecomposition:
         v = self.vectors
         if v.ndim == 1:
             return x[v]
-        return (v.conj() if np.iscomplexobj(v) else v).T @ x
+        return _product(v.conj().T if np.iscomplexobj(v) else v.T, x)
 
     def propagate(self, x: np.ndarray, t: float) -> np.ndarray:
         """exp(-iHt) x = Y exp(-i E t) Y^dagger x."""
         c = np.exp(-1j * self.eigenvalues * t) * self.coefficients(x)
         if self.vectors.ndim == 2:
-            return self.vectors @ c
+            return _product(self.vectors, c)
         out = np.empty_like(c)
         out[self.vectors] = c
         return out
+
+
+def _product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x; a real m times a complex x as two real products, with no complex copy of m."""
+    if np.iscomplexobj(m) or not np.iscomplexobj(x):
+        return m @ x
+    out = np.empty(m.shape[0], complex)
+    out.real, out.imag = m @ x.real, m @ x.imag
+    return out
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
@@ -148,8 +172,14 @@ class _ReflectionSectors:
     first, then pairs; the odd basis lists the same pairs. Each sigma_x block
     is kept as (row, column, value) triples of its nonzeros, about N per row,
     and H's diagonal as its two field-free terms on the sector's rows, which
-    R keeps: a state and its mirror share them. One instance per N is shared
-    by every solve, so every array is read-only.
+    R keeps: a state and its mirror share them.
+
+    The global spin flip P = prod_i sigma_x^i commutes with R, so it permutes
+    each sector's basis: `flip_even[a]` is the even row of the flipped kets of
+    row a, a palindrome's flip being a palindrome, and `flip_odd` likewise
+    (P sends each odd basis state to minus its image's, a sign that drops out
+    of P H P). One instance per N is shared by every solve, so every array is
+    read-only.
     """
 
     states: np.ndarray  # basis index of each even-basis state
@@ -161,6 +191,8 @@ class _ReflectionSectors:
     x_odd: tuple[np.ndarray, np.ndarray, np.ndarray]  # and in the odd basis
     diagonal_even: tuple[np.ndarray, np.ndarray]  # `diagonal_terms` on the even rows
     diagonal_odd: tuple[np.ndarray, np.ndarray]  # and on the odd rows
+    flip_even: np.ndarray  # even row of each even row's spin-flipped kets
+    flip_odd: np.ndarray  # and odd row of each odd row's
 
     def __post_init__(self):
         for field in vars(self).values():
@@ -182,8 +214,10 @@ def _reflection_sectors(n_qubits: int) -> _ReflectionSectors:
     Block entry (a, b) is <e_a|X|e_b>: the flips s_a ^ (1 << k) of e_a's first
     index that land on s_b or R s_b (minus for R s_b in the odd block), times
     1/sqrt(2) from a palindrome to a pair and 2/sqrt(2) from a pair to a
-    palindrome, which R s_a reaches too.
+    palindrome, which R s_a reaches too. N is capped at MAX_QUBITS, checked
+    before anything is built or cached.
     """
+    terms = diagonal_terms(n_qubits)
     rev = qubit_bit_values(n_qubits) @ (1 << np.arange(n_qubits))
     idx = np.arange(rev.size)
     pal = np.flatnonzero(rev == idx)
@@ -206,7 +240,6 @@ def _reflection_sectors(n_qubits: int) -> _ReflectionSectors:
         t = np.lexsort((rr, cc))  # the transpose, re-sorted row-major
         if not (np.array_equal(cc[t], rr) and np.array_equal(rr[t], cc) and np.array_equal(vv[t], vv)):
             raise ArithmeticError("sector blocks of sum_i sigma_x^i are not symmetric")
-    terms = diagonal_terms(n_qubits)
     return _ReflectionSectors(
         states=states,
         rep=rep,
@@ -217,6 +250,8 @@ def _reflection_sectors(n_qubits: int) -> _ReflectionSectors:
         x_odd=x_odd,
         diagonal_even=tuple(t[states] for t in terms),
         diagonal_odd=tuple(t[rep] for t in terms),
+        flip_even=even_row[states ^ idx[-1]],
+        flip_odd=even_row[rep ^ idx[-1]] - p,
     )
 
 
@@ -254,11 +289,37 @@ def _sector_diagonal(params: ChainParams, odd: bool) -> np.ndarray:
     return zz + params.b_z * magnetization
 
 
+def _solved_field(params: ChainParams) -> ChainParams:
+    """The field a solve at `params` diagonalizes: |b_z| for B_x != 0, else `params` itself."""
+    if params.b_x == 0.0 or params.b_z >= 0.0:
+        return params
+    return ChainParams(params.n_qubits, -params.b_z, params.b_x)
+
+
+def _mirrored(spec: SpectralDecomposition, flip: np.ndarray) -> SpectralDecomposition:
+    """The decomposition at -b_z from the one at b_z: the same levels, vector rows permuted
+    by a sector's spin flip."""
+    return SpectralDecomposition(spec.eigenvalues, spec.vectors[flip])
+
+
+def mirror_even(spec: SpectralDecomposition, n_qubits: int) -> SpectralDecomposition:
+    """`even_spectral_for` at -b_z from its result at b_z > 0, for B_x != 0, bit for bit."""
+    return _mirrored(spec, _reflection_sectors(n_qubits).flip_even)
+
+
 def _sector_spectral_for(params: ChainParams, odd: bool) -> SpectralDecomposition:
     """One reflection sector's decomposition, in that sector's basis (odd row a: the pair
     (|rep[a]> - |mirror[a]>)/sqrt(2) of `_reflection_sectors(N)`): H's diagonal there, sorted
-    at B_x = 0, else plus b_x times the sector's sigma_x triples, given one `eigh`."""
-    s = _reflection_sectors(params.n_qubits)
+    at B_x = 0, else plus b_x times the sector's sigma_x triples, given one `eigh` at |b_z|.
+
+    P H(b_z) P = H(-b_z), and on the sector's rows P is the permutation `flip_even` or
+    `flip_odd`: the sector diagonal at -b_z is the permuted one at b_z, bit for bit, and the
+    sigma_x triples map onto themselves. So for b_z < 0 the levels are those of the |b_z|
+    solve and the vectors its rows, permuted.
+    """
+    s, solved = _reflection_sectors(params.n_qubits), _solved_field(params)
+    if solved != params:
+        return _mirrored(_sector_spectral_for(solved, odd), s.flip_odd if odd else s.flip_even)
     d = _sector_diagonal(params, odd)
     if params.b_x == 0.0:
         return _sorted_diagonal(d)
@@ -295,10 +356,11 @@ def spectral_for(params: ChainParams) -> SpectralDecomposition:
 
 
 def levels_for(params: ChainParams) -> np.ndarray:
-    """`spectral_for(params).eigenvalues`, bit for bit, with no eigenvector matrix built."""
+    """`spectral_for(params).eigenvalues`, bit for bit, with no eigenvector matrix built: at
+    B_x != 0 the levels of the |b_z| solve, which the spin flip leaves as they are."""
     if params.b_x == 0.0:
         return _sorted_diagonal(hamiltonian_diagonal(params)).eigenvalues
-    return _both_sectors(params)[0]
+    return _both_sectors(_solved_field(params))[0]
 
 
 def even_spectral_for(params: ChainParams) -> SpectralDecomposition:
@@ -356,6 +418,55 @@ def solve_ahead(solve, reads):
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)  # waits for the running solves
+
+
+def _visit_order(fields) -> list[int]:
+    """Point indices, point i reading the fields `fields[i]`, grouped by the set of fields
+    read and the groups walked chain by chain.
+
+    Groups that share a field are neighbours. When each field lies in at most two groups,
+    as in an echo scan (|b_z| is read by the points at +-|b_z| and at eps +- |b_z|, and these
+    read only two pairs), the groups form chains; walked from an end, at most two fields are
+    read between their first and their last read at any time. Groups start in first-read
+    order and keep their points in index order.
+    """
+    groups: dict[frozenset, list[int]] = {}
+    for i, read in enumerate(fields):
+        groups.setdefault(frozenset(read), []).append(i)
+    touching: dict[ChainParams, list[frozenset]] = {}
+    for g in groups:
+        for field in g:
+            touching.setdefault(field, []).append(g)
+    ends = [g for g in groups if any(len(touching[field]) == 1 for field in g)]
+    order, walked = [], set()
+    for g in ends + list(groups):  # the chains' ends, then whatever is left (closed chains)
+        while g is not None and g not in walked:
+            walked.add(g)
+            order.extend(groups[g])
+            g = next((h for field in g for h in touching[field] if h not in walked), None)
+    return order
+
+
+def solve_points(solve, points, mirror):
+    """The visit order and the reads of a scan whose point i reads the fields `points[i]`.
+
+    Returns (order, reads): the point indices in `_visit_order` of the fields solved, and a
+    generator of `solve(q)` at each field q of each point in that order. At B_x != 0 each
+    distinct |b_z| (`_solved_field`) is solved once, through `solve_ahead`, and a read at
+    b_z < 0 yields `mirror(result, N)` of its |b_z| solve (`mirror` None: the result itself,
+    as for levels), which is the per-point solver's own value, bit for bit. Close the
+    generator (`contextlib.closing`); nothing is solved before its first read.
+    """
+    order = _visit_order([[_solved_field(q) for q in reads] for reads in points])
+    return order, _mirrored_reads(solve, [q for i in order for q in points[i]], mirror)
+
+
+def _mirrored_reads(solve, reads, mirror):
+    fields = [_solved_field(q) for q in reads]
+    with closing(solve_ahead(solve, fields)) as solved:
+        for q, field in zip(reads, fields):
+            # no name holds a result: `solve_ahead` frees each one after its last read
+            yield next(solved) if mirror is None or field == q else mirror(next(solved), q.n_qubits)
 
 
 def even_field_perturbation(n_qubits: int) -> np.ndarray:

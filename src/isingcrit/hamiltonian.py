@@ -11,8 +11,8 @@ V = -sum_i sigma_z^i is diagonal in the computational basis, so
 `global_field_perturbation` returns that diagonal as a float64 vector, and
 H + eps*V is the chain at B_z - eps (`ChainParams.perturbed`). One function,
 `diagonal_terms`, sums the sigma_z table; H's diagonal, V and the gates' echo
-step read it. Every 2^N state built here is capped at MAX_QUBITS, as
-`ChainParams` is.
+step read it. Every 2^N state or vector built here is capped at MAX_QUBITS,
+as `ChainParams` is.
 
 At B_x = 0 the Hamiltonian is diagonal in the computational basis and the
 ground state is a simple product (or two-ket) pattern that changes at the
@@ -196,7 +196,9 @@ def _require_closed_form_size(n_qubits: int) -> None:
 
 def diagonal_terms(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """The two field-free parts of H's diagonal, as int64 over the 2^N basis: the
-    bond sum sum_i sigma_z^i sigma_z^{i+1} and the magnetization sum_i sigma_z^i."""
+    bond sum sum_i sigma_z^i sigma_z^{i+1} and the magnetization sum_i sigma_z^i.
+    N is capped at MAX_QUBITS, so every 2^N vector read from them is."""
+    _require_register_size(n_qubits)
     z = sigma_z_values(n_qubits)
     return np.sum(z[:, :-1] * z[:, 1:], axis=1), z.sum(axis=1)  # no bonds, all zeros, at n = 1
 
@@ -218,7 +220,8 @@ def build_hamiltonian(params: ChainParams) -> HermitianOperator:
 
 
 def global_field_perturbation(n_qubits: int) -> np.ndarray:
-    """The detection perturbation V = -sum_i sigma_z^i, stored as its diagonal (float64)."""
+    """The detection perturbation V = -sum_i sigma_z^i, stored as its diagonal (float64);
+    N is capped at MAX_QUBITS by `diagonal_terms`."""
     return -diagonal_terms(n_qubits)[1].astype(float)
 
 

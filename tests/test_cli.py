@@ -303,3 +303,21 @@ def test_spectrum_rows_are_bit_identical_on_any_number_of_solve_threads(n, monke
         rows.append(np.array(cli._cmd_spectrum(config)[1]))
     assert rows[0].shape == (121, 4)
     assert np.array_equal(rows[1], rows[0]) and np.array_equal(rows[2], rows[0])
+
+
+@pytest.mark.parametrize("bx, solves, eighs", [("0.1", 61, 122), ("0", 121, 0)])
+def test_spectrum_solves_each_field_magnitude_once(bx, solves, eighs, tmp_path, monkeypatch):
+    # at B_x != 0 a field at b_z < 0 reads the levels of |b_z|, which the spin flip leaves
+    # as they are: 121 grid fields are 61 solves, two sector eighs each, and the rows at
+    # +-b_z print the same levels; at B_x = 0 each field is a sort of its own diagonal
+    solved, eigh_calls = [], []
+    levels_for, eigh = dynamics.levels_for, np.linalg.eigh
+    monkeypatch.setattr(dynamics, "levels_for", lambda p: solved.append(p) or levels_for(p))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_calls.append(a.shape) or eigh(a))
+    code, path = run_cli(["spectrum", "--n", "8", "--bx", bx, "--bz-step", "0.05"], tmp_path)
+    assert code == 0
+    assert (len(solved), len(set(solved)), len(eigh_calls)) == (solves, solves, eighs)
+    rows = [ln.split(",") for ln in path.read_text().splitlines() if not ln.startswith("#")][1:]
+    assert [r[0] for r in rows] == [cli._fmt(float(b)) for b in np.round(np.arange(-60, 61) * 0.05, 12)]
+    for row, mirrored in zip(rows, rows[::-1]):
+        assert row[1:4] == mirrored[1:4], row[0]

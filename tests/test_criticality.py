@@ -444,10 +444,11 @@ def _force_solve_threads(monkeypatch, threads):
     for source in INITIAL_STATE_SOURCES for threads in (1, 2) for eps in (0.1, -0.1, 0.03, 0.0)
 ])
 def test_exact_scan_solves_each_field_once(epsilon, threads, source, monkeypatch):
-    # b_z - epsilon is rounded like the grid, so a perturbed field that is a
-    # grid point reuses that point's spectrum: 301 grid fields plus the 5
-    # perturbed ones beyond the grid; an off-grid shift solves two per point,
-    # and no shift reads each point's own field twice.
+    # each field is solved at |b_z|, a read at b_z < 0 being its spin-flipped mirror:
+    # the 301 grid fields are 151 values of |b_z|. b_z - epsilon is rounded like the
+    # grid, so at |epsilon| = 0.1 a perturbed field is a grid point or one of the 5
+    # beyond it, |b_z| in 3.02 ... 3.1; at epsilon = 0.03 the 301 perturbed fields add
+    # 152 off-grid values, 0.01 ... 3.03; no shift reads each point's own field twice.
     # Both initial states are reflection-even, so only that sector is solved.
     _force_solve_threads(monkeypatch, threads)
     solved = _counting_even_solver(monkeypatch)
@@ -456,10 +457,8 @@ def test_exact_scan_solves_each_field_once(epsilon, threads, source, monkeypatch
     echo_scan(7, 0.1, epsilon, np.pi, default_b_z_grid(), initial_state_source=source)
     assert full_solves == []
     assert len(solved) == len(set(solved))
-    if epsilon == 0.03:
-        assert 306 <= len(solved) <= 602
-    else:
-        assert len(solved) == (301 if epsilon == 0.0 else 306)
+    assert all(p.b_z >= 0.0 for p in solved)
+    assert len(solved) == {0.1: 156, -0.1: 156, 0.03: 303, 0.0: 151}[epsilon]
 
 
 def _live_spectra_peak(monkeypatch, name):
@@ -485,18 +484,19 @@ def _live_spectra_peak(monkeypatch, name):
 
 
 @pytest.mark.parametrize("source", INITIAL_STATE_SOURCES)
-@pytest.mark.parametrize("epsilon, serial_peak", [(0.1, 6), (-0.1, 6), (0.03, 2), (0.0, 1)])
+@pytest.mark.parametrize("epsilon, grid_order_peak", [(0.1, 6), (-0.1, 6), (0.03, 2), (0.0, 1)])
 @pytest.mark.parametrize("threads", [1, 2])
-def test_exact_scan_holds_each_spectrum_only_until_its_last_read(threads, epsilon, serial_peak,
+def test_exact_scan_holds_each_spectrum_only_until_its_last_read(threads, epsilon, grid_order_peak,
                                                                  source, monkeypatch):
-    # a field is held from its first read to its last: at |epsilon| = 0.1 that spans
-    # the 5 grid points between b_z and b_z - epsilon, an off-grid shift holds only the
-    # point's own pair, and no shift reads one field twice; W threads solve up to W
-    # fields more ahead of the reads
+    # a field is held from its first read to its last. Read in grid order, at
+    # |epsilon| = 0.1 that spans the 5 grid points between b_z and b_z - epsilon
+    # (grid_order_peak); the scan visits the points chain by chain instead, so at most
+    # the two fields of one point are held, and one when no shift reads a point's field
+    # twice; W threads solve up to W fields more ahead of the reads
     _force_solve_threads(monkeypatch, threads)
     peak = _live_spectra_peak(monkeypatch, "even_spectral_for")
     echo_scan(7, 0.1, epsilon, np.pi, default_b_z_grid(), initial_state_source=source)
-    assert 1 <= peak[0] <= serial_peak + (threads if threads > 1 else 0)
+    assert 1 <= peak[0] <= min(grid_order_peak, 2) + (threads if threads > 1 else 0)
 
 
 @pytest.mark.parametrize("value_kind", ["perturbative_echo", "two_level_echo"])
@@ -516,7 +516,8 @@ def test_expansion_scans_solve_the_even_sector_once_per_field(value_kind, thread
     _force_solve_threads(monkeypatch, threads)
     solved = _counting_even_solver(monkeypatch)
     echo_scan(7, 0.1, 0.1, np.pi, default_b_z_grid(), value_kind=value_kind)
-    assert len(solved) == len(set(solved)) == 301
+    assert len(solved) == len(set(solved)) == 151
+    assert all(p.b_z >= 0.0 for p in solved)
 
 
 def test_two_level_scan_of_an_even_chain_at_small_transverse_field(tmp_path):
@@ -600,21 +601,27 @@ def test_echo_scans_are_bit_identical_on_any_number_of_solve_threads(n, b_x, mon
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-def test_a_failed_solve_raises_the_first_failure_in_grid_order(threads, monkeypatch):
+def test_a_failed_solve_raises_the_first_failure_in_the_scan_visit_order(threads, monkeypatch):
+    # fields are solved at |b_z|; the first failing one the scan visits fails last
     _force_solve_threads(monkeypatch, threads)
+    grid, failing = default_b_z_grid(), (1.0, 0.98, 0.5)
+    reads = [(p, p.perturbed(-0.1)) for p in (ChainParams(7, bz, 0.1) for bz in grid)]
+    order, spectra = dynamics.solve_points(lambda p: p, reads, None)
+    spectra.close()
+    first = next(abs(q.b_z) for i in order for q in reads[i] if abs(q.b_z) in failing)
     solve = dynamics.even_spectral_for
 
     def failing_solve(params):
-        if params.b_z in (-1.0, -0.98, 0.5):
-            if params.b_z == -1.0:
+        if params.b_z in failing:
+            if params.b_z == first:
                 time.sleep(0.05)  # let a later field fail first
             raise RuntimeError(f"no spectrum at b_z = {params.b_z}")
         return solve(params)
 
     monkeypatch.setattr(dynamics, "even_spectral_for", failing_solve)
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match=r"at b_z = -1\.0$"):
-        echo_scan(7, 0.1, -0.1, np.pi, default_b_z_grid())
+    with pytest.raises(RuntimeError, match=rf"at b_z = {re.escape(str(first))}$"):
+        echo_scan(7, 0.1, -0.1, np.pi, grid)
     assert threading.active_count() == before
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -38,7 +39,9 @@ from isingcrit.hamiltonian import (
     CROSSOVERS,
     EVEN_SPLIT,
     ChainParams,
+    ChainSizeError,
     build_hamiltonian,
+    diagonal_terms,
     global_field_perturbation,
     hamiltonian_diagonal,
 )
@@ -279,19 +282,24 @@ def test_spectral_for_matches_plain_dense_eigh(n, monkeypatch):
 def _blocked_dense_reference(params):
     """Chain solve from the dense matrix, in the arithmetic `spectral_for` must match bit for bit.
 
-    It gathers the even and odd reflection blocks from the dense matrix,
-    halves the doubled palindrome entries, solves each block, maps the
-    vectors back, merges the spectra stably (even before odd) and fixes the
-    phases. At B_x = 0 it stable-sorts the diagonal.
+    It gathers the even and odd reflection blocks from the dense matrix at
+    |b_z|, halves the doubled palindrome entries, solves each block, and at
+    b_z < 0 permutes each block's vector rows by the spin flip (the
+    complement of every bit). It maps the vectors back, merges the spectra
+    stably (even before odd) and fixes the phases. At B_x = 0 it stable-sorts
+    the diagonal.
     """
-    n, m = params.n_qubits, build_hamiltonian(params).matrix
+    n = params.n_qubits
     if params.b_x == 0.0:
-        diag = np.diagonal(m)
+        diag = np.diagonal(build_hamiltonian(params).matrix)
         order = np.argsort(diag, kind="stable")
-        vecs = np.zeros_like(m)
-        vecs[order, np.arange(m.shape[0])] = 1.0
+        vecs = np.zeros((diag.size,) * 2)
+        vecs[order, np.arange(diag.size)] = 1.0
         return diag[order], vecs
-    rev = qubit_bit_values(n) @ (1 << np.arange(n))
+    m = build_hamiltonian(ChainParams(n, abs(params.b_z), params.b_x)).matrix
+    bits = qubit_bit_values(n)
+    rev = bits @ (1 << np.arange(n))
+    flipped = (1 - bits) @ (1 << np.arange(n))[::-1]
     idx = np.arange(rev.size)
     pal, rep = np.flatnonzero(rev == idx), np.flatnonzero(idx < rev)
     states = np.concatenate([pal, rep])
@@ -307,6 +315,8 @@ def _blocked_dense_reference(params):
     even_row = np.empty(rev.size, dtype=np.intp)
     even_row[states] = np.arange(states.size)
     even_row[rev[rep]] = even_row[rep]
+    if params.b_z < 0.0:
+        y_even, y_odd = y_even[even_row[flipped[states]]], y_odd[even_row[flipped[rep]] - p]
     v_odd = np.zeros((m.shape[0], w_odd.size))
     v_odd[rep] = r * y_odd
     v_odd[rev[rep]] = -r * y_odd
@@ -485,6 +495,32 @@ def test_given_state_echo_at_eleven_qubits_holds_no_full_basis_matrix(bx):
     assert peak < 8 * 4**11, f"traced peak {peak} bytes"
 
 
+def test_given_state_echo_at_eleven_qubits_casts_no_eigenvector_matrix_to_complex():
+    # the even vectors are 1056 x 1056 float64, 8.9 MB; a complex state times them cast a
+    # complex128 copy of them (17.8 MB), and the traced peak was 26.9 MB; as two real products
+    # the peak is the solve itself and its spin-flipped copy, 17.9 MB
+    psi = _random_state(np.random.default_rng(43), 11)
+    _reflection_sectors(11)  # the per-N sector tables are built outside the trace
+    tracemalloc.start()
+    try:
+        loschmidt_echo_exact(ChainParams(11, -1.9, 0.1), 0.1, np.pi, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, f"traced peak {peak} bytes"
+
+
+def test_real_vectors_times_a_complex_vector_are_two_real_products():
+    rng = np.random.default_rng(46)
+    spec = even_spectral_for(ChainParams(6, -1.3, 0.2))
+    x = rng.normal(size=spec.eigenvalues.size) + 1j * rng.normal(size=spec.eigenvalues.size)
+    y = spec.vectors
+    assert np.array_equal(spec.coefficients(x), y.T @ x.real + 1j * (y.T @ x.imag))
+    c = np.exp(-1j * spec.eigenvalues * 0.7) * spec.coefficients(x)
+    assert np.array_equal(spec.propagate(x, 0.7), y @ c.real + 1j * (y @ c.imag))
+    assert np.max(np.abs(spec.propagate(x, 0.7) - y.astype(complex) @ c)) <= 1e-14
+
+
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_sort_order_kernels_match_the_dense_permutation(n):
     # a B_x = 0 decomposition holds its sort order; each kernel reads it like the
@@ -527,6 +563,88 @@ def test_sector_diagonal_is_the_hamiltonian_diagonal_on_the_sector_rows():
                 assert np.array_equal(dynamics._sector_diagonal(params, odd), full[rows]), (n, bz, odd)
 
 
+def _sector_flips_from_bits(n):
+    """Each sector's spin flip from the bit table: the row of every basis state's complement."""
+    s = _reflection_sectors(n)
+    flipped = (1 - qubit_bit_values(n)) @ (1 << np.arange(n))[::-1]
+    return s.even_row[flipped[s.states]], s.even_row[flipped[s.rep]] - (s.states.size - s.rep.size)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_spin_flip_is_an_involutive_permutation_of_each_sector(n):
+    s = _reflection_sectors(n)
+    palindromes = s.states.size - s.rep.size
+    rev = qubit_bit_values(n) @ (1 << np.arange(n))
+    for flip, from_bits, size in zip((s.flip_even, s.flip_odd), _sector_flips_from_bits(n),
+                                     (s.states.size, s.rep.size)):
+        assert np.array_equal(flip, from_bits)
+        assert np.array_equal(np.sort(flip), np.arange(size))
+        assert np.array_equal(flip[flip], np.arange(size))
+    # a palindrome's complement is a palindrome, and a pair's complement a pair
+    assert np.all(s.flip_even[:palindromes] < palindromes)
+    assert np.all(s.flip_even[palindromes:] >= palindromes)
+    assert np.all(rev[s.states[s.flip_even[:palindromes]]] == s.states[s.flip_even[:palindromes]])
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_sector_diagonals_and_sigma_x_triples_map_exactly_under_the_spin_flip(n):
+    # P H(b_z) P = H(-b_z): on each sector's rows the diagonal at -b_z is the flipped
+    # diagonal at b_z, bytes included, and the sigma_x triples map onto themselves
+    s = _reflection_sectors(n)
+    for odd, flip, (rows, cols, vals) in ((False, s.flip_even, s.x_even), (True, s.flip_odd, s.x_odd)):
+        for bz in (0.3, 1.0, 2.0, 2.7, 1.44):
+            plus = dynamics._sector_diagonal(ChainParams(n, bz, 0.1), odd)
+            minus = dynamics._sector_diagonal(ChainParams(n, -bz, 0.1), odd)
+            assert minus.tobytes() == plus[flip].tobytes(), (bz, odd)
+        t = np.lexsort((flip[cols], flip[rows]))  # the mapped triples, re-sorted row-major
+        assert np.array_equal(flip[rows][t], rows) and np.array_equal(flip[cols][t], cols)
+        assert vals[t].tobytes() == vals.tobytes()
+
+
+def _recorded_eigh(monkeypatch):
+    """Patch `np.linalg.eigh` to record each matrix it is handed (a copy) and return a
+    cheap stand-in: the diagonal, sorted, and the identity."""
+    matrices = []
+
+    def eigh(a):
+        matrices.append(np.array(a))
+        return np.sort(np.diagonal(a)), np.eye(len(a))
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return matrices
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_levels_at_negative_b_z_are_the_levels_at_positive_b_z_as_bytes(n, monkeypatch):
+    # a solve at b_z < 0 hands eigh the sector blocks of the |b_z| solve, byte for byte
+    # (recorded with a stand-in eigh at every N); up to N = 10 the real levels are compared
+    fields = [(1.9, 0.1), (0.02, 0.005), (1.0, 1.0)] if n <= 10 else [(1.9, 0.1)]
+    for bz, bx in fields:
+        if n <= 10:
+            plus, minus = (levels_for(ChainParams(n, b, bx)) for b in (bz, -bz))
+            assert minus.tobytes() == plus.tobytes(), (bz, bx)
+        with monkeypatch.context() as patch:
+            matrices = _recorded_eigh(patch)
+            plus = levels_for(ChainParams(n, bz, bx))
+            minus = levels_for(ChainParams(n, -bz, bx))
+        assert len(matrices) == 4  # the even and the odd block (0 x 0 at N = 1), twice
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(matrices[:2], matrices[2:]))
+        assert minus.tobytes() == plus.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_mirrored_levels_match_a_direct_dense_eigh_at_negative_b_z(n):
+    # the mirror is exact in exact arithmetic; against eigh of the full matrix at -b_z
+    # the levels agree to rounding, within 5.1e-14 relative on these fields (the full
+    # N = 12 matrix takes about 7 s to solve, so the largest N checked is 11)
+    fields = [(-1.9, 0.1), (-0.02, 0.005), (-1.0, 1.0), (-2.0, 0.05)] if n <= 10 else [(-1.9, 0.1)]
+    for bz, bx in fields:
+        params = ChainParams(n, bz, bx)
+        expected = np.linalg.eigvalsh(build_hamiltonian(params).matrix)
+        w = levels_for(params)
+        assert np.all(np.abs(w - expected) <= 2e-13 * np.maximum(1.0, np.abs(expected))), (bz, bx)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_reflection_sectors_are_read_only(n):
     # one cached instance per N serves every solve, so no caller may write into it
@@ -534,7 +652,7 @@ def test_reflection_sectors_are_read_only(n):
     arrays = {f"{name}[{i}]" if isinstance(v, tuple) else name: a
               for name, v in vars(sectors).items()
               for i, a in enumerate(v if isinstance(v, tuple) else (v,))}
-    assert len(arrays) == 15
+    assert len(arrays) == 17
     for name, a in arrays.items():
         assert not a.flags.writeable, name
         with pytest.raises(ValueError, match="read-only"):
@@ -547,6 +665,18 @@ def test_field_perturbation_equals_the_sigma_z_table_formula_as_bytes(n):
     v = global_field_perturbation(n)
     assert v.tobytes() == (-sigma_z_values(n).sum(axis=1).astype(float)).tobytes()
     assert even_field_perturbation(n).tobytes() == v[_reflection_sectors(n).states].tobytes()
+
+
+def test_field_perturbations_and_diagonal_terms_are_capped():
+    # each is a 2^N vector, and even_field_perturbation would build and keep the N = 15
+    # sector tables; the cap is checked before any of it is built
+    cached = dynamics._reflection_sectors.cache_info().currsize
+    for build in (global_field_perturbation, even_field_perturbation, diagonal_terms,
+                  dynamics._reflection_sectors):
+        with pytest.raises(ChainSizeError, match=re.escape("n_qubits=15 exceeds the cap of 14")):
+            build(15)
+    assert dynamics._reflection_sectors.cache_info().currsize == cached
+    assert global_field_perturbation(14).size == diagonal_terms(14)[1].size == 2**14
 
 
 def test_sector_data_at_twelve_qubits_is_sparse():

@@ -3,11 +3,16 @@ text format, the phase energies, the exact echo (and its sector solves),
 the level solver and minima detection."""
 
 import string
+import threading
+import weakref
+from contextlib import closing
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from isingcrit import dynamics
 from isingcrit.criticality import find_minima, ground_state_approx
 from isingcrit.dynamics import (
     echo_from_spectra,
@@ -15,6 +20,7 @@ from isingcrit.dynamics import (
     even_spectral_for,
     levels_for,
     loschmidt_echo_exact,
+    solve_points,
     spectral_for,
 )
 from isingcrit.hamiltonian import (
@@ -135,6 +141,60 @@ def test_exact_echo_is_invariant_under_field_reversal(n, b_z, b_x, epsilon, tau)
     forward = loschmidt_echo_exact(ChainParams(n, b_z, b_x), epsilon, tau)
     reversed_ = loschmidt_echo_exact(ChainParams(n, -b_z, b_x), -epsilon, tau)
     assert abs(forward - reversed_) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 9), b_x=st.floats(0.005, 1.0), b_z=st.floats(0.1, 3.0),
+       epsilon=st.floats(-0.5, 0.5), tau=st.floats(0.0, 2 * np.pi))
+def test_exact_echo_field_reversal_reads_the_mirrored_solves(n, b_z, b_x, epsilon, tau):
+    # a solve at -b_z is the spin-flipped |b_z| solve, so the reversed echo reads the same
+    # levels and the same vectors with their rows permuted: only the sums over the rows run
+    # in another order, down to b_x = 0.005, where the 1e-10 property above stops. The odd-N
+    # ground doublet at b_z = 0 is left out: below roundoff, its vectors are not reproducible.
+    for b in (b_z, -b_z):
+        forward = loschmidt_echo_exact(ChainParams(n, b, b_x), epsilon, tau)
+        reversed_ = loschmidt_echo_exact(ChainParams(n, -b, b_x), -epsilon, tau)
+        assert abs(forward - reversed_) <= 1e-13
+
+
+class _Solved:
+    """A stand-in solve result that a weak reference can watch."""
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(st.integers(1, 8), min_size=3, max_size=60), start=st.integers(-80, 0),
+       shift=st.integers(-12, 12), off_grid=st.booleans(), expansion=st.booleans(),
+       threads=st.sampled_from([1, 2, 3]))
+def test_scan_visit_order_covers_every_point_once_and_holds_at_most_two_fields(
+        steps, start, shift, off_grid, expansion, threads):
+    # random increasing grids (multiples of 0.05) and shifts, on or off the grid
+    grid = np.round((start + np.cumsum(steps)) * 0.05, 12)
+    epsilon = round(shift * 0.05 + (0.013 if off_grid else 0.0), 12)
+    points = [ChainParams(3, float(b), 0.1) for b in grid]
+    reads = [(p,) if expansion else (p, p.perturbed(epsilon)) for p in points]
+    lock, live, peak = threading.RLock(), [0], [0]
+
+    def release():
+        with lock:
+            live[0] -= 1
+
+    def solve(p):
+        assert p.b_z >= 0.0  # each field is solved at |b_z|
+        result = _Solved()
+        with lock:
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+        weakref.finalize(result, release)
+        return result
+
+    with mock.patch.object(dynamics, "_solve_threads", lambda b_x: threads):
+        order, spectra = solve_points(solve, reads, lambda result, n: _Solved())
+        with closing(spectra):
+            for i in order:
+                for _ in reads[i]:
+                    assert isinstance(next(spectra), _Solved)
+    assert sorted(order) == list(range(len(points)))
+    assert peak[0] <= 2 + (threads if threads > 1 else 0)
 
 
 @settings(max_examples=60, deadline=None)
