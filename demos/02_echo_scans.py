@@ -19,7 +19,7 @@ def sparkline(values, width=60):
     chars = " .:-=+*#%@"
     lo, hi = min(values), max(values)
     span = (hi - lo) or 1.0
-    return "".join(chars[int((hi - values[i]) / span * (len(chars) - 1))] for i in idx)
+    return "".join(chars[round((hi - values[i]) / span * (len(chars) - 1))] for i in idx)
 
 
 def run_chain(n):

@@ -9,13 +9,14 @@ with V = -sum_i sigma_z^i, i.e. a longitudinal field shifted to B_z - epsilon.
 The chain is solved from its parameters, with no dense 2^N x 2^N matrix. At
 B_x = 0 it is diagonal and its eigenbasis is a stable sort of
 `hamiltonian_diagonal`, held as that order. Otherwise it is real symmetric
-and commutes with chain reversal R (qubit i <-> qubit N+1-i): the
-reflection-even and -odd sectors, spanned by palindromes |i> = |R i> and
-(|i> +- |R i>)/sqrt(2), are each the diagonal of H plus B_x times
-sum_i sigma_x^i, built once per N from bit flips, and each gets one dense
-real `eigh`. The diagonal is formed from the bond sum and sum_i sigma_z^i on
-the sector's rows, also kept once per N. `diagonalize` takes any Hermitian
-matrix: it sorts diagonal input and gives the rest one dense `eigh`.
+and commutes with chain reversal R (qubit i <-> qubit N+1-i), and each of
+R's two sectors gets one dense real `eigh`. A `_Sector`, built once per N
+(`_reflection_sectors(N)` is (even, odd)), holds its rows, palindromes
+|i> = |R i> and pairs (|i> +- |R i>)/sqrt(2), H's field-free diagonal terms
+and sum_i sigma_x^i on them, and the spin flip; its `embed` and `project`
+are the one map between the sector and the 2^N basis. `diagonalize` takes
+any Hermitian matrix: it sorts diagonal input and gives the rest one dense
+`eigh`.
 
 The mirror rule: the global spin flip P = prod_i sigma_x^i commutes with R
 and maps H(b_z) to H(-b_z) exactly (V to -V). On each sector's rows it is a
@@ -38,12 +39,12 @@ reads it in:
   state too, since H(s) = H(R s). V is diagonal in the even basis as well
   (`even_field_perturbation`, read from the stored sum_i sigma_z^i), and the
   approximate ground state of the scans lies in it, its kets being palindromes
-  or mirror pairs (`even_amplitudes`), so nothing maps these vectors to 2^N
-  rows but `ground_state`, which maps one.
-* `loschmidt_echo_exact` of a given state: its even and its odd part, each
-  through its own sector's solve, in that sector's basis.
+  or mirror pairs (`even_amplitudes`), so nothing embeds these vectors in 2^N
+  rows but `ground_state`, which embeds one.
+* `loschmidt_echo_exact` of a given state: its `project`ed even and odd
+  parts, each through its own sector's solve, in that sector's basis.
 
-`spectral_for`, both sectors mapped to the 2^N basis, is the reference the
+`spectral_for`, both sectors embedded in the 2^N basis, is the reference the
 sector solvers are checked against; no reader in the package calls it.
 
 A scan hands the fields each point reads to `solve_points`, which owns the
@@ -163,41 +164,55 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _ReflectionSectors:
-    """Chain reversal R on an N-qubit register, and sum_i sigma_x^i in its sectors.
+class _Sector:
+    """One chain-reversal sector of an N-qubit register, and H's field-free parts in it.
 
-    Palindromes i = R i span part of the even sector as they are; each pair
-    i < R i contributes (|i> + |R i>)/sqrt(2) to the even sector and
-    (|i> - |R i>)/sqrt(2) to the odd one. The even basis lists palindromes
-    first, then pairs; the odd basis lists the same pairs. Each sigma_x block
-    is kept as (row, column, value) triples of its nonzeros, about N per row,
-    and H's diagonal as its two field-free terms on the sector's rows, which
-    R keeps: a state and its mirror share them.
+    R maps qubit i to qubit N+1-i. Row a of the sector is the ket |kets[a]> if it is a
+    palindrome (mirrors[a] = R kets[a] = kets[a], weight 1), else the pair
+    (|kets[a]> + sign |mirrors[a]>)/sqrt(2) (weight sqrt(1/2), kets[a] < mirrors[a]).
+    The even sector (sign +1) lists the palindromes, then the pairs; the odd sector
+    (sign -1) the same pairs. sum_i sigma_x^i is kept as (row, column, value) triples
+    of its nonzeros, about N per row, and H's diagonal as its two field-free terms on
+    the rows, which R keeps: a ket and its mirror share them.
 
-    The global spin flip P = prod_i sigma_x^i commutes with R, so it permutes
-    each sector's basis: `flip_even[a]` is the even row of the flipped kets of
-    row a, a palindrome's flip being a palindrome, and `flip_odd` likewise
-    (P sends each odd basis state to minus its image's, a sign that drops out
-    of P H P). One instance per N is shared by every solve, so every array is
-    read-only.
+    The global spin flip P = prod_i sigma_x^i commutes with R, so it permutes the rows:
+    `flip[a]` is the row of the flipped kets of row a, a palindrome's flip being a
+    palindrome (P sends an odd row to minus its image, a sign that drops out of P H P).
+    One instance per N and sector is shared by every solve, so every array is read-only.
     """
 
-    states: np.ndarray  # basis index of each even-basis state
-    rep: np.ndarray  # first index of each pair
-    mirror: np.ndarray  # its reversed partner
-    even_row: np.ndarray  # even-basis row that each basis index loads from
-    even_weight: np.ndarray  # column: 1 for palindromes, 1/sqrt(2) for pair members
-    x_even: tuple[np.ndarray, np.ndarray, np.ndarray]  # sum_i sigma_x^i in the even basis
-    x_odd: tuple[np.ndarray, np.ndarray, np.ndarray]  # and in the odd basis
-    diagonal_even: tuple[np.ndarray, np.ndarray]  # `diagonal_terms` on the even rows
-    diagonal_odd: tuple[np.ndarray, np.ndarray]  # and on the odd rows
-    flip_even: np.ndarray  # even row of each even row's spin-flipped kets
-    flip_odd: np.ndarray  # and odd row of each odd row's
+    n_qubits: int
+    kets: np.ndarray  # basis index of each row: the palindrome, or the pair's first ket
+    mirrors: np.ndarray  # R kets
+    weight: np.ndarray  # 1 for a palindrome, 1/sqrt(2) for a pair
+    sign: float  # +1 (even) or -1 (odd): the mirror's sign in a pair
+    zz: np.ndarray  # the bond sum on the rows
+    magnetization: np.ndarray  # sum_i sigma_z^i on the rows
+    x: tuple[np.ndarray, np.ndarray, np.ndarray]  # sum_i sigma_x^i as triples
+    flip: np.ndarray  # row of each row's spin-flipped kets
 
     def __post_init__(self):
         for field in vars(self).values():
             for a in field if isinstance(field, tuple) else (field,):
-                a.setflags(write=False)
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+
+    def diagonal(self, b_z: float) -> np.ndarray:
+        """`hamiltonian_diagonal` at this b_z on the sector's rows, bit for bit."""
+        return self.zz + b_z * self.magnetization
+
+    def embed(self, y: np.ndarray) -> np.ndarray:
+        """A sector vector, or columns, y as 2^N rows: w y at each ket, and sign w y at its mirror."""
+        out = np.zeros((1 << self.n_qubits,) + y.shape[1:])
+        out[self.kets] = col = (y.T * self.weight).T
+        out[self.mirrors] = col if self.sign > 0 else -col
+        return out
+
+    def project(self, a: np.ndarray) -> np.ndarray:
+        """The sector part of 2^N amplitudes a: a at a palindrome, w (a + sign a') on a pair."""
+        ket, mirror = a[self.kets], a[self.mirrors]
+        pairs = self.weight * (ket + mirror if self.sign > 0 else ket - mirror)
+        return np.where(self.kets == self.mirrors, ket, pairs)
 
 
 def _summed_triples(rows, cols, vals, size: int):
@@ -208,8 +223,8 @@ def _summed_triples(rows, cols, vals, size: int):
 
 
 @lru_cache(maxsize=None)
-def _reflection_sectors(n_qubits: int) -> _ReflectionSectors:
-    """Sector bookkeeping and sigma_x blocks for one register size, built once per N.
+def _reflection_sectors(n_qubits: int) -> tuple[_Sector, _Sector]:
+    """The even and the odd sector of one register size, built once per N.
 
     Block entry (a, b) is <e_a|X|e_b>: the flips s_a ^ (1 << k) of e_a's first
     index that land on s_b or R s_b (minus for R s_b in the odd block), times
@@ -240,18 +255,11 @@ def _reflection_sectors(n_qubits: int) -> _ReflectionSectors:
         t = np.lexsort((rr, cc))  # the transpose, re-sorted row-major
         if not (np.array_equal(cc[t], rr) and np.array_equal(rr[t], cc) and np.array_equal(vv[t], vv)):
             raise ArithmeticError("sector blocks of sum_i sigma_x^i are not symmetric")
-    return _ReflectionSectors(
-        states=states,
-        rep=rep,
-        mirror=rev[rep],
-        even_row=even_row,
-        even_weight=np.where(rev == idx, 1.0, r)[:, None],
-        x_even=(er, ec, ev),
-        x_odd=x_odd,
-        diagonal_even=tuple(t[states] for t in terms),
-        diagonal_odd=tuple(t[rep] for t in terms),
-        flip_even=even_row[states ^ idx[-1]],
-        flip_odd=even_row[rep ^ idx[-1]] - p,
+    return tuple(
+        _Sector(n_qubits, kets, rev[kets], np.where(rev[kets] == kets, 1.0, r), sign,
+                *(t[kets] for t in terms), x, flip)
+        for kets, sign, x, flip in ((states, 1.0, (er, ec, ev), even_row[states ^ idx[-1]]),
+                                    (rep, -1.0, x_odd, even_row[rep ^ idx[-1]] - p))
     )
 
 
@@ -282,13 +290,6 @@ def diagonalize(op: "HermitianOperator | np.ndarray") -> SpectralDecomposition:
     return SpectralDecomposition(w, _fix_phases(v))
 
 
-def _sector_diagonal(params: ChainParams, odd: bool) -> np.ndarray:
-    """`hamiltonian_diagonal(params)` on one sector's rows, bit for bit, from the stored terms."""
-    s = _reflection_sectors(params.n_qubits)
-    zz, magnetization = s.diagonal_odd if odd else s.diagonal_even
-    return zz + params.b_z * magnetization
-
-
 def _solved_field(params: ChainParams) -> ChainParams:
     """The field a solve at `params` diagonalizes: |b_z| for B_x != 0, else `params` itself."""
     if params.b_x == 0.0 or params.b_z >= 0.0:
@@ -304,26 +305,26 @@ def _mirrored(spec: SpectralDecomposition, flip: np.ndarray) -> SpectralDecompos
 
 def mirror_even(spec: SpectralDecomposition, n_qubits: int) -> SpectralDecomposition:
     """`even_spectral_for` at -b_z from its result at b_z > 0, for B_x != 0, bit for bit."""
-    return _mirrored(spec, _reflection_sectors(n_qubits).flip_even)
+    return _mirrored(spec, _reflection_sectors(n_qubits)[0].flip)
 
 
-def _sector_spectral_for(params: ChainParams, odd: bool) -> SpectralDecomposition:
-    """One reflection sector's decomposition, in that sector's basis (odd row a: the pair
-    (|rep[a]> - |mirror[a]>)/sqrt(2) of `_reflection_sectors(N)`): H's diagonal there, sorted
-    at B_x = 0, else plus b_x times the sector's sigma_x triples, given one `eigh` at |b_z|.
+def _sector_spectral_for(params: ChainParams, sector: _Sector) -> SpectralDecomposition:
+    """One reflection sector's decomposition, in its basis (row a: the ket or pair of
+    `sector.kets[a]`): `sector.diagonal`, sorted at B_x = 0, else plus b_x times the
+    sector's sigma_x triples, given one `eigh` at |b_z|.
 
-    P H(b_z) P = H(-b_z), and on the sector's rows P is the permutation `flip_even` or
-    `flip_odd`: the sector diagonal at -b_z is the permuted one at b_z, bit for bit, and the
-    sigma_x triples map onto themselves. So for b_z < 0 the levels are those of the |b_z|
-    solve and the vectors its rows, permuted.
+    P H(b_z) P = H(-b_z), and on the sector's rows P is the permutation `sector.flip`: the
+    sector diagonal at -b_z is the permuted one at b_z, bit for bit, and the sigma_x
+    triples map onto themselves. So for b_z < 0 the levels are those of the |b_z| solve
+    and the vectors its rows, permuted.
     """
-    s, solved = _reflection_sectors(params.n_qubits), _solved_field(params)
+    solved = _solved_field(params)
     if solved != params:
-        return _mirrored(_sector_spectral_for(solved, odd), s.flip_odd if odd else s.flip_even)
-    d = _sector_diagonal(params, odd)
+        return _mirrored(_sector_spectral_for(solved, sector), sector.flip)
+    d = sector.diagonal(params.b_z)
     if params.b_x == 0.0:
         return _sorted_diagonal(d)
-    rows, cols, x = s.x_odd if odd else s.x_even
+    rows, cols, x = sector.x
     h = np.diag(d)  # X flips change the popcount, which R keeps: no diagonal, zeros stay +0.0
     h[rows, cols] = params.b_x * x
     return SpectralDecomposition(*np.linalg.eigh(h))
@@ -332,10 +333,10 @@ def _sector_spectral_for(params: ChainParams, odd: bool) -> SpectralDecompositio
 def _both_sectors(params: ChainParams):
     """Both sectors' solves, merged: levels ascending (even first in a tie), the merge
     order, and each sector's vectors in its own basis."""
-    even, odd = (_sector_spectral_for(params, odd) for odd in (False, True))
-    w = np.concatenate([even.eigenvalues, odd.eigenvalues])
+    specs = [_sector_spectral_for(params, sector) for sector in _reflection_sectors(params.n_qubits)]
+    w = np.concatenate([spec.eigenvalues for spec in specs])
     order = np.argsort(w, kind="stable")
-    return w[order], order, even.vectors, odd.vectors
+    return w[order], order, [spec.vectors for spec in specs]
 
 
 def spectral_for(params: ChainParams) -> SpectralDecomposition:
@@ -346,12 +347,9 @@ def spectral_for(params: ChainParams) -> SpectralDecomposition:
     """
     if params.b_x == 0.0:
         return _sorted_diagonal(hamiltonian_diagonal(params))
-    s = _reflection_sectors(params.n_qubits)
-    w, order, y_even, y_odd = _both_sectors(params)
-    v_odd = np.zeros((s.even_row.size, y_odd.shape[1]))
-    v_odd[s.rep] = np.sqrt(0.5) * y_odd
-    v_odd[s.mirror] = -np.sqrt(0.5) * y_odd
-    v = np.concatenate([y_even[s.even_row] * s.even_weight, v_odd], axis=1)
+    w, order, vectors = _both_sectors(params)
+    sectors = _reflection_sectors(params.n_qubits)
+    v = np.concatenate([sector.embed(y) for sector, y in zip(sectors, vectors)], axis=1)
     return SpectralDecomposition(w, _fix_phases(v[:, order]))
 
 
@@ -365,8 +363,8 @@ def levels_for(params: ChainParams) -> np.ndarray:
 
 def even_spectral_for(params: ChainParams) -> SpectralDecomposition:
     """The reflection-even levels, with vectors in the even basis: row a is the
-    ket or pair of `_reflection_sectors(N).states[a]`."""
-    return _sector_spectral_for(params, odd=False)
+    ket or pair of `_reflection_sectors(N)[0].kets[a]`."""
+    return _sector_spectral_for(params, _reflection_sectors(params.n_qubits)[0])
 
 
 def _solve_threads(b_x: float) -> int:
@@ -471,15 +469,15 @@ def _mirrored_reads(solve, reads, mirror):
 
 def even_field_perturbation(n_qubits: int) -> np.ndarray:
     """V = -sum_i sigma_z^i in the even basis of `even_spectral_for`: a diagonal, as V(s) = V(R s)."""
-    return -_reflection_sectors(n_qubits).diagonal_even[1].astype(float)
+    return -_reflection_sectors(n_qubits)[0].magnetization.astype(float)
 
 
 def even_amplitudes(state: PureState) -> np.ndarray:
     """`state` in the even basis of `even_spectral_for`; ValueError if it has an odd part."""
-    s, a = _reflection_sectors(state.n_qubits), state.amplitudes
-    if np.any(a[s.rep] != a[s.mirror]):
+    even, a = _reflection_sectors(state.n_qubits)[0], state.amplitudes
+    if np.any(a[even.kets] != a[even.mirrors]):
         raise ValueError("state is not reflection-even: its amplitudes differ on a mirror pair")
-    return a[s.states] / s.even_weight[s.states, 0]
+    return a[even.kets] / even.weight
 
 
 def ground_state(params: ChainParams) -> PureState:
@@ -488,9 +486,8 @@ def ground_state(params: ChainParams) -> PureState:
     n = params.n_qubits
     if params.b_x == 0.0:
         return PureState(_sorted_diagonal(hamiltonian_diagonal(params)).ground_vector, n)
-    s = _reflection_sectors(n)
-    y0 = even_spectral_for(params).ground_vector[:, None]
-    return PureState(_fix_phases(y0[s.even_row] * s.even_weight), n)
+    y0 = _reflection_sectors(n)[0].embed(even_spectral_for(params).ground_vector)
+    return PureState(_fix_phases(y0[:, None]), n)
 
 
 def ground_energy(params: ChainParams) -> float:
@@ -519,14 +516,12 @@ def loschmidt_echo_exact(
         return ground_echo(even_spectral_for(params), even_spectral_for(params.perturbed(epsilon)), t)
     if initial.dim != 2 ** params.n_qubits:
         raise ValueError("initial state dimension does not match the chain")
-    s, a, r = _reflection_sectors(params.n_qubits), initial.amplitudes, np.sqrt(0.5)
-    palindromes = s.states[: s.states.size - s.rep.size]
-    parts = (np.concatenate([a[palindromes], r * (a[s.rep] + a[s.mirror])]), r * (a[s.rep] - a[s.mirror]))
     amplitude = 0j
-    for odd, part in enumerate(parts):
+    for sector in _reflection_sectors(params.n_qubits):
+        part = sector.project(initial.amplitudes)
         if part.any():  # a sector the state has no part in adds nothing and is not solved
             # one decomposition alive at a time: the forward leg's, then the backward leg's
-            fwd, bwd = (_sector_spectral_for(q, odd).propagate(part, t)
+            fwd, bwd = (_sector_spectral_for(q, sector).propagate(part, t)
                         for q in (params, params.perturbed(epsilon)))
             amplitude += np.vdot(bwd, fwd)
     return float(abs(amplitude) ** 2)

@@ -38,6 +38,7 @@ from .hamiltonian import (
     INTERVALS,
     ChainParams,
     UnsupportedChainError,
+    _require_register_size,
     chain_parity,
     default_b_z_grid,
     interval_index,
@@ -59,6 +60,7 @@ class GateNetwork:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError(f"register size must be >= 1, got {self.n_qubits}")
+        _require_register_size(self.n_qubits)  # every read builds a 2^N register
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if max(g.qubits, default=0) > self.n_qubits:

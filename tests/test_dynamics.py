@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -360,19 +361,19 @@ def test_even_spectral_for_is_the_even_sector_of_spectral_for(full_solves):
     # sector table and the same per-column phase fix
     for params, full in full_solves:
         n = params.n_qubits
-        s = _reflection_sectors(n)
+        sector = _reflection_sectors(n)[0]
         even = even_spectral_for(params)
-        assert even.eigenvectors.shape == (s.states.size, s.states.size)
+        assert even.eigenvectors.shape == (sector.kets.size, sector.kets.size)
         if params.b_x == 0.0:
             # the stable sort of the sector diagonal: each even basis vector is an eigenvector
-            d = hamiltonian_diagonal(params)[s.states]
+            d = hamiltonian_diagonal(params)[sector.kets]
             order = np.argsort(d, kind="stable")
             assert np.array_equal(even.eigenvalues, d[order]), params
             assert np.array_equal(even.eigenvectors, np.eye(d.size)[:, order]), params
             continue
         rev = qubit_bit_values(n) @ (1 << np.arange(n))
         mask = np.all(full.eigenvectors[rev] == full.eigenvectors, axis=0)
-        mapped = _fix_phases(even.eigenvectors[s.even_row] * s.even_weight)
+        mapped = _fix_phases(sector.embed(even.eigenvectors))
         assert np.array_equal(even.eigenvalues, full.eigenvalues[mask]), params
         assert np.array_equal(mapped, full.eigenvectors[:, mask]), params
 
@@ -461,7 +462,7 @@ def test_ground_state_readers_at_twelve_qubits_hold_no_full_basis_matrix(reader)
     # one 2^N x 2^N float64 array is 134 MB at N = 12; an even-sector matrix is 35 MB,
     # which the perturbative echo at B_x != 0 reads, and the zero-field echo holds none:
     # its decompositions are sort orders
-    d_even = _reflection_sectors(12).states.size
+    d_even = _reflection_sectors(12)[0].kets.size
     bound = {"perturbative_echo": 8 * 4**12, "exact_echo_at_zero_field": 8 * d_even**2}[reader]
     read = {
         "perturbative_echo": lambda: echo_perturbative(
@@ -553,49 +554,89 @@ def test_sector_diagonal_is_the_hamiltonian_diagonal_on_the_sector_rows():
     # the bond sum plus b_z times the magnetization, read off the sigma_z table
     rng = np.random.default_rng(45)
     for n in range(1, 13):
-        s = _reflection_sectors(n)
         z = sigma_z_values(n)
         for bz in np.concatenate([rng.uniform(-3, 3, 5), [0.0, -2.0, 1.44]]):
             params = ChainParams(n, float(bz), 0.1)
             full = hamiltonian_diagonal(params)
             assert np.array_equal(full, np.sum(z[:, :-1] * z[:, 1:], axis=1) + params.b_z * z.sum(axis=1))
-            for odd, rows in ((False, s.states), (True, s.rep)):
-                assert np.array_equal(dynamics._sector_diagonal(params, odd), full[rows]), (n, bz, odd)
+            for sector in _reflection_sectors(n):
+                diagonal = sector.diagonal(params.b_z)
+                assert np.array_equal(diagonal, full[sector.kets]), (n, bz, sector.sign)
 
 
-def _sector_flips_from_bits(n):
-    """Each sector's spin flip from the bit table: the row of every basis state's complement."""
-    s = _reflection_sectors(n)
-    flipped = (1 - qubit_bit_values(n)) @ (1 << np.arange(n))[::-1]
-    return s.even_row[flipped[s.states]], s.even_row[flipped[s.rep]] - (s.states.size - s.rep.size)
+def _sectors_from_bits(n):
+    """Both sectors' kets, mirrors, weights and spin flips, rebuilt from the bit table alone."""
+    bits = qubit_bit_values(n)
+    rev = bits @ (1 << np.arange(n))
+    flipped = (1 - bits) @ (1 << np.arange(n))[::-1]
+    idx = np.arange(rev.size)
+    pal, rep = np.flatnonzero(rev == idx), np.flatnonzero(idx < rev)
+    states = np.concatenate([pal, rep])
+    even_row = np.empty(rev.size, dtype=np.intp)
+    even_row[states] = np.arange(states.size)
+    even_row[rev[rep]] = even_row[rep]
+    weight = np.where(rev == idx, 1.0, np.sqrt(0.5))
+    return [(kets, rev[kets], weight[kets], even_row[flipped[kets]] - offset)
+            for kets, offset in ((states, 0), (rep, pal.size))]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_spin_flip_is_an_involutive_permutation_of_each_sector(n):
-    s = _reflection_sectors(n)
-    palindromes = s.states.size - s.rep.size
+    # each flip is also checked against the bit table in the sector-map test below
+    even, odd = _reflection_sectors(n)
+    palindromes = even.kets.size - odd.kets.size
     rev = qubit_bit_values(n) @ (1 << np.arange(n))
-    for flip, from_bits, size in zip((s.flip_even, s.flip_odd), _sector_flips_from_bits(n),
-                                     (s.states.size, s.rep.size)):
-        assert np.array_equal(flip, from_bits)
+    for flip, size in ((even.flip, even.kets.size), (odd.flip, odd.kets.size)):
         assert np.array_equal(np.sort(flip), np.arange(size))
         assert np.array_equal(flip[flip], np.arange(size))
     # a palindrome's complement is a palindrome, and a pair's complement a pair
-    assert np.all(s.flip_even[:palindromes] < palindromes)
-    assert np.all(s.flip_even[palindromes:] >= palindromes)
-    assert np.all(rev[s.states[s.flip_even[:palindromes]]] == s.states[s.flip_even[:palindromes]])
+    assert np.all(even.flip[:palindromes] < palindromes)
+    assert np.all(even.flip[palindromes:] >= palindromes)
+    assert np.all(rev[even.kets[even.flip[:palindromes]]] == even.kets[even.flip[:palindromes]])
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_sector_maps_match_a_rebuild_from_the_bit_table_as_bytes(n):
+    # each sector's rows, and embed, project and even_amplitudes, against the maps written
+    # out from qubit_bit_values: w y at a ket, sign w y at its mirror (zero at an odd
+    # sector's missing palindromes); a at a palindrome, w (a + sign a') on a pair
+    rng = np.random.default_rng(47)
+    a = _random_state(rng, n).amplitudes.copy()
+    a.real[::3], a.real[1::3] = -0.0, 0.0  # signed zeros show any other form of a +- a'
+    for sector, (kets, mirrors, weight, flip), sign in zip(_reflection_sectors(n), _sectors_from_bits(n),
+                                                         (1.0, -1.0)):
+        assert sector.sign == sign
+        for got, want in ((sector.kets, kets), (sector.mirrors, mirrors), (sector.weight, weight),
+                          (sector.flip, flip)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        y = rng.normal(size=(kets.size, 3))
+        embedded = np.zeros((2**n, 3))
+        embedded[kets] = y * weight[:, None]
+        embedded[mirrors] = sign * y * weight[:, None]
+        assert sector.embed(y).tobytes() == embedded.tobytes()
+        p, r = np.count_nonzero(kets == mirrors), np.sqrt(0.5)  # the palindromes lead
+        ket, mirror = a[kets[p:]], a[mirrors[p:]]
+        projected = np.concatenate([a[kets[:p]], r * (ket + mirror if sign > 0 else ket - mirror)])
+        assert sector.project(a).tobytes() == projected.tobytes()
+        # embed, then project, is the identity on the sector, to rounding
+        assert np.allclose(sector.project(sector.embed(y)[:, 0]), y[:, 0], rtol=1e-15, atol=0)
+    kets, mirrors, weight, _ = _sectors_from_bits(n)[0]
+    y = rng.normal(size=(kets.size, 1))
+    even_state = PureState(_reflection_sectors(n)[0].embed(y / np.linalg.norm(y))[:, 0], n)
+    b = even_state.amplitudes
+    assert np.array_equal(b[kets], b[mirrors])
+    assert even_amplitudes(even_state).tobytes() == (b[kets] / weight).tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_sector_diagonals_and_sigma_x_triples_map_exactly_under_the_spin_flip(n):
     # P H(b_z) P = H(-b_z): on each sector's rows the diagonal at -b_z is the flipped
     # diagonal at b_z, bytes included, and the sigma_x triples map onto themselves
-    s = _reflection_sectors(n)
-    for odd, flip, (rows, cols, vals) in ((False, s.flip_even, s.x_even), (True, s.flip_odd, s.x_odd)):
+    for sector in _reflection_sectors(n):
+        flip, (rows, cols, vals) = sector.flip, sector.x
         for bz in (0.3, 1.0, 2.0, 2.7, 1.44):
-            plus = dynamics._sector_diagonal(ChainParams(n, bz, 0.1), odd)
-            minus = dynamics._sector_diagonal(ChainParams(n, -bz, 0.1), odd)
-            assert minus.tobytes() == plus[flip].tobytes(), (bz, odd)
+            plus, minus = sector.diagonal(bz), sector.diagonal(-bz)
+            assert minus.tobytes() == plus[flip].tobytes(), (bz, sector.sign)
         t = np.lexsort((flip[cols], flip[rows]))  # the mapped triples, re-sorted row-major
         assert np.array_equal(flip[rows][t], rows) and np.array_equal(flip[cols][t], cols)
         assert vals[t].tobytes() == vals.tobytes()
@@ -647,12 +688,14 @@ def test_mirrored_levels_match_a_direct_dense_eigh_at_negative_b_z(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_reflection_sectors_are_read_only(n):
-    # one cached instance per N serves every solve, so no caller may write into it
-    sectors = _reflection_sectors(n)
-    arrays = {f"{name}[{i}]" if isinstance(v, tuple) else name: a
-              for name, v in vars(sectors).items()
-              for i, a in enumerate(v if isinstance(v, tuple) else (v,))}
-    assert len(arrays) == 17
+    # one cached pair of sectors per N serves every solve, so no caller may write into it
+    arrays = {f"{sector.sign:+}.{name}[{i}]": a
+              for sector in _reflection_sectors(n)
+              for name, v in vars(sector).items()
+              for i, a in enumerate(v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)}
+    # every field annotated as an array or a tuple of arrays, in both sectors
+    annotated = [f.type for f in dataclasses.fields(dynamics._Sector) if "np.ndarray" in f.type]
+    assert len(arrays) == 2 * sum(t.count("np.ndarray") for t in annotated)
     for name, a in arrays.items():
         assert not a.flags.writeable, name
         with pytest.raises(ValueError, match="read-only"):
@@ -664,7 +707,7 @@ def test_field_perturbation_equals_the_sigma_z_table_formula_as_bytes(n):
     # bytes, not values: -0.0 where sum_i sigma_z^i = 0 must stay -0.0
     v = global_field_perturbation(n)
     assert v.tobytes() == (-sigma_z_values(n).sum(axis=1).astype(float)).tobytes()
-    assert even_field_perturbation(n).tobytes() == v[_reflection_sectors(n).states].tobytes()
+    assert even_field_perturbation(n).tobytes() == v[_reflection_sectors(n)[0].kets].tobytes()
 
 
 def test_field_perturbations_and_diagonal_terms_are_capped():
@@ -681,8 +724,8 @@ def test_field_perturbations_and_diagonal_terms_are_capped():
 
 def test_sector_data_at_twelve_qubits_is_sparse():
     # dense sigma_x sector blocks would take 67 MB at N = 12; the triples hold about N per row
-    sectors = _reflection_sectors(12)
-    arrays = [a for v in vars(sectors).values() for a in (v if isinstance(v, tuple) else (v,))]
+    arrays = [a for sector in _reflection_sectors(12) for v in vars(sector).values()
+              for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
     assert sum(a.nbytes for a in arrays) < 2_000_000
 
 

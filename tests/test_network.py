@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from isingcrit.criticality import echo_scan, ground_state_approx
 from isingcrit.gates import Gate, global_z_phases
-from isingcrit.hamiltonian import INTERVALS, UnsupportedChainError, default_b_z_grid
+from isingcrit.hamiltonian import INTERVALS, ChainSizeError, UnsupportedChainError, default_b_z_grid
 from isingcrit.network import (
     GateNetwork,
     ReadoutResult,
@@ -136,6 +137,16 @@ def test_parse_rejects_malformed_text():
         parse_network("NETWORK n=1 label=x\nGATE RotY 1 -inf\n")
     with pytest.raises(ValueError):
         parse_network("NETWORK n=3 foo=bar\nGATE NOT 1\n")
+
+
+def test_network_register_is_capped_when_the_network_is_made():
+    # a 2^15 register, or a 2^15-row bit table for a gate, would be built on the first
+    # apply, prepared_state or unitary(); the cap is checked before any of them can run
+    with pytest.raises(ChainSizeError, match=re.escape("n_qubits=15 exceeds the cap of 14")):
+        parse_network("NETWORK n=15 label=x\nGATE NOT 1\n")
+    with pytest.raises(ChainSizeError):
+        GateNetwork(15, (Gate("NOT", (1,)),))
+    assert parse_network("NETWORK n=14 label=x\nGATE NOT 1\n").n_qubits == 14
 
 
 def test_run_protocol_identity_at_zero_perturbation():
