@@ -18,11 +18,10 @@ from isingcrit import (
     ground_state,
     fidelity,
     preparation_network,
+    protocol_point,
     protocol_vs_exact,
-    run_protocol,
     serialize_network,
 )
-from isingcrit.network import prepared_state
 
 B_X = 0.1
 
@@ -39,9 +38,9 @@ def scan(n, epsilon, tau, readout_qubit):
     amplitudes = []
     worst_fid = 1.0
     for bz in grid:
-        net = preparation_network(n, bz, B_X)
-        prepared = prepared_state(net)  # U0 once: the readout and the fidelity share it
-        amplitudes.append(run_protocol(net, epsilon, tau, readout_qubit, prepared).amplitude)
+        # U0 once: the readout and the fidelity share its state
+        prepared, readout = protocol_point(n, bz, B_X, epsilon, tau, readout_qubit)
+        amplitudes.append(readout.amplitude)
         worst_fid = min(worst_fid, fidelity(prepared, ground_state(ChainParams(n, bz, B_X))))
     minima = find_minima(grid, amplitudes)
     print(f"N={n}, epsilon={epsilon}, tau={tau:.4f}, readout on qubit {readout_qubit}:")

@@ -42,6 +42,7 @@ from .network import (
     parse_network,
     preparation_network,
     protocol_network,
+    protocol_point,
     protocol_vs_exact,
     run_protocol,
     serialize_network,

@@ -26,7 +26,7 @@ from .criticality import (
     require_minima_grid,
 )
 from .hamiltonian import ChainParams, closed_form_energy, default_b_z_grid, phase_labels
-from .network import preparation_network, prepared_state, run_protocol
+from .network import protocol_point
 from .perturbation import (
     LandauZenerParams,
     lz_echo_gaussian,
@@ -130,9 +130,8 @@ def _cmd_protocol(config: argparse.Namespace):
     columns = ["b_z", "amplitude", "l_value", "fidelity_prepared_vs_exact"]
     rows = []
     for bz in grid:
-        net = preparation_network(config.n, bz, config.bx)
-        prepared = prepared_state(net)  # U0 runs once: the readout and the fidelity share it
-        res = run_protocol(net, config.epsilon, config.tau, config.readout_qubit, prepared)
+        # U0 runs once: the readout and the fidelity share its state
+        prepared, res = protocol_point(config.n, bz, config.bx, config.epsilon, config.tau, config.readout_qubit)
         fid = fidelity(prepared, dynamics.ground_state(ChainParams(config.n, bz, config.bx)))
         rows.append([bz, res.amplitude, res.l_value, fid])
     minima = find_minima([r[0] for r in rows], [r[1] for r in rows])

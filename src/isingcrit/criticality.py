@@ -187,8 +187,7 @@ def echo_scan(
     values = np.empty(grid.size)
     if value_kind == READOUT_AMPLITUDE:
         for i, bz in enumerate(grid):
-            net = network.preparation_network(n_qubits, bz, b_x)
-            values[i] = network.run_protocol(net, epsilon, tau, readout_qubit).amplitude
+            values[i] = network.protocol_point(n_qubits, bz, b_x, epsilon, tau, readout_qubit)[1].amplitude
     else:
         points = [ChainParams(n_qubits, bz, b_x) for bz in grid]
         reads = [(p, p.perturbed(epsilon)) if value_kind == EXACT_ECHO else (p,) for p in points]

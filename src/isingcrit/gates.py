@@ -81,6 +81,14 @@ def _unitary(gate: Gate) -> np.ndarray:
     return u(gate.angle) if callable(u) else u
 
 
+def finite_angle(kind: str, angle) -> float:
+    """angle as a float; ValueError unless it is finite."""
+    angle = float(angle)
+    if not math.isfinite(angle):
+        raise ValueError(f"{kind} angle must be finite, got {angle}")
+    return angle
+
+
 @dataclass(frozen=True)
 class Gate:
     kind: str
@@ -109,9 +117,7 @@ class Gate:
         if has_angle:
             if self.angle is None:
                 raise ValueError(f"{self.kind} requires an angle")
-            object.__setattr__(self, "angle", float(self.angle))
-            if not math.isfinite(self.angle):
-                raise ValueError(f"{self.kind} angle must be finite, got {self.angle}")
+            object.__setattr__(self, "angle", finite_angle(self.kind, self.angle))
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
         qubits = controls + targets
@@ -135,10 +141,15 @@ class Gate:
         return np.array(_unitary(self))
 
     def dagger(self) -> "Gate":
-        """Inverse gate (all kinds here are self-inverse or angle-negating)."""
+        """Inverse gate (all kinds here are self-inverse or angle-negating).
+
+        A negated valid gate is valid, so the inverse is not validated again.
+        """
         if self.angle is None:
             return self
-        return Gate(self.kind, self.targets, self.controls, -self.angle)
+        inverse = object.__new__(Gate)
+        inverse.__dict__.update(self.__dict__, angle=-self.angle)
+        return inverse
 
 
 @lru_cache(maxsize=None)
@@ -167,19 +178,40 @@ def _slots(n_qubits: int, qubits: tuple[int, ...]) -> np.ndarray:
     return frozen_array(np.argsort(row, kind="stable").reshape(2 ** len(qubits), -1), np.intp)
 
 
-def _apply(amps: np.ndarray, n_qubits: int, gate: Gate) -> np.ndarray:
-    """The gate applied to a bare amplitude array; a new array, amps is not written."""
-    if gate.kind == "GlobalZEvolution":
-        return global_z_phases(n_qubits, gate.angle) * amps
-    slots = _slots(n_qubits, gate.qubits)  # raises for a gate outside the register
+def _apply(amps: np.ndarray, slots: np.ndarray | None, u: np.ndarray) -> np.ndarray:
+    """The one gate kernel: u on the gate qubits that slots places, or, with slots None,
+    the diagonal u on the whole register; a new array, amps is not written."""
+    if slots is None:
+        return u * amps
     out = np.empty_like(amps)
-    out[slots] = _unitary(gate) @ amps[slots]
+    out[slots] = u @ amps[slots]
     return out
+
+
+def placed(n_qubits: int, gate: Gate, free_angle: bool = False) -> tuple:
+    """The kernel's (slots, u) for gate on an N-qubit register; with free_angle, u is the
+    kind's unitary as a function of the angle (see run_placed), for a kind that takes one.
+
+    Raises for a gate outside the register. The echo step (GlobalZEvolution) has no free
+    form: its slots are None and u is its phase diagonal.
+    """
+    if gate.kind == "GlobalZEvolution":
+        return None, global_z_phases(n_qubits, gate.angle)
+    slots = _slots(n_qubits, gate.qubits)
+    return slots, _UNITARY[gate.kind] if free_angle else _unitary(gate)
+
+
+def run_placed(amps: np.ndarray, steps, angle: float) -> np.ndarray:
+    """Placed gates applied in order to a bare amplitude array, each free unitary
+    evaluated at angle; a new array, amps is not written and no norm is checked."""
+    for slots, u in steps:
+        amps = _apply(amps, slots, u(angle) if callable(u) else u)
+    return amps
 
 
 def apply_gates(state: PureState, gates) -> PureState:
     """Apply gates in order; the norm is checked once, on the result."""
     amps = state.amplitudes
     for g in gates:
-        amps = _apply(amps, state.n_qubits, g)
+        amps = _apply(amps, *placed(state.n_qubits, g))
     return PureState(amps, state.n_qubits)

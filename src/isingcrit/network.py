@@ -3,21 +3,26 @@
 A preparation network U0 maps |0...0> to the interval's approximate ground
 state; the protocol network applies U0, the compiled diagonal echo step
 exp(-i*tau*eps*sum sigma_z), then U0^dagger, and one qubit is read out.
-`run_protocol` runs U0 once per point: it takes the prepared state U0|0...0>
-from a caller that holds it (the `protocol` command, whose fidelity column
-reads the same state) and applies the echo step and U0^dagger to it gate by
-gate; `protocol_network`, the composed network, is its unitary reference. The
-state is pure, so its computational-basis populations are |psi|^2, which is
-the diagonal of the dephased density matrix. The readout amplitude is the
+The state is pure, so its computational-basis populations are |psi|^2, which
+is the diagonal of the dephased density matrix. The readout amplitude is the
 population difference A = P_s - P_n between the all-zeros ket and the ket
 with only the readout qubit set, so A <= P_s always and the minima of A over
 b_z land where the echo minima do.
 
 Networks are defined for the three-qubit (odd) and four-qubit (even) chains
 and built from `hamiltonian.mixing_angle`, the one source of the ansatz
-angles: each size's core gates for the interval's angle, then a NOT on every
-qubit for a mirrored ANSATZ row (m > n). The three-qubit networks prepare the
-ansatz states of `criticality.ground_state_approx` bit for bit.
+angles: each size's core gate specs for the interval, then a NOT on every
+qubit for a mirrored ANSATZ row (m > n). A spec's angle is a constant or PHI,
+the interval's mixing angle. The three-qubit networks prepare the ansatz
+states of `criticality.ground_state_approx` bit for bit.
+
+Two runners read those specs. `protocol_point`, the path of every sweep,
+validates and places an interval's gates once per process; a point computes
+its angle and runs U0, the echo step and U0^dagger through the gate kernel,
+and returns the prepared state U0|0...0> (for the fidelity column) with the
+readout. `run_protocol` runs a given `GateNetwork` gate by gate through the
+same kernel, from the prepared state when the caller holds it; the composed
+`protocol_network` is its unitary reference.
 
 A line-oriented text format serializes them: a NETWORK header followed by
 one ``GATE kind target(s) [control(s)] [angle]`` line per gate, fields
@@ -33,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import dynamics
-from .gates import GATE_ARITY, Gate, apply_gates
+from .gates import GATE_ARITY, Gate, apply_gates, finite_angle, global_z_phases, placed, run_placed
 from .hamiltonian import (
     INTERVALS,
     ChainParams,
@@ -97,64 +102,101 @@ def build_preparation_network(n_qubits: int, interval, b_z: float, b_x: float) -
     `mixing_angle`; for a row with m > n (the mirrored, positive-field
     intervals) it ends with a NOT on every qubit.
     """
-    if n_qubits not in _GATES:
-        raise UnsupportedChainError("preparation networks exist for N = 3 and N = 4 only")
-    parity = chain_parity(n_qubits)
-    key = (float(interval[0]), float(interval[1]))
-    if key not in INTERVALS[parity]:
-        raise ValueError(f"unknown {parity} interval {interval!r}")
-    k = INTERVALS[parity].index(key)
-    angle = mixing_angle(parity, k, b_z, b_x)
-    gates = _GATES[n_qubits](k, angle.phi)
-    if angle.m > angle.n:
-        gates += tuple(Gate("NOT", (q,)) for q in range(1, n_qubits + 1))
-    return GateNetwork(n_qubits, gates, f"{parity} [{key[0]:g},{key[1]:g}]")
+    parity, k, angle = _interval_angle(n_qubits, interval, b_z, b_x)
+    specs = _gate_specs(n_qubits, k, angle.m > angle.n)
+    gates = tuple(Gate(kind, t, c, angle.phi if a is PHI else a) for kind, t, c, a in specs)
+    lo, hi = INTERVALS[parity][k]
+    return GateNetwork(n_qubits, gates, f"{parity} [{lo:g},{hi:g}]")
 
 
 def preparation_network(n_qubits: int, b_z: float, b_x: float) -> GateNetwork:
     """U0 for the interval containing b_z (N must be 3 or 4)."""
+    return build_preparation_network(n_qubits, None, b_z, b_x)
+
+
+def _interval_angle(n_qubits: int, interval, b_z: float, b_x: float):
+    """(parity, k, mixing_angle) of interval k: the one given, or, for None, the one
+    holding b_z. Raises UnsupportedChainError unless N is 3 or 4."""
+    if n_qubits not in _GATES:
+        raise UnsupportedChainError("preparation networks exist for N = 3 and N = 4 only")
     parity = chain_parity(n_qubits)
-    return build_preparation_network(n_qubits, INTERVALS[parity][interval_index(parity, b_z)], b_z, b_x)
+    if interval is None:
+        k = interval_index(parity, b_z)
+    else:
+        key = (float(interval[0]), float(interval[1]))
+        if key not in INTERVALS[parity]:
+            raise ValueError(f"unknown {parity} interval {interval!r}")
+        k = INTERVALS[parity].index(key)
+    return parity, k, mixing_angle(parity, k, b_z, b_x)
 
 
-def _odd_gates(k: int, phi: float) -> tuple[Gate, ...]:
-    """Gates taking |000> to the ansatz of odd interval k, before the mirror NOTs."""
+# stands for the interval's mixing angle in a gate spec (kind, targets, controls, angle)
+PHI = "phi"
+
+
+def _odd_gates(k: int) -> tuple:
+    """Gate specs taking |000> to the ansatz of odd interval k, before the mirror NOTs."""
     if k == 1:
         # pivot rotation on qubit 1, fan-out sets qubit3 = qubit1, qubit2 = NOT qubit1
         return (
-            Gate("RotY", (1,), angle=phi),
-            Gate("CNOT", (3,), (1,)),
-            Gate("NOT", (2,)),
-            Gate("CNOT", (2,), (1,)),
+            ("RotY", (1,), (), PHI),
+            ("CNOT", (3,), (1,), None),
+            ("NOT", (2,), (), None),
+            ("CNOT", (2,), (1,), None),
         )
-    return (Gate("RotY", (2,), angle=phi),)
+    return (("RotY", (2,), (), PHI),)
 
 
-def _even_gates(k: int, phi: float) -> tuple[Gate, ...]:
-    """Gates taking |0000> to the ansatz of even interval k, before the mirror NOTs."""
+def _even_gates(k: int) -> tuple:
+    """Gate specs taking |0000> to the ansatz of even interval k, before the mirror NOTs."""
     if k in (0, 3):
         return (
-            Gate("RotY", (2,), angle=phi),
-            Gate("ControlledRotY", (3,), (2,), angle=-math.pi / 4),
-            Gate("CNOT", (2,), (3,)),
+            ("RotY", (2,), (), PHI),
+            ("ControlledRotY", (3,), (2,), -math.pi / 4),
+            ("CNOT", (2,), (3,), None),
         )
     # Branch selector on qubits 2/3, then conditional rotations on the
     # chain ends; the trailing SWAP pair is the full chain reversal, which
     # leaves the (reversal-symmetric) target invariant and cancels against
     # the diagonal echo step in the composed protocol.
     return (
-        Gate("Hadamard", (2,)),
-        Gate("NOT", (3,)),
-        Gate("CNOT", (3,), (2,)),
-        Gate("ControlledRotY", (4,), (2,), angle=phi),
-        Gate("ControlledRotY", (1,), (3,), angle=phi),
-        Gate("SWAP", (2, 3)),
-        Gate("SWAP", (1, 4)),
+        ("Hadamard", (2,), (), None),
+        ("NOT", (3,), (), None),
+        ("CNOT", (3,), (2,), None),
+        ("ControlledRotY", (4,), (2,), PHI),
+        ("ControlledRotY", (1,), (3,), PHI),
+        ("SWAP", (2, 3), (), None),
+        ("SWAP", (1, 4), (), None),
     )
 
 
 # the compiled chain sizes
 _GATES = {3: _odd_gates, 4: _even_gates}
+
+
+def _gate_specs(n_qubits: int, k: int, mirrored: bool) -> tuple:
+    """U0's gate specs for interval k: the size's core gates, then for a mirrored row a NOT
+    on every qubit."""
+    specs = _GATES[n_qubits](k)
+    if mirrored:
+        specs += tuple(("NOT", (q,), (), None) for q in range(1, n_qubits + 1))
+    return specs
+
+
+@lru_cache(maxsize=None)
+def _compiled(n_qubits: int, k: int, mirrored: bool) -> tuple:
+    """(U0, U0^dagger, kind of U0's first phi gate) for interval k, U0 and U0^dagger as
+    placed kernel steps whose phi unitaries are free (U0^dagger runs at -phi).
+
+    The gates are validated and placed here, once per interval, on a stand-in angle.
+    """
+    specs = _gate_specs(n_qubits, k, mirrored)
+    gates = tuple(Gate(kind, t, c, 0.0 if a is PHI else a) for kind, t, c, a in specs)
+    GateNetwork(n_qubits, gates)  # the register check
+    free = [a is PHI for *_, a in specs]
+    forward = tuple(placed(n_qubits, g, f) for g, f in zip(gates, free))
+    inverse = tuple(placed(n_qubits, g.dagger(), f) for g, f in zip(gates[::-1], free[::-1]))
+    return forward, inverse, specs[free.index(True)][0]
 
 
 def _echo_then_undo(prep: GateNetwork, epsilon: float, tau: float) -> tuple[Gate, ...]:
@@ -167,6 +209,20 @@ def protocol_network(prep: GateNetwork, epsilon: float, tau: float) -> GateNetwo
     """Full unitary part of the protocol: U0^dagger . echo step . U0."""
     gates = prep.gates + _echo_then_undo(prep, epsilon, tau)
     return GateNetwork(prep.n_qubits, gates, f"{prep.label} protocol")
+
+
+def _require_readout_qubit(readout_qubit: int, n_qubits: int) -> None:
+    if not 1 <= readout_qubit <= n_qubits:
+        raise ValueError(f"readout qubit {readout_qubit} outside 1..{n_qubits}")
+
+
+def _readout(final: PureState, readout_qubit: int) -> ReadoutResult:
+    """P_s - P_n on the readout qubit, and P_s, from the final state's populations."""
+    amps = final.amplitudes
+    populations = (amps * amps.conj()).real
+    l_value = float(populations[0])
+    m = 1 << (final.n_qubits - readout_qubit)
+    return ReadoutResult(readout_qubit, l_value - float(populations[m]), l_value)
 
 
 def run_protocol(
@@ -183,18 +239,39 @@ def run_protocol(
     are then applied to it gate by gate, so U0 runs once per call either way.
     """
     n = network.n_qubits
-    if not 1 <= readout_qubit <= n:
-        raise ValueError(f"readout qubit {readout_qubit} outside 1..{n}")
+    _require_readout_qubit(readout_qubit, n)
     if prepared is None:
         prepared = prepared_state(network)
     elif prepared.n_qubits != n:
         raise ValueError(f"prepared state has {prepared.n_qubits} qubits, the network {n}")
-    amps = apply_gates(prepared, _echo_then_undo(network, epsilon, tau)).amplitudes
-    populations = (amps * amps.conj()).real
-    s = 0
-    m = 1 << (n - readout_qubit)
-    l_value = float(populations[s])
-    return ReadoutResult(readout_qubit, l_value - float(populations[m]), l_value)
+    return _readout(apply_gates(prepared, _echo_then_undo(network, epsilon, tau)), readout_qubit)
+
+
+def protocol_point(
+    n_qubits: int,
+    b_z: float,
+    b_x: float,
+    epsilon: float,
+    tau: float,
+    readout_qubit: int,
+    interval=None,
+) -> tuple[PureState, ReadoutResult]:
+    """The prepared state U0|0...0> and the readout of one protocol point, bit for bit
+    `run_protocol(build_preparation_network(...), ..., prepared_state(net))` and its state.
+
+    U0 is the network of `interval`, or, for None, of the interval holding b_z. Each
+    interval's gates are validated once per process; a point computes its mixing angle
+    and runs U0, the echo step and U0^dagger through the gate kernel, with the same
+    checks and messages as the networks.
+    """
+    _, k, angle = _interval_angle(n_qubits, interval, b_z, b_x)
+    forward, inverse, phi_kind = _compiled(n_qubits, k, angle.m > angle.n)
+    phi = finite_angle(phi_kind, angle.phi)
+    prepared = PureState(run_placed(_all_zeros(n_qubits).amplitudes, forward, phi), n_qubits)
+    _require_readout_qubit(readout_qubit, n_qubits)
+    echo = (None, global_z_phases(n_qubits, finite_angle("GlobalZEvolution", tau * epsilon)))
+    final = run_placed(prepared.amplitudes, (echo,) + inverse, -phi)
+    return prepared, _readout(PureState(final, n_qubits), readout_qubit)
 
 
 def protocol_vs_exact(
@@ -214,8 +291,7 @@ def protocol_vs_exact(
     lo, hi = float(interval[0]), float(interval[1])
     worst = 0.0
     for bz in default_b_z_grid(lo, hi, step):
-        net = build_preparation_network(n_qubits, (lo, hi), bz, b_x)
-        l_value = run_protocol(net, epsilon, tau, 1).l_value
+        l_value = protocol_point(n_qubits, bz, b_x, epsilon, tau, 1, (lo, hi))[1].l_value
         exact = dynamics.loschmidt_echo_exact(ChainParams(n_qubits, bz, b_x), epsilon, tau)
         worst = max(worst, abs(l_value - exact))
     return worst

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from isingcrit import cli, dynamics, gates
+from isingcrit import cli, dynamics, gates, network
 from isingcrit.cli import main
 from isingcrit.hamiltonian import ChainParams, closed_form_energy
 
@@ -215,15 +215,35 @@ def test_phase_diagram_has_no_register_cap(tmp_path):
 @pytest.mark.parametrize("bz, prep_gates", [(-3.0, 3), (-1.0, 7)])
 def test_protocol_runs_its_preparation_once_per_point(bz, prep_gates, monkeypatch, tmp_path):
     # U0 once (its state also feeds the fidelity column), the echo step, U0^dagger:
-    # an N = 4 outer-interval point applies 3 + 1 + 3 gates, a middle-interval one 7 + 1 + 7
+    # an N = 4 outer-interval point applies 3 + 1 + 3 gates, a middle-interval one 7 + 1 + 7;
+    # the kernel reads the echo step, which acts on the whole register, with no slot table
     applied = []
     apply = gates._apply
-    monkeypatch.setattr(gates, "_apply", lambda *args: applied.append(args[2].kind) or apply(*args))
+    monkeypatch.setattr(
+        gates, "_apply",
+        lambda *args: applied.append("GlobalZEvolution" if args[1] is None else "placed") or apply(*args),
+    )
     argv = ["protocol", "--n", "4", "--bz-min", str(bz), "--bz-max", str(bz + 0.1), "--bz-step", "0.05"]
     code, _ = run_cli(argv, tmp_path)
     assert code == 0
     assert len(applied) == 3 * (2 * prep_gates + 1)
     assert applied.count("GlobalZEvolution") == 3
+
+
+def test_protocol_validates_as_many_gates_on_any_grid(monkeypatch, tmp_path):
+    # each preparation interval's gates are validated once, not once per point, so a grid
+    # ten times finer validates no more Gate objects
+    validated = []
+    post_init = gates.Gate.__post_init__
+    monkeypatch.setattr(gates.Gate, "__post_init__", lambda g: validated.append(g.kind) or post_init(g))
+    counts = []
+    for step in ("0.05", "0.005"):
+        network._compiled.cache_clear()
+        validated.clear()
+        code, _ = run_cli(["protocol", "--n", "4", "--bz-step", step], tmp_path)
+        assert code == 0
+        counts.append(len(validated))
+    assert counts[0] == counts[1] > 0
 
 
 def test_phase_diagram_requires_zero_transverse_field(tmp_path):
@@ -285,8 +305,8 @@ def test_stdout_when_no_out(capsys):
 
 def test_protocol_rejects_a_short_grid_before_any_run(monkeypatch, capsys):
     runs = []
-    run = cli.run_protocol
-    monkeypatch.setattr(cli, "run_protocol", lambda *args: runs.append(args) or run(*args))
+    run = cli.protocol_point
+    monkeypatch.setattr(cli, "protocol_point", lambda *args: runs.append(args) or run(*args))
     argv = ["protocol", "--n", "3", "--bz-min", "0", "--bz-max", "0.006", "--bz-step", "0.005"]
     assert main(argv) == 1
     assert "at least 3 grid points" in capsys.readouterr().err

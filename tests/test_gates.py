@@ -203,6 +203,17 @@ def test_dagger_inverts():
         assert np.allclose(back.amplitudes, state.amplitudes, atol=1e-12)
 
 
+def test_dagger_negates_the_angle_of_an_equal_gate():
+    # the inverse is built without a second validation; it is the validated gate at -angle
+    for kind, (n_t, n_c, has_angle) in GATE_ARITY.items():
+        if not has_angle:
+            continue
+        qubits = tuple(range(1, n_t + n_c + 1))
+        g = Gate(kind, qubits[n_c:], qubits[:n_c], 0.3)
+        assert g.dagger() == Gate(kind, qubits[n_c:], qubits[:n_c], -0.3)
+        assert g.dagger().dagger() == g
+
+
 def _moveaxis_reference(state, gate):
     """Reference application: the gate's qubits moved to the front of a (2,)*N tensor."""
     n = state.n_qubits

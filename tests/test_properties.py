@@ -37,7 +37,9 @@ from isingcrit.network import (
     GateNetwork,
     parse_network,
     preparation_network,
+    prepared_state,
     protocol_network,
+    protocol_point,
     run_protocol,
     serialize_network,
 )
@@ -66,6 +68,35 @@ def test_protocol_readout_bounds(n, b_z, b_x, epsilon, tau, data):
     populations = (amps * amps.conj()).real
     assert abs(populations.sum() - 1.0) <= 1e-12
     assert res.l_value == populations[0]
+
+
+# the interval edges, each with either sign, and 0
+edge_fields = st.sampled_from([-3.0, -1.44, -1.0, 0.0, 1.0, 1.44, 3.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.sampled_from([3, 4]),
+    b_z=st.one_of(st.floats(-3.5, 3.5), edge_fields),
+    b_x=st.floats(0.005, 2.0),
+    epsilon=st.floats(-1.0, 1.0),
+    tau=st.floats(0.0, 2 * np.pi),
+)
+def test_compiled_protocol_point_is_the_network_protocol(n, b_z, b_x, epsilon, tau):
+    # bit for bit the gate-by-gate run of the same network, and within 1e-12 its unitaries
+    net = preparation_network(n, b_z, b_x)
+    prepared = prepared_state(net)
+    composed = protocol_network(net, epsilon, tau).unitary()[:, 0]  # applied to |0...0>
+    populations = (composed * composed.conj()).real
+    for readout_qubit in range(1, n + 1):
+        state, res = protocol_point(n, b_z, b_x, epsilon, tau, readout_qubit)
+        ref = run_protocol(net, epsilon, tau, readout_qubit, prepared)
+        assert np.array_equal(state.amplitudes, prepared.amplitudes)
+        assert (res.amplitude, res.l_value) == (ref.amplitude, ref.l_value)
+        assert np.max(np.abs(state.amplitudes - net.unitary()[:, 0])) <= 1e-12
+        m = 1 << (n - readout_qubit)
+        assert abs(res.l_value - populations[0]) <= 1e-12
+        assert abs(res.amplitude - (populations[0] - populations[m])) <= 1e-12
 
 
 @given(parity=parities, data=st.data())
