@@ -11,11 +11,10 @@ strictly below the echo population it tracks.
 import numpy as np
 
 from isingcrit import (
-    ChainParams,
     crossover_points,
     default_b_z_grid,
     find_minima,
-    ground_state,
+    ground_states,
     fidelity,
     preparation_network,
     protocol_point,
@@ -37,11 +36,12 @@ def scan(n, epsilon, tau, readout_qubit):
     grid = default_b_z_grid(step=0.02)
     amplitudes = []
     worst_fid = 1.0
+    exact = ground_states(n, B_X, grid)  # each |b_z| solved once
     for bz in grid:
         # U0 once: the readout and the fidelity share its state
         prepared, readout = protocol_point(n, bz, B_X, epsilon, tau, readout_qubit)
         amplitudes.append(readout.amplitude)
-        worst_fid = min(worst_fid, fidelity(prepared, ground_state(ChainParams(n, bz, B_X))))
+        worst_fid = min(worst_fid, fidelity(prepared, next(exact)))
     minima = find_minima(grid, amplitudes)
     print(f"N={n}, epsilon={epsilon}, tau={tau:.4f}, readout on qubit {readout_qubit}:")
     print("  amplitude minima:",

@@ -14,6 +14,7 @@ from .dynamics import (
     gap,
     ground_energy,
     ground_state,
+    ground_states,
     loschmidt_echo_exact,
     spectral_for,
 )

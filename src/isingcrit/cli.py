@@ -128,12 +128,13 @@ def _cmd_protocol(config: argparse.Namespace):
     grid = _grid(config)
     require_minima_grid(grid)  # before the first protocol run
     columns = ["b_z", "amplitude", "l_value", "fidelity_prepared_vs_exact"]
+    # each |b_z| solved once, in stacked eighs, at the first read: after the first point's checks
+    exact = dynamics.ground_states(config.n, config.bx, grid)
     rows = []
     for bz in grid:
         # U0 runs once: the readout and the fidelity share its state
         prepared, res = protocol_point(config.n, bz, config.bx, config.epsilon, config.tau, config.readout_qubit)
-        fid = fidelity(prepared, dynamics.ground_state(ChainParams(config.n, bz, config.bx)))
-        rows.append([bz, res.amplitude, res.l_value, fid])
+        rows.append([bz, res.amplitude, res.l_value, fidelity(prepared, next(exact))])
     minima = find_minima([r[0] for r in rows], [r[1] for r in rows])
     return columns, rows, minima
 

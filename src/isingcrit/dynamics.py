@@ -3,7 +3,8 @@
 Propagation goes through full spectral decomposition rather than a matrix
 exponential per time point, in one kernel, `SpectralDecomposition.propagate`.
 Every solver call solves; a scan that reads a field twice reads it through
-`solve_points`, which solves it once. The perturbed evolution uses H + epsilon*V
+`solve_points`, or a grid of ground states through `ground_states`, which
+solve it once. The perturbed evolution uses H + epsilon*V
 with V = -sum_i sigma_z^i, i.e. a longitudinal field shifted to B_z - epsilon.
 
 The chain is solved from its parameters, with no dense 2^N x 2^N matrix. At
@@ -31,16 +32,20 @@ reads it in:
 
 * `levels_for` (the `spectrum` command, `gap`, `ground_energy`): the levels
   of `spectral_for` with no eigenvector matrix assembled.
-* `even_spectral_for` (ground-state echoes, both expansions, `ground_state`):
-  the even sector alone, its vectors left in the even basis. For B_x != 0, H
-  in the basis signed by prod_i sigma_z^i (which commutes with R) is
-  connected with non-positive off-diagonals, so by Perron-Frobenius its
-  ground state is unique and even; at B_x = 0 the even basis holds a ground
-  state too, since H(s) = H(R s). V is diagonal in the even basis as well
+* `even_spectral_for` (ground-state echoes, both expansions): the even sector
+  alone, its vectors left in the even basis. For B_x != 0, H in the basis
+  signed by prod_i sigma_z^i (which commutes with R) is connected with
+  non-positive off-diagonals, so by Perron-Frobenius its ground state is
+  unique and even; at B_x = 0 the even basis holds a ground state too, since
+  H(s) = H(R s). V is diagonal in the even basis as well
   (`even_field_perturbation`, read from the stored sum_i sigma_z^i), and the
   approximate ground state of the scans lies in it, its kets being palindromes
   or mirror pairs (`even_amplitudes`), so nothing embeds these vectors in 2^N
-  rows but `ground_state`, which embeds one.
+  rows.
+* `ground_states` (the `protocol` command's fidelity column, and
+  `ground_state`, its one-field case): the even ground vector of each field
+  of a grid in 2^N rows. Each distinct |b_z| is solved once, the even blocks
+  of many fields stacked into one `eigh` (up to `_STACK_BYTES` of blocks).
 * `loschmidt_echo_exact` of a given state: its `project`ed even and odd
   parts, each through its own sector's solve, in that sector's basis.
 
@@ -201,6 +206,16 @@ class _Sector:
         """`hamiltonian_diagonal` at this b_z on the sector's rows, bit for bit."""
         return self.zz + b_z * self.magnetization
 
+    def block(self, b_z, b_x: float) -> np.ndarray:
+        """H on the sector's rows at B_x != 0: a d x d block, or one per field if b_z is an array."""
+        b_z = np.asarray(b_z, dtype=float)
+        d = self.kets.size
+        h = np.zeros(b_z.shape + (d, d))
+        h[..., np.arange(d), np.arange(d)] = self.diagonal(b_z[..., None])
+        rows, cols, x = self.x
+        h[..., rows, cols] = b_x * x  # X flips change the popcount, which R keeps: no diagonal
+        return h
+
     def embed(self, y: np.ndarray) -> np.ndarray:
         """A sector vector, or columns, y as 2^N rows: w y at each ket, and sign w y at its mirror."""
         out = np.zeros((1 << self.n_qubits,) + y.shape[1:])
@@ -310,8 +325,8 @@ def mirror_even(spec: SpectralDecomposition, n_qubits: int) -> SpectralDecomposi
 
 def _sector_spectral_for(params: ChainParams, sector: _Sector) -> SpectralDecomposition:
     """One reflection sector's decomposition, in its basis (row a: the ket or pair of
-    `sector.kets[a]`): `sector.diagonal`, sorted at B_x = 0, else plus b_x times the
-    sector's sigma_x triples, given one `eigh` at |b_z|.
+    `sector.kets[a]`): `sector.diagonal`, sorted at B_x = 0, else one `eigh` of
+    `sector.block` at |b_z|.
 
     P H(b_z) P = H(-b_z), and on the sector's rows P is the permutation `sector.flip`: the
     sector diagonal at -b_z is the permuted one at b_z, bit for bit, and the sigma_x
@@ -321,13 +336,9 @@ def _sector_spectral_for(params: ChainParams, sector: _Sector) -> SpectralDecomp
     solved = _solved_field(params)
     if solved != params:
         return _mirrored(_sector_spectral_for(solved, sector), sector.flip)
-    d = sector.diagonal(params.b_z)
     if params.b_x == 0.0:
-        return _sorted_diagonal(d)
-    rows, cols, x = sector.x
-    h = np.diag(d)  # X flips change the popcount, which R keeps: no diagonal, zeros stay +0.0
-    h[rows, cols] = params.b_x * x
-    return SpectralDecomposition(*np.linalg.eigh(h))
+        return _sorted_diagonal(sector.diagonal(params.b_z))
+    return SpectralDecomposition(*np.linalg.eigh(sector.block(params.b_z, params.b_x)))
 
 
 def _both_sectors(params: ChainParams):
@@ -480,14 +491,60 @@ def even_amplitudes(state: PureState) -> np.ndarray:
     return a[even.kets] / even.weight
 
 
+# The most bytes one stacked `eigh` of `ground_states` is handed, (G, d, d) float64 even
+# blocks; a stack and its vectors hold twice this. Stacking pays where the per-call cost
+# rivals the LAPACK work: G = 227 at N = 3 (d = 6), 81 at N = 4 (d = 10), 6 at N = 6, and 1
+# from N = 7 (d = 72) on. A larger stack only adds to the peak memory of a protocol sweep.
+_STACK_BYTES = 1 << 16
+
+
+def _even_ground_vectors(n_qubits: int, b_x: float, b_z: np.ndarray) -> np.ndarray:
+    """The even sector's ground vector at each field of b_z (B_x != 0), one row each.
+
+    The blocks (`_Sector.block`) are `_sector_spectral_for`'s, stacked into one `eigh` per
+    `_STACK_BYTES` of them; `eigh` runs the one-matrix LAPACK call on each block of a
+    stack, so each vector is bit for bit the one a solve of its field alone gives.
+    """
+    even = _reflection_sectors(n_qubits)[0]
+    d = even.kets.size
+    chunk = max(1, _STACK_BYTES // (8 * d * d))
+    ground = np.empty((b_z.size, d))
+    for start in range(0, b_z.size, chunk):
+        stack = even.block(b_z[start:start + chunk], b_x)
+        ground[start:start + len(stack)] = np.linalg.eigh(stack)[1][:, :, 0]
+    return ground
+
+
+def ground_states(n_qubits: int, b_x: float, b_z_values):
+    """Yield `spectral_for`'s first column at each field b_z of `b_z_values`, bit for bit.
+
+    Nothing is checked or solved before the first state is read. At B_x = 0 each field is
+    checked (`ChainParams`) and its diagonal sorted as it is read: the state is the sort's
+    first ket. Otherwise the first read checks every field, then solves each distinct |b_z|
+    (`_solved_field`) once, in stacked `eigh` calls (`_even_ground_vectors`). A field at
+    b_z < 0 reads its |b_z| vector with the rows permuted by the spin flip, and each vector
+    is mapped to 2^N rows as it is yielded, so only the states a caller keeps are held.
+    """
+    fields = (ChainParams(n_qubits, b_z, b_x) for b_z in b_z_values)
+    if b_x == 0.0:
+        for p in fields:
+            yield PureState(_sorted_diagonal(hamiltonian_diagonal(p)).ground_vector, n_qubits)
+        return
+    stacked, reads = {}, []  # each distinct solved field's row; each field's row and mirroring
+    for p in fields:
+        solved = _solved_field(p)
+        reads.append((stacked.setdefault(solved, len(stacked)), solved != p))
+    b_z = np.array([q.b_z for q in stacked])
+    ground = _even_ground_vectors(n_qubits, float(b_x), b_z)
+    even = _reflection_sectors(n_qubits)[0]
+    for row, mirrored in reads:
+        y0 = even.embed(ground[row][even.flip] if mirrored else ground[row])
+        yield PureState(_fix_phases(y0[:, None]), n_qubits)
+
+
 def ground_state(params: ChainParams) -> PureState:
-    """`spectral_for(params)`'s first column, bit for bit: at B_x = 0 the first ket of the
-    diagonal's stable sort, otherwise the even ground vector mapped to 2^N rows."""
-    n = params.n_qubits
-    if params.b_x == 0.0:
-        return PureState(_sorted_diagonal(hamiltonian_diagonal(params)).ground_vector, n)
-    y0 = _reflection_sectors(n)[0].embed(even_spectral_for(params).ground_vector)
-    return PureState(_fix_phases(y0[:, None]), n)
+    """`spectral_for(params)`'s first column, bit for bit: `ground_states` at one field."""
+    return next(ground_states(params.n_qubits, params.b_x, [params.b_z]))
 
 
 def ground_energy(params: ChainParams) -> float:

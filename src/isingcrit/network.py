@@ -21,8 +21,7 @@ validates and places an interval's gates once per process; a point computes
 its angle and runs U0, the echo step and U0^dagger through the gate kernel,
 and returns the prepared state U0|0...0> (for the fidelity column) with the
 readout. `run_protocol` runs a given `GateNetwork` gate by gate through the
-same kernel, from the prepared state when the caller holds it; the composed
-`protocol_network` is its unitary reference.
+same kernel; the composed `protocol_network` is its unitary reference.
 
 A line-oriented text format serializes them: a NETWORK header followed by
 one ``GATE kind target(s) [control(s)] [angle]`` line per gate, fields
@@ -230,21 +229,15 @@ def run_protocol(
     epsilon: float,
     tau: float,
     readout_qubit: int,
-    prepared: PureState | None = None,
 ) -> ReadoutResult:
     """Execute the protocol and read the population difference on one qubit.
 
-    `prepared` is U0|0...0>, i.e. `prepared_state(network)`, for a caller that
-    holds it already; it is built here otherwise. The echo step and U0^dagger
-    are then applied to it gate by gate, so U0 runs once per call either way.
+    U0 is applied to |0...0> (`prepared_state`), then the echo step and U0^dagger,
+    gate by gate.
     """
-    n = network.n_qubits
-    _require_readout_qubit(readout_qubit, n)
-    if prepared is None:
-        prepared = prepared_state(network)
-    elif prepared.n_qubits != n:
-        raise ValueError(f"prepared state has {prepared.n_qubits} qubits, the network {n}")
-    return _readout(apply_gates(prepared, _echo_then_undo(network, epsilon, tau)), readout_qubit)
+    _require_readout_qubit(readout_qubit, network.n_qubits)
+    final = apply_gates(prepared_state(network), _echo_then_undo(network, epsilon, tau))
+    return _readout(final, readout_qubit)
 
 
 def protocol_point(
@@ -257,7 +250,7 @@ def protocol_point(
     interval=None,
 ) -> tuple[PureState, ReadoutResult]:
     """The prepared state U0|0...0> and the readout of one protocol point, bit for bit
-    `run_protocol(build_preparation_network(...), ..., prepared_state(net))` and its state.
+    `prepared_state(net)` and `run_protocol(net, ...)` of `net = build_preparation_network(...)`.
 
     U0 is the network of `interval`, or, for None, of the interval holding b_z. Each
     interval's gates are validated once per process; a point computes its mixing angle

@@ -112,9 +112,9 @@ class LandauZenerParams:
 
 
 def lz_hamiltonian(p: LandauZenerParams) -> HermitianOperator:
-    """The 2x2 model Hamiltonian."""
+    """The 2x2 model Hamiltonian, real symmetric and so stored as float64."""
     zfield = np.sign(p.lam) * abs(p.lam) ** p.z_nu
-    m = np.array([[zfield, p.delta_min], [p.delta_min, -zfield]], dtype=complex)
+    m = np.array([[zfield, p.delta_min], [p.delta_min, -zfield]], dtype=float)
     return HermitianOperator(m, 1)
 
 

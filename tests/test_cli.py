@@ -6,7 +6,8 @@ import pytest
 
 from isingcrit import cli, dynamics, gates, network
 from isingcrit.cli import main
-from isingcrit.hamiltonian import ChainParams, closed_form_energy
+from isingcrit.hamiltonian import ChainParams, closed_form_energy, default_b_z_grid
+from isingcrit.states import fidelity
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -181,6 +182,18 @@ def test_protocol_rejects_unsupported_size(tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("n", ["0", "5", "20"])
+def test_protocol_solves_nothing_before_its_first_point_passes_its_checks(n, monkeypatch, capsys):
+    # the fidelity column's ground states are solved at its first read, after the first
+    # point's network checks: an unsupported size reports the network error, with no solve
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+    assert main(["protocol", "--n", n]) == 1
+    assert capsys.readouterr().err == "error: preparation networks exist for N = 3 and N = 4 only\n"
+    assert eighs == []
+
+
 def test_protocol_rejects_a_non_positive_transverse_field(tmp_path, capsys):
     # every preparation interval reads mixing_angle, the odd middle one included
     args = ["protocol", "--n", "3", "--bz-min", "-0.5", "--bz-max", "0.5", "--bz-step", "0.25"]
@@ -244,6 +257,46 @@ def test_protocol_validates_as_many_gates_on_any_grid(monkeypatch, tmp_path):
         assert code == 0
         counts.append(len(validated))
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("stack_bytes", [None, 8 * 10 * 10 * 50])
+def test_protocol_solves_each_field_magnitude_once_in_stacked_eighs(stack_bytes, monkeypatch, capsys):
+    # the fidelity column's 1201 fields are 601 distinct |b_z|, each one even-sector solve
+    # (10 wide at N = 4), stacked up to the byte budget into each eigh (81 blocks: 8 eighs);
+    # a budget of 50 blocks per stack prints the same bytes
+    argv = ["protocol", "--n", "4", "--bz-step", "0.005"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    if stack_bytes is not None:
+        monkeypatch.setattr(dynamics, "_STACK_BYTES", stack_bytes)
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == default
+    chunk = dynamics._STACK_BYTES // (8 * 10 * 10)
+    assert all(shape[1:] == (10, 10) for shape in eighs)
+    assert sum(shape[0] for shape in eighs) == 601
+    assert len(eighs) == -(-601 // chunk) == (8 if stack_bytes is None else 13)
+
+
+@pytest.mark.parametrize("n, eps, tau", [(3, "0.2", repr(np.pi)), (4, "0.5", repr(np.pi / 2))])
+@pytest.mark.parametrize("bx", ["0.05", "0.1", "0.15"])
+def test_protocol_fidelity_column_is_the_per_point_fidelity(n, eps, tau, bx, capsys):
+    # each printed fidelity is that of the point's prepared state with its own exact
+    # ground state, solved alone, as printed strings: no golden file that depends on
+    # the LAPACK build
+    argv = ["protocol", "--n", str(n), "--bx", bx, "--epsilon", eps, "--tau", tau, "--bz-step", "0.005"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [ln.split(",") for ln in lines[lines.index("b_z,amplitude,l_value,fidelity_prepared_vs_exact") + 1:]
+            if not ln.startswith("#")]
+    grid = default_b_z_grid(-3.0, 3.0, 0.005)
+    assert len(rows) == grid.size == 1201
+    for row, bz in zip(rows, grid):
+        prepared, _ = network.protocol_point(n, bz, float(bx), float(eps), float(tau), 1)
+        expected = fidelity(prepared, dynamics.ground_state(ChainParams(n, bz, float(bx))))
+        assert row[0] == cli._fmt(bz) and row[3] == cli._fmt(expected), row
 
 
 def test_phase_diagram_requires_zero_transverse_field(tmp_path):

@@ -28,6 +28,7 @@ from isingcrit.dynamics import (
     ground_echo,
     ground_energy,
     ground_state,
+    ground_states,
     levels_for,
     even_field_perturbation,
     loschmidt_echo_exact,
@@ -42,6 +43,7 @@ from isingcrit.hamiltonian import (
     ChainParams,
     ChainSizeError,
     build_hamiltonian,
+    default_b_z_grid,
     diagonal_terms,
     global_field_perturbation,
     hamiltonian_diagonal,
@@ -397,6 +399,42 @@ def test_ground_state_is_the_first_column_of_spectral_for(full_solves):
     for params, spec in full_solves:
         expected = PureState(spec.eigenvectors[:, 0], params.n_qubits).amplitudes
         assert np.array_equal(ground_state(params).amplitudes, expected), params
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_ground_states_are_the_one_field_ground_states_as_bytes(n, monkeypatch):
+    # each |b_z| solved once in a stacked eigh, and mirrored for b_z < 0, gives every
+    # field the bytes of its own solve: of ground_state, and at B_x != 0 of the even
+    # sector's one-matrix eigh (`even_spectral_for`), embedded; the grid holds +-b_z
+    # pairs, 0.0, -0.0 and a repeated field, and its 601 or 32 distinct |b_z| fill many
+    # stacks (N <= 6) or take one eigh each (N >= 7)
+    grid = list(default_b_z_grid(-3.0, 3.0, 0.005 if n <= 6 else 0.1)) + [0.0, -0.0, 1.25, -1.25, 1.25]
+    even = _reflection_sectors(n)[0]
+    eighs = []
+    eigh = np.linalg.eigh
+    for b_x in (0.005, 0.1, 1.0, 0.0):
+        eighs.clear()
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+        states = list(ground_states(n, b_x, grid))
+        monkeypatch.undo()
+        assert len(states) == len(grid)
+        if b_x != 0.0:
+            d, solves = even.kets.size, len({abs(b) for b in grid})
+            assert sum(shape[0] for shape in eighs) == solves
+            assert len(eighs) == -(-solves // max(1, dynamics._STACK_BYTES // (8 * d * d)))
+        else:
+            assert eighs == []
+        for b_z, state in zip(grid, states):
+            params = ChainParams(n, b_z, b_x)
+            amplitudes = state.amplitudes.tobytes()
+            assert amplitudes == ground_state(params).amplitudes.tobytes(), params
+            if b_x != 0.0:
+                y0 = _fix_phases(even.embed(even_spectral_for(params).ground_vector)[:, None])
+                assert amplitudes == PureState(y0, n).amplitudes.tobytes(), params
+
+
+def test_ground_states_of_no_fields_is_empty():
+    assert list(ground_states(4, 0.1, [])) == [] == list(ground_states(4, 0.0, []))
 
 
 @pytest.mark.parametrize("n, bx", [(12, 0.0), (10, 0.1)])

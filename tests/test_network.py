@@ -170,17 +170,6 @@ def test_run_protocol_validates_qubit():
         run_protocol(net, 0.1, np.pi, 4)
 
 
-def test_run_protocol_reads_a_given_prepared_state_like_its_own():
-    for n, eps, tau in ((3, 0.2, np.pi), (4, 0.5, np.pi / 2)):
-        for bz in (-2.3, -1.0, 0.0, 0.7, 2.0):
-            net = preparation_network(n, bz, 0.1)
-            for q in range(1, n + 1):
-                assert run_protocol(net, eps, tau, q, prepared_state(net)) == run_protocol(net, eps, tau, q)
-    net = preparation_network(3, -2.0, 0.1)
-    with pytest.raises(ValueError, match="prepared state has 4 qubits"):
-        run_protocol(net, 0.2, np.pi, 1, basis_state(4, "0000"))
-
-
 def test_readout_result_invariant():
     with pytest.raises(ValueError):
         ReadoutResult(1, amplitude=0.9, l_value=0.5)

@@ -160,6 +160,13 @@ def test_lz_matrix_element_matches_diagonalization():
         assert spec.eigenvalues[1] - spec.eigenvalues[0] == pytest.approx(lz_gap(p), abs=1e-12)
 
 
+def test_lz_hamiltonian_is_stored_real():
+    # a real symmetric 2x2: float64, as the package stores every real operator
+    m = lz_hamiltonian(LandauZenerParams(0.1, -0.5, 2.0)).matrix
+    assert m.dtype == np.float64
+    assert np.array_equal(m, [[-0.25, 0.1], [0.1, 0.25]])
+
+
 def test_lz_gaussian_examples():
     assert lz_echo_gaussian(LandauZenerParams(0.2, 0.0, 1.0, 0.3, 1.5)) == pytest.approx(
         np.exp(-(0.3**2) * 1.5**2)

@@ -90,7 +90,7 @@ def test_compiled_protocol_point_is_the_network_protocol(n, b_z, b_x, epsilon, t
     populations = (composed * composed.conj()).real
     for readout_qubit in range(1, n + 1):
         state, res = protocol_point(n, b_z, b_x, epsilon, tau, readout_qubit)
-        ref = run_protocol(net, epsilon, tau, readout_qubit, prepared)
+        ref = run_protocol(net, epsilon, tau, readout_qubit)
         assert np.array_equal(state.amplitudes, prepared.amplitudes)
         assert (res.amplitude, res.l_value) == (ref.amplitude, ref.l_value)
         assert np.max(np.abs(state.amplitudes - net.unitary()[:, 0])) <= 1e-12
