@@ -4,6 +4,12 @@ Commands: spectrum, echo-scan, lz, protocol, phase-diagram. Output is fully
 deterministic (floats printed at 12 significant digits, config embedded in
 every file), so identical configs produce byte-identical files. Exit codes:
 0 success, 1 configuration error, 2 I/O error.
+
+The sweeps over B_x != 0 fields solve through the field planner of `dynamics`
+(`dynamics.plan`), which solves each |b_z| once, stacked up to N = 6 and one
+field per call beyond: `spectrum` reads its levels from one plan, `echo-scan`
+its spectra (`criticality.echo_scan`), and `protocol` its fidelity column's
+ground states (`dynamics.ground_states`), after the first point's checks.
 """
 
 from __future__ import annotations
@@ -86,13 +92,11 @@ def _cmd_spectrum(config: argparse.Namespace):
     columns = ["b_z", "e0", "e1", "gap"] + (["closed_form_energy"] if with_closed else [])
     fields = [ChainParams(config.n, bz, config.bx) for bz in grid]
     rows = [None] * len(fields)
-    order, levels = dynamics.solve_points(dynamics.levels_for, [(p,) for p in fields], None)
+    order, levels = dynamics.plan([(p,) for p in fields], dynamics.LEVELS)
     with closing(levels):
         for i in order:
-            w = next(levels)
-            rows[i] = [fields[i].b_z, w[0], w[1], w[1] - w[0]]
-            if with_closed:
-                rows[i].append(closed_form_energy(fields[i]))
+            w, p = next(levels), fields[i]
+            rows[i] = [p.b_z, w[0], w[1], w[1] - w[0]] + ([closed_form_energy(p)] if with_closed else [])
     return columns, rows, []
 
 

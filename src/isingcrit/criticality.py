@@ -6,12 +6,12 @@ echo scans over the longitudinal field, and minima extraction.
 networks of `network` prepare bit for bit.
 
 An echo scan reads each field's reflection-even spectrum through
-`dynamics.solve_points`: the exact ground state and the ansatz (its kets
-palindromes or mirror pairs) both lie in that sector. At B_x != 0 it solves
-each |b_z| once, possibly ahead on another thread, and gives a field at
-b_z < 0 the spin-flip mirror of that solve (`dynamics.mirror_even`). It
-visits the points grouped by the pair of |fields| they read, chain by chain,
-so at most two solved fields are held at once, and the scan writes each
+`dynamics.plan` (EVEN): the exact ground state and the ansatz (its kets
+palindromes or mirror pairs) both lie in that sector. The planner solves each
+|b_z| once, by its executor rule (stacked up to N = 6, else one field per call,
+possibly ahead on other threads), gives a field at b_z < 0 the spin-flip mirror
+of that solve, and visits the points grouped by the pair of |fields| they read,
+chain by chain, so at most two solves are held at once; the scan writes each
 value at its grid index.
 """
 
@@ -165,11 +165,11 @@ def echo_scan(
     before any work, and an exact echo of the approximate ground state builds
     its first ansatz, which checks N and b_x, before its first solve. The echo
     kinds read even-sector spectra, two per point for the exact echo (the
-    field, then b_z - epsilon) and one for the expansions, from
-    `dynamics.solve_points`, which solves each |b_z| once, up to W + 1 ahead on
-    W threads, mirrors it for b_z < 0, and holds it until its last read; the
-    points are visited in its order, and the values are bit for bit the serial
-    ones and the per-point solvers'. readout_amplitude runs serially.
+    field, then b_z - epsilon) and one for the expansions, from one
+    `dynamics.plan`, which solves each |b_z| once, mirrors it for b_z < 0 and
+    holds it until its last read; the points are visited in its order, and the
+    values are bit for bit the per-point solvers' on any executor.
+    readout_amplitude runs serially.
     """
     if value_kind not in VALUE_KINDS:
         raise ValueError(f"unknown value_kind {value_kind!r}")
@@ -195,7 +195,7 @@ def echo_scan(
         expand = echo_perturbative if value_kind == PERTURBATIVE_ECHO else echo_two_level
         # every read is even-sector (both initial states are); no name holds a point's spectra
         # past the point: a loop variable would keep them alive while the next point's are solved
-        order, spectra = dynamics.solve_points(dynamics.even_spectral_for, reads, dynamics.mirror_even)
+        order, spectra = dynamics.plan(reads, dynamics.EVEN)
         with closing(spectra):
             for i in order:
                 if value_kind != EXACT_ECHO:

@@ -1,10 +1,9 @@
-"""Spectral machinery: diagonalization, the sector solvers and the exact echo.
+"""Spectral machinery: diagonalization, the sector solvers, the field planner and the exact echo.
 
 Propagation goes through full spectral decomposition rather than a matrix
 exponential per time point, in one kernel, `SpectralDecomposition.propagate`.
-Every solver call solves; a scan that reads a field twice reads it through
-`solve_points`, or a grid of ground states through `ground_states`, which
-solve it once. The perturbed evolution uses H + epsilon*V
+Every solver call solves; a reader of a grid of fields reads them through
+`plan`, which solves each field once. The perturbed evolution uses H + epsilon*V
 with V = -sum_i sigma_z^i, i.e. a longitudinal field shifted to B_z - epsilon.
 
 The chain is solved from its parameters, with no dense 2^N x 2^N matrix. At
@@ -23,56 +22,57 @@ The mirror rule: the global spin flip P = prod_i sigma_x^i commutes with R
 and maps H(b_z) to H(-b_z) exactly (V to -V). On each sector's rows it is a
 permutation, kept once per N, under which the sector diagonal at -b_z is the
 one at b_z, bit for bit, and the sigma_x triples map onto themselves. So at
-B_x != 0 every sector solve diagonalizes at |b_z|, and for b_z < 0 returns the
-same levels with the vector rows permuted; every reader below gets that one
-mirrored decomposition. B_x = 0 sorts its own diagonal at each field.
+B_x != 0 every sector solve diagonalizes at |b_z| (`_solved_field`), and for
+b_z < 0 returns the same levels with the vector rows permuted (`_mirrored`,
+the one place the rule is applied). B_x = 0 sorts its own diagonal at each
+field.
 
-Each reader calls the solver that builds only what it reads, in the basis it
-reads it in:
+Each one-field reader calls the solver that builds only what it reads, in the
+basis it reads it in:
 
-* `levels_for` (the `spectrum` command, `gap`, `ground_energy`): the levels
-  of `spectral_for` with no eigenvector matrix assembled.
-* `even_spectral_for` (ground-state echoes, both expansions): the even sector
-  alone, its vectors left in the even basis. For B_x != 0, H in the basis
-  signed by prod_i sigma_z^i (which commutes with R) is connected with
-  non-positive off-diagonals, so by Perron-Frobenius its ground state is
-  unique and even; at B_x = 0 the even basis holds a ground state too, since
-  H(s) = H(R s). V is diagonal in the even basis as well
-  (`even_field_perturbation`, read from the stored sum_i sigma_z^i), and the
-  approximate ground state of the scans lies in it, its kets being palindromes
-  or mirror pairs (`even_amplitudes`), so nothing embeds these vectors in 2^N
-  rows.
-* `ground_states` (the `protocol` command's fidelity column, and
-  `ground_state`, its one-field case): the even ground vector of each field
-  of a grid in 2^N rows. Each distinct |b_z| is solved once, the even blocks
-  of many fields stacked into one `eigh` (up to `_STACK_BYTES` of blocks).
+* `levels_for` (`gap`, `ground_energy`): the levels of `spectral_for` with no
+  eigenvector matrix assembled.
+* `even_spectral_for`: the even sector alone, its vectors left in the even
+  basis. For B_x != 0, H in the basis signed by prod_i sigma_z^i (which
+  commutes with R) is connected with non-positive off-diagonals, so by
+  Perron-Frobenius its ground state is unique and even; at B_x = 0 the even
+  basis holds a ground state too, since H(s) = H(R s). V is diagonal in the
+  even basis as well (`even_field_perturbation`, read from the stored
+  sum_i sigma_z^i), and the approximate ground state of the scans lies in it,
+  its kets being palindromes or mirror pairs (`even_amplitudes`), so nothing
+  embeds these vectors in 2^N rows.
+* `ground_state`: the even ground vector in 2^N rows, through `ground_states`.
 * `loschmidt_echo_exact` of a given state: its `project`ed even and odd
   parts, each through its own sector's solve, in that sector's basis.
 
 `spectral_for`, both sectors embedded in the 2^N basis, is the reference the
 sector solvers are checked against; no reader in the package calls it.
 
-A scan hands the fields each point reads to `solve_points`, which owns the
-solved field (|b_z| at B_x != 0) and the visit order. It groups the points by
-the set of fields they read; an echo scan's |b_z| is read by at most two such
-groups, so the groups form chains, and walked chain by chain at most two
-solved fields are held at once. Their reads, in that order, go to
-`solve_ahead`: it solves each distinct field once, up to W + 1 fields ahead on
-W threads (each `eigh` releases the GIL), and holds the result until the
-field's last read; a read at b_z < 0 is mirrored. W is the usable cores over
-the BLAS threads per solve (`_solve_threads`); with no BLAS variable set, or
-at B_x = 0, W = 1 solves in the calling thread. Each solve is the serial
-call, so the results are bit for bit the serial ones, and bit for bit the
-per-point solvers' own.
+A grid reader (the echo scans, the `spectrum` command, `ground_states` and
+`network.protocol_vs_exact`) hands `plan` the fields each point reads and what
+it takes of them: LEVELS, EVEN (the even decomposition) or GROUND (the ground
+state). The planner owns the solved field, the mirror, the visit order, each
+result's lifetime and the executor. It groups the points by the set of solved
+fields they read; an echo scan's |b_z| is read by at most two such groups, so
+the groups form chains, and walked chain by chain at most two solved fields are
+held at once, each until its last read. One rule on the even block width d
+picks the executor: a stacked `eigh` where a `_STACK_BYTES` (64 KiB) stack
+holds at least 2 blocks (d <= 64, N <= 6); otherwise one field per call,
+`solve_ahead`, on W threads (each `eigh` releases the GIL), W being the usable
+cores over the BLAS threads per solve (`_solve_threads`), or serially at W = 1;
+and at B_x = 0 each field's sorted diagonal, serially. numpy runs the
+one-matrix LAPACK call on each block of a stack and each threaded solve is the
+serial call, so every executor reads the bytes of the one-field solvers.
+Memory: one stack of up to 64 KiB per sector read, or the held solves (2 in an
+echo scan) plus up to W solved ahead.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 
 import numpy as np
@@ -306,48 +306,36 @@ def diagonalize(op: "HermitianOperator | np.ndarray") -> SpectralDecomposition:
 
 
 def _solved_field(params: ChainParams) -> ChainParams:
-    """The field a solve at `params` diagonalizes: |b_z| for B_x != 0, else `params` itself."""
+    """The field a solve at `params` diagonalizes: the chain at |b_z| for B_x != 0 and b_z < 0,
+    else `params` itself (the same object: a read is mirrored when its solved field is not it)."""
     if params.b_x == 0.0 or params.b_z >= 0.0:
         return params
     return ChainParams(params.n_qubits, -params.b_z, params.b_x)
 
 
-def _mirrored(spec: SpectralDecomposition, flip: np.ndarray) -> SpectralDecomposition:
-    """The decomposition at -b_z from the one at b_z: the same levels, vector rows permuted
-    by a sector's spin flip."""
-    return SpectralDecomposition(spec.eigenvalues, spec.vectors[flip])
-
-
-def mirror_even(spec: SpectralDecomposition, n_qubits: int) -> SpectralDecomposition:
-    """`even_spectral_for` at -b_z from its result at b_z > 0, for B_x != 0, bit for bit."""
-    return _mirrored(spec, _reflection_sectors(n_qubits)[0].flip)
-
-
-def _sector_spectral_for(params: ChainParams, sector: _Sector) -> SpectralDecomposition:
-    """One reflection sector's decomposition, in its basis (row a: the ket or pair of
-    `sector.kets[a]`): `sector.diagonal`, sorted at B_x = 0, else one `eigh` of
-    `sector.block` at |b_z|.
+def _mirrored(result, sector: _Sector):
+    """A sector solve at |b_z|, a decomposition or its ground vector alone, read at -|b_z|:
+    the one place the mirror rule is applied.
 
     P H(b_z) P = H(-b_z), and on the sector's rows P is the permutation `sector.flip`: the
     sector diagonal at -b_z is the permuted one at b_z, bit for bit, and the sigma_x
     triples map onto themselves. So for b_z < 0 the levels are those of the |b_z| solve
     and the vectors its rows, permuted.
     """
-    solved = _solved_field(params)
-    if solved != params:
-        return _mirrored(_sector_spectral_for(solved, sector), sector.flip)
+    if isinstance(result, np.ndarray):
+        return result[sector.flip]
+    return SpectralDecomposition(result.eigenvalues, result.vectors[sector.flip])
+
+
+def _sector_spectral_for(params: ChainParams, sector: _Sector) -> SpectralDecomposition:
+    """One reflection sector's decomposition, in its basis (row a: the ket or pair of
+    `sector.kets[a]`): `sector.diagonal`, sorted at B_x = 0, else one `eigh` of
+    `sector.block` at |b_z|, `_mirrored` to `params`."""
     if params.b_x == 0.0:
         return _sorted_diagonal(sector.diagonal(params.b_z))
-    return SpectralDecomposition(*np.linalg.eigh(sector.block(params.b_z, params.b_x)))
-
-
-def _both_sectors(params: ChainParams):
-    """Both sectors' solves, merged: levels ascending (even first in a tie), the merge
-    order, and each sector's vectors in its own basis."""
-    specs = [_sector_spectral_for(params, sector) for sector in _reflection_sectors(params.n_qubits)]
-    w = np.concatenate([spec.eigenvalues for spec in specs])
-    order = np.argsort(w, kind="stable")
-    return w[order], order, [spec.vectors for spec in specs]
+    solved = _solved_field(params)
+    spec = SpectralDecomposition(*np.linalg.eigh(sector.block(solved.b_z, params.b_x)))
+    return spec if solved is params else _mirrored(spec, sector)
 
 
 def spectral_for(params: ChainParams) -> SpectralDecomposition:
@@ -358,18 +346,27 @@ def spectral_for(params: ChainParams) -> SpectralDecomposition:
     """
     if params.b_x == 0.0:
         return _sorted_diagonal(hamiltonian_diagonal(params))
-    w, order, vectors = _both_sectors(params)
     sectors = _reflection_sectors(params.n_qubits)
-    v = np.concatenate([sector.embed(y) for sector, y in zip(sectors, vectors)], axis=1)
-    return SpectralDecomposition(w, _fix_phases(v[:, order]))
+    specs = [_sector_spectral_for(params, sector) for sector in sectors]
+    w = np.concatenate([spec.eigenvalues for spec in specs])
+    order = np.argsort(w, kind="stable")
+    v = np.concatenate([sector.embed(spec.vectors) for sector, spec in zip(sectors, specs)], axis=1)
+    return SpectralDecomposition(w[order], _fix_phases(v[:, order]))
 
 
 def levels_for(params: ChainParams) -> np.ndarray:
     """`spectral_for(params).eigenvalues`, bit for bit, with no eigenvector matrix built: at
-    B_x != 0 the levels of the |b_z| solve, which the spin flip leaves as they are."""
+    B_x != 0 the levels of the |b_z| solve, which the spin flip leaves as they are, each
+    sector's vectors freed as its levels are taken."""
     if params.b_x == 0.0:
         return _sorted_diagonal(hamiltonian_diagonal(params)).eigenvalues
-    return _both_sectors(_solved_field(params))[0]
+    specs = (_sector_spectral_for(_solved_field(params), s) for s in _reflection_sectors(params.n_qubits))
+    return _merged([spec.eigenvalues for spec in specs])
+
+
+def _merged(levels) -> np.ndarray:
+    """Both sectors' levels in one ascending array, even first within a tie: `spectral_for`'s merge."""
+    return np.sort(np.concatenate(levels), kind="stable")
 
 
 def even_spectral_for(params: ChainParams) -> SpectralDecomposition:
@@ -378,11 +375,90 @@ def even_spectral_for(params: ChainParams) -> SpectralDecomposition:
     return _sector_spectral_for(params, _reflection_sectors(params.n_qubits)[0])
 
 
+# What a plan read takes of each field: the levels (`levels_for`), the even decomposition
+# (`even_spectral_for`) or the ground state (`ground_state`).
+LEVELS, EVEN, GROUND = "levels", "even", "ground"
+
+# The most bytes of blocks one stacked `eigh` is handed, (G, d, d) float64 sector blocks.
+# Stacking pays where the per-call cost rivals the LAPACK work: G = 227 at N = 3 (d = 6),
+# 81 at N = 4 (d = 10), 6 at N = 6 (d = 36). A plan stacks where a stack holds at least
+# 2 even blocks, d <= 64, so up to N = 6; from N = 7 (d = 72) each field is its own `eigh`.
+_STACK_BYTES = 1 << 16
+
+
+def plan(points, need):
+    """The visit order and the reads of a grid solve whose point i reads the fields `points[i]`,
+    all of one N and B_x.
+
+    Returns (order, reads): the point indices in `_visit_order` of their solved fields, and
+    a generator of `need`'s value (LEVELS, EVEN or GROUND) at each field of each point in
+    that order, bit for bit the one-field reader's. Each distinct solved field is solved
+    once, by the executor rule (`_solves`), and held until its last read; a read at b_z < 0
+    is the `_mirrored` |b_z| solve. Nothing is solved before the first read; close the
+    generator (`contextlib.closing`) so that an early exit joins any solve threads.
+    """
+    solved = [[_solved_field(q) for q in point] for point in points]
+    order = _visit_order([[field.b_z for field in point] for point in solved])
+    return order, _reads([q for i in order for q in points[i]], [f for i in order for f in solved[i]], need)
+
+
+def _reads(reads, fields, need):
+    # a plan's fields share N and B_x, so a solved field is keyed by its b_z (a float, which
+    # hashes in C); `_solves` takes the distinct fields in first-read order
+    last = {field.b_z: i for i, field in enumerate(fields)}
+    held = {}
+    with closing(_solves(list({field.b_z: field for field in fields}.values()), need)) as solved:
+        for i, (q, field) in enumerate(zip(reads, fields)):
+            if field.b_z not in held:
+                held[field.b_z] = next(solved)
+            # no name holds a result past its read: each is freed after its last read
+            yield _read(need, held[field.b_z] if last[field.b_z] > i else held.pop(field.b_z), q, field)
+
+
+def _solves(fields, need):
+    """Each field's result for `need`, in order, from the executor of the rule: one `eigh`
+    per sector read and stack of fields where a `_STACK_BYTES` stack holds 2 even blocks,
+    else `solve_ahead` of each field's one-field solve (`_solve`)."""
+    b_x = fields[0].b_x if fields else 0.0
+    sectors = _reflection_sectors(fields[0].n_qubits)[:1 + (need == LEVELS)] if b_x != 0.0 else ()
+    size = _STACK_BYTES // (8 * sectors[0].kets.size ** 2) if sectors else 0
+    if size < 2:
+        yield from solve_ahead(partial(_solve, need), fields)
+        return
+    for start in range(0, len(fields), size):
+        b_z = np.array([q.b_z for q in fields[start:start + size]])
+        (w, v), *odd = [np.linalg.eigh(sector.block(b_z, b_x)) for sector in sectors]
+        for g in range(b_z.size):
+            yield _merged([w[g], *(u[g] for u, _ in odd)]) if need == LEVELS else _kept(need, w[g], v[g])
+        del w, v, odd  # freed before the next stack is solved
+
+
+def _solve(need, field: ChainParams):
+    """One field's result for `need`, from its one-field solver."""
+    if need == LEVELS:
+        return levels_for(field)
+    if need == GROUND and field.b_x == 0.0:  # the ground ket of the full sort, which has no even form
+        return _sorted_diagonal(hamiltonian_diagonal(field)).ground_vector
+    spec = even_spectral_for(field)
+    return spec if need == EVEN else _kept(need, spec.eigenvalues, spec.vectors)
+
+
+def _kept(need, w: np.ndarray, v: np.ndarray):
+    """An even solve as `need`'s result, copied, so that what it was read from is freed: all
+    of it (EVEN) or its ground vector (GROUND)."""
+    return SpectralDecomposition(w.copy(), v.copy()) if need == EVEN else v[:, 0].copy()
+
+
+def _read(need, result, q: ChainParams, field: ChainParams):
+    """`need`'s value at q from the result of its solved field (the spin flip leaves levels as they are)."""
+    return result if need == LEVELS or field is q else _mirrored(result, _reflection_sectors(q.n_qubits)[0])
+
+
 def _solve_threads(b_x: float) -> int:
-    """How many solves a scan runs at once: the usable cores over the BLAS threads each
+    """How many solves a plan runs at once: the usable cores over the BLAS threads each
     solve takes (`OPENBLAS_NUM_THREADS`, else `OMP_NUM_THREADS`).
 
-    With neither set, BLAS takes the cores itself, so the scan stays serial; so it does at
+    With neither set, BLAS takes the cores itself, so the solves stay serial; so they do at
     B_x = 0, where no solve runs `eigh`.
     """
     try:
@@ -398,40 +474,34 @@ def _solve_threads(b_x: float) -> int:
     return max(1, cores // blas)
 
 
-def solve_ahead(solve, reads):
-    """Yield `solve(p)` at each read p of `reads`, in order, solving each distinct field once
-    and holding its result only until its last read.
+def solve_ahead(solve, fields):
+    """Yield `solve(q)` at each field q of `fields`, in order, up to W + 1 of them ahead on W
+    threads (W from `_solve_threads`; W = 1 solves each in the calling thread as it is read).
 
-    Fields are solved in first-read order, up to W + 1 of them ahead on W threads (W from
-    `_solve_threads`; W = 1 solves a field in the calling thread at its first read). Each solve
-    is the serial call, so the values are bit for bit the serial ones, and the first failure in
-    read order is raised. Close the generator (`contextlib.closing`) so that an early exit
-    joins its threads.
+    Each solve is the serial call, so the values are bit for bit the serial ones, and the
+    first failure in field order is raised. Close the generator (`contextlib.closing`) so
+    that an early exit joins its threads.
     """
-    reads = list(reads)
-    last = {p: i for i, p in enumerate(reads)}  # its keys: the distinct fields in first-read order
-    threads = min(_solve_threads(reads[0].b_x), len(last)) if reads else 1
-    pool = None
-    if threads > 1:  # imported here: it loads `logging`, which serial runs do without
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(threads)
-    fields, ahead, held = iter(last), deque(), {}
+    fields = list(fields)
+    threads = min(_solve_threads(fields[0].b_x), len(fields)) if fields else 1
+    if threads == 1:
+        yield from map(solve, fields)
+        return
+    # imported here: it loads `logging`, which serial runs do without
+    from concurrent.futures import ThreadPoolExecutor
+    pool, fields = ThreadPoolExecutor(threads), iter(fields)
     try:
-        for i, p in enumerate(reads):
-            if p not in held and pool is None:
-                held[p] = solve(p)
-            elif p not in held:
-                ahead.extend(pool.submit(solve, q) for q in islice(fields, threads + 1 - len(ahead)))
-                held[p] = ahead.popleft().result()
-            yield held[p] if last[p] > i else held.pop(p)
+        ahead = [pool.submit(solve, q) for q in islice(fields, threads + 1)]
+        while ahead:
+            yield ahead.pop(0).result()
+            ahead += [pool.submit(solve, q) for q in islice(fields, 1)]
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)  # waits for the running solves
+        pool.shutdown(cancel_futures=True)  # waits for the running solves
 
 
 def _visit_order(fields) -> list[int]:
-    """Point indices, point i reading the fields `fields[i]`, grouped by the set of fields
-    read and the groups walked chain by chain.
+    """Point indices, point i reading the fields `fields[i]` (any hashable keys of them),
+    grouped by the set of fields read and the groups walked chain by chain.
 
     Groups that share a field are neighbours. When each field lies in at most two groups,
     as in an echo scan (|b_z| is read by the points at +-|b_z| and at eps +- |b_z|, and these
@@ -442,7 +512,7 @@ def _visit_order(fields) -> list[int]:
     groups: dict[frozenset, list[int]] = {}
     for i, read in enumerate(fields):
         groups.setdefault(frozenset(read), []).append(i)
-    touching: dict[ChainParams, list[frozenset]] = {}
+    touching: dict[float, list[frozenset]] = {}
     for g in groups:
         for field in g:
             touching.setdefault(field, []).append(g)
@@ -454,28 +524,6 @@ def _visit_order(fields) -> list[int]:
             order.extend(groups[g])
             g = next((h for field in g for h in touching[field] if h not in walked), None)
     return order
-
-
-def solve_points(solve, points, mirror):
-    """The visit order and the reads of a scan whose point i reads the fields `points[i]`.
-
-    Returns (order, reads): the point indices in `_visit_order` of the fields solved, and a
-    generator of `solve(q)` at each field q of each point in that order. At B_x != 0 each
-    distinct |b_z| (`_solved_field`) is solved once, through `solve_ahead`, and a read at
-    b_z < 0 yields `mirror(result, N)` of its |b_z| solve (`mirror` None: the result itself,
-    as for levels), which is the per-point solver's own value, bit for bit. Close the
-    generator (`contextlib.closing`); nothing is solved before its first read.
-    """
-    order = _visit_order([[_solved_field(q) for q in reads] for reads in points])
-    return order, _mirrored_reads(solve, [q for i in order for q in points[i]], mirror)
-
-
-def _mirrored_reads(solve, reads, mirror):
-    fields = [_solved_field(q) for q in reads]
-    with closing(solve_ahead(solve, fields)) as solved:
-        for q, field in zip(reads, fields):
-            # no name holds a result: `solve_ahead` frees each one after its last read
-            yield next(solved) if mirror is None or field == q else mirror(next(solved), q.n_qubits)
 
 
 def even_field_perturbation(n_qubits: int) -> np.ndarray:
@@ -491,55 +539,18 @@ def even_amplitudes(state: PureState) -> np.ndarray:
     return a[even.kets] / even.weight
 
 
-# The most bytes one stacked `eigh` of `ground_states` is handed, (G, d, d) float64 even
-# blocks; a stack and its vectors hold twice this. Stacking pays where the per-call cost
-# rivals the LAPACK work: G = 227 at N = 3 (d = 6), 81 at N = 4 (d = 10), 6 at N = 6, and 1
-# from N = 7 (d = 72) on. A larger stack only adds to the peak memory of a protocol sweep.
-_STACK_BYTES = 1 << 16
-
-
-def _even_ground_vectors(n_qubits: int, b_x: float, b_z: np.ndarray) -> np.ndarray:
-    """The even sector's ground vector at each field of b_z (B_x != 0), one row each.
-
-    The blocks (`_Sector.block`) are `_sector_spectral_for`'s, stacked into one `eigh` per
-    `_STACK_BYTES` of them; `eigh` runs the one-matrix LAPACK call on each block of a
-    stack, so each vector is bit for bit the one a solve of its field alone gives.
-    """
-    even = _reflection_sectors(n_qubits)[0]
-    d = even.kets.size
-    chunk = max(1, _STACK_BYTES // (8 * d * d))
-    ground = np.empty((b_z.size, d))
-    for start in range(0, b_z.size, chunk):
-        stack = even.block(b_z[start:start + chunk], b_x)
-        ground[start:start + len(stack)] = np.linalg.eigh(stack)[1][:, :, 0]
-    return ground
-
-
 def ground_states(n_qubits: int, b_x: float, b_z_values):
-    """Yield `spectral_for`'s first column at each field b_z of `b_z_values`, bit for bit.
+    """Yield `spectral_for`'s first column at each field b_z of `b_z_values`, in order, bit for bit.
 
-    Nothing is checked or solved before the first state is read. At B_x = 0 each field is
-    checked (`ChainParams`) and its diagonal sorted as it is read: the state is the sort's
-    first ket. Otherwise the first read checks every field, then solves each distinct |b_z|
-    (`_solved_field`) once, in stacked `eigh` calls (`_even_ground_vectors`). A field at
-    b_z < 0 reads its |b_z| vector with the rows permuted by the spin flip, and each vector
-    is mapped to 2^N rows as it is yielded, so only the states a caller keeps are held.
+    A plan read (GROUND) with one point, the whole grid: nothing is checked or solved before
+    the first state is read, which checks every field and solves each distinct |b_z| once,
+    stacked up to N = 6. Only each field's even ground vector is held, until its last read,
+    and mapped to 2^N rows as it is yielded, so only the states a caller keeps are held.
     """
-    fields = (ChainParams(n_qubits, b_z, b_x) for b_z in b_z_values)
-    if b_x == 0.0:
-        for p in fields:
-            yield PureState(_sorted_diagonal(hamiltonian_diagonal(p)).ground_vector, n_qubits)
-        return
-    stacked, reads = {}, []  # each distinct solved field's row; each field's row and mirroring
-    for p in fields:
-        solved = _solved_field(p)
-        reads.append((stacked.setdefault(solved, len(stacked)), solved != p))
-    b_z = np.array([q.b_z for q in stacked])
-    ground = _even_ground_vectors(n_qubits, float(b_x), b_z)
-    even = _reflection_sectors(n_qubits)[0]
-    for row, mirrored in reads:
-        y0 = even.embed(ground[row][even.flip] if mirrored else ground[row])
-        yield PureState(_fix_phases(y0[:, None]), n_qubits)
+    # at B_x = 0 the first ket of the full sort, in 2^N rows already
+    for y0 in plan([[ChainParams(n_qubits, b_z, b_x) for b_z in b_z_values]], GROUND)[1]:
+        y0 = y0 if b_x == 0.0 else _fix_phases(_reflection_sectors(n_qubits)[0].embed(y0)[:, None])
+        yield PureState(y0, n_qubits)
 
 
 def ground_state(params: ChainParams) -> PureState:

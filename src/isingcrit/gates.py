@@ -158,9 +158,11 @@ def _z_sums(n_qubits: int) -> np.ndarray:
     return frozen_array(diagonal_terms(n_qubits)[1], np.int64)
 
 
+@lru_cache(maxsize=16)
 def global_z_phases(n_qubits: int, angle: float) -> np.ndarray:
-    """Diagonal of exp(-i*angle*sum_i sigma_z^i) over the 2^N basis."""
-    return np.exp(-1j * angle * _z_sums(n_qubits))
+    """Diagonal of exp(-i*angle*sum_i sigma_z^i) over the 2^N basis (read-only), computed once
+    per (N, angle): a protocol sweep's echo step is one diagonal for every point."""
+    return frozen_array(np.exp(-1j * angle * _z_sums(n_qubits)))
 
 
 @lru_cache(maxsize=None)

@@ -17,8 +17,9 @@ the interval's mixing angle. The three-qubit networks prepare the ansatz
 states of `criticality.ground_state_approx` bit for bit.
 
 Two runners read those specs. `protocol_point`, the path of every sweep,
-validates and places an interval's gates once per process; a point computes
-its angle and runs U0, the echo step and U0^dagger through the gate kernel,
+validates and places an interval's gates once per process, and the echo
+step's phase diagonal once per (N, tau*eps); a point computes its angle and
+runs U0, the echo step and U0^dagger through the gate kernel,
 and returns the prepared state U0|0...0> (for the fidelity column) with the
 readout. `run_protocol` runs a given `GateNetwork` gate by gate through the
 same kernel; the composed `protocol_network` is its unitary reference.
@@ -253,8 +254,9 @@ def protocol_point(
     `prepared_state(net)` and `run_protocol(net, ...)` of `net = build_preparation_network(...)`.
 
     U0 is the network of `interval`, or, for None, of the interval holding b_z. Each
-    interval's gates are validated once per process; a point computes its mixing angle
-    and runs U0, the echo step and U0^dagger through the gate kernel, with the same
+    interval's gates are validated once per process, and the echo step's phases
+    (`global_z_phases`) are computed once per (N, tau*eps); a point computes its mixing
+    angle and runs U0, the echo step and U0^dagger through the gate kernel, with the same
     checks and messages as the networks.
     """
     _, k, angle = _interval_angle(n_qubits, interval, b_z, b_x)
@@ -279,15 +281,18 @@ def protocol_vs_exact(
 
     Quantifies the whole approximation chain: ansatz preparation plus the
     single compiled echo step, against the exact ground state evolved with
-    the exact forward/backward unitaries.
+    the exact forward/backward unitaries. Every point's protocol runs, with its
+    checks, before the first solve; the exact echoes read the even spectra of
+    each field and of b_z - epsilon from one `dynamics.plan`, each |b_z| solved
+    once, bit for bit `dynamics.loschmidt_echo_exact`'s.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    worst = 0.0
-    for bz in default_b_z_grid(lo, hi, step):
-        l_value = protocol_point(n_qubits, bz, b_x, epsilon, tau, 1, (lo, hi))[1].l_value
-        exact = dynamics.loschmidt_echo_exact(ChainParams(n_qubits, bz, b_x), epsilon, tau)
-        worst = max(worst, abs(l_value - exact))
-    return worst
+    grid = default_b_z_grid(lo, hi, step)
+    l_values = [protocol_point(n_qubits, bz, b_x, epsilon, tau, 1, (lo, hi))[1].l_value for bz in grid]
+    points = [ChainParams(n_qubits, bz, b_x) for bz in grid]
+    # N is 3 or 4 (`protocol_point`), whose blocks are stacked: no solve thread to join
+    order, spectra = dynamics.plan([(p, p.perturbed(epsilon)) for p in points], dynamics.EVEN)
+    return max(abs(l_values[i] - dynamics.ground_echo(next(spectra), next(spectra), tau)) for i in order)
 
 
 def serialize_network(network: GateNetwork) -> str:

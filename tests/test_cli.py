@@ -378,6 +378,24 @@ def test_spectrum_rows_are_bit_identical_on_any_number_of_solve_threads(n, monke
     assert np.array_equal(rows[1], rows[0]) and np.array_equal(rows[2], rows[0])
 
 
+def test_a_stacked_spectrum_solves_each_field_magnitude_once_in_both_sectors(monkeypatch, capsys):
+    # at N = 6 a 64 KiB stack holds 6 even blocks (36 wide): the 61 distinct |b_z| of 121
+    # fields go to 11 stacks of each sector, with no one-field solve, and print the rows of
+    # the one-field level solves
+    argv = ["spectrum", "--n", "6", "--bx", "0.1", "--bz-step", "0.05"]
+    solved, levels_for = [], dynamics.levels_for
+    rows = [[bz, *levels_for(ChainParams(6, bz, 0.1))[:2]] for bz in default_b_z_grid(step=0.05)]
+    monkeypatch.setattr(dynamics, "levels_for", lambda p: solved.append(p) or levels_for(p))
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    assert main(argv) == 0
+    assert solved == []
+    assert [shape[1:] for shape in shapes] == [(36, 36), (28, 28)] * 11
+    assert sum(shape[0] for shape in shapes[::2]) == sum(shape[0] for shape in shapes[1::2]) == 61
+    printed = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")][1:]
+    assert printed == [",".join(cli._fmt(float(v)) for v in (bz, e0, e1, e1 - e0)) for bz, e0, e1 in rows]
+
+
 @pytest.mark.parametrize("bx, solves, eighs", [("0.1", 61, 122), ("0", 121, 0)])
 def test_spectrum_solves_each_field_magnitude_once(bx, solves, eighs, tmp_path, monkeypatch):
     # at B_x != 0 a field at b_z < 0 reads the levels of |b_z|, which the spin flip leaves

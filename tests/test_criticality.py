@@ -461,6 +461,31 @@ def test_exact_scan_solves_each_field_once(epsilon, threads, source, monkeypatch
     assert len(solved) == {0.1: 156, -0.1: 156, 0.03: 303, 0.0: 151}[epsilon]
 
 
+@pytest.mark.parametrize("value_kind, epsilon, solves", [
+    ("exact_echo", 0.1, 156), ("exact_echo", -0.1, 156), ("exact_echo", 0.03, 303), ("two_level_echo", 0.1, 151),
+])
+def test_a_stacked_scan_solves_each_field_once(value_kind, epsilon, solves, monkeypatch):
+    # at N = 5 (even blocks 20 wide) a 64 KiB stack holds 20 of them: the scan's distinct
+    # |b_z| go to stacked eighs, on any W, with no one-field solve, and each value is, bit
+    # for bit, the one of the point's own one-field solves
+    points = [ChainParams(5, bz, 0.1) for bz in default_b_z_grid()]
+    if value_kind == "exact_echo":
+        expected = [dynamics.loschmidt_echo_exact(p, epsilon, np.pi) for p in points]
+    else:
+        v_even = dynamics.even_field_perturbation(5)
+        expected = [echo_two_level(dynamics.even_spectral_for(p), v_even, epsilon, np.pi) for p in points]
+    one_field = _counting_even_solver(monkeypatch)
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    _force_solve_threads(monkeypatch, 3)
+    scan = echo_scan(5, 0.1, epsilon, np.pi, default_b_z_grid(), value_kind=value_kind)
+    assert one_field == []
+    assert all(shape[1:] == (20, 20) for shape in shapes)
+    assert sum(shape[0] for shape in shapes) == solves
+    assert len(shapes) == -(-solves // 20)
+    assert scan.values.tobytes() == np.array(expected).tobytes()
+
+
 def _live_spectra_peak(monkeypatch, name):
     """Patch `dynamics.<name>` to count the spectra it returned that are still alive;
     returns a list whose one entry is the peak of that count."""
@@ -606,7 +631,7 @@ def test_a_failed_solve_raises_the_first_failure_in_the_scan_visit_order(threads
     _force_solve_threads(monkeypatch, threads)
     grid, failing = default_b_z_grid(), (1.0, 0.98, 0.5)
     reads = [(p, p.perturbed(-0.1)) for p in (ChainParams(7, bz, 0.1) for bz in grid)]
-    order, spectra = dynamics.solve_points(lambda p: p, reads, None)
+    order, spectra = dynamics.plan(reads, dynamics.EVEN)
     spectra.close()
     first = next(abs(q.b_z) for i in order for q in reads[i] if abs(q.b_z) in failing)
     solve = dynamics.even_spectral_for

@@ -14,6 +14,7 @@ import pytest
 from scipy.linalg import expm
 
 import isingcrit
+from isingcrit import cli
 from isingcrit.cli import main
 
 from isingcrit.dynamics import (
@@ -403,11 +404,11 @@ def test_ground_state_is_the_first_column_of_spectral_for(full_solves):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_ground_states_are_the_one_field_ground_states_as_bytes(n, monkeypatch):
-    # each |b_z| solved once in a stacked eigh, and mirrored for b_z < 0, gives every
-    # field the bytes of its own solve: of ground_state, and at B_x != 0 of the even
-    # sector's one-matrix eigh (`even_spectral_for`), embedded; the grid holds +-b_z
-    # pairs, 0.0, -0.0 and a repeated field, and its 601 or 32 distinct |b_z| fill many
-    # stacks (N <= 6) or take one eigh each (N >= 7)
+    # each |b_z| solved once, and mirrored for b_z < 0, gives every field the bytes of
+    # its own solve: of ground_state, and at B_x != 0 of the even sector's one-matrix
+    # eigh (`even_spectral_for`), embedded; the grid holds +-b_z pairs, 0.0, -0.0 and a
+    # repeated field, and its 601 or 32 distinct |b_z| fill many stacks (N <= 6, where a
+    # 64 KiB stack holds at least 2 even blocks) or take one (d, d) eigh each (N >= 7)
     grid = list(default_b_z_grid(-3.0, 3.0, 0.005 if n <= 6 else 0.1)) + [0.0, -0.0, 1.25, -1.25, 1.25]
     even = _reflection_sectors(n)[0]
     eighs = []
@@ -420,8 +421,14 @@ def test_ground_states_are_the_one_field_ground_states_as_bytes(n, monkeypatch):
         assert len(states) == len(grid)
         if b_x != 0.0:
             d, solves = even.kets.size, len({abs(b) for b in grid})
-            assert sum(shape[0] for shape in eighs) == solves
-            assert len(eighs) == -(-solves // max(1, dynamics._STACK_BYTES // (8 * d * d)))
+            per_stack = dynamics._STACK_BYTES // (8 * d * d)
+            assert (per_stack >= 2) == (n <= 6)
+            if per_stack >= 2:
+                assert all(shape[1:] == (d, d) for shape in eighs)
+                assert sum(shape[0] for shape in eighs) == solves
+                assert len(eighs) == -(-solves // per_stack)
+            else:
+                assert eighs == [(d, d)] * solves
         else:
             assert eighs == []
         for b_z, state in zip(grid, states):
@@ -435,6 +442,107 @@ def test_ground_states_are_the_one_field_ground_states_as_bytes(n, monkeypatch):
 
 def test_ground_states_of_no_fields_is_empty():
     assert list(ground_states(4, 0.1, [])) == [] == list(ground_states(4, 0.0, []))
+
+
+def _as_bytes(spec):
+    return spec.eigenvalues.tobytes(), spec.vectors.tobytes(), spec.vectors.strides
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stacked_sector_solves_are_the_per_block_solves_as_bytes(n):
+    # a stacked eigh, as a plan runs it up to N = 6, gives each block the levels and vectors
+    # of the block's own eigh, in both sectors (the odd one empty at N = 1); and a plan's
+    # reads, mirrored for b_z < 0, are the one-field readers' bytes
+    grid = default_b_z_grid(-3.0, 3.0, 0.25)
+    for b_x in (0.005, 0.1, 1.0):
+        for sector in _reflection_sectors(n):
+            w, v = np.linalg.eigh(sector.block(np.abs(grid), b_x))
+            for g, bz in enumerate(grid):
+                one = dynamics._sector_spectral_for(ChainParams(n, abs(bz), b_x), sector)
+                assert _as_bytes(SpectralDecomposition(w[g], v[g])) == _as_bytes(one), (bz, b_x)
+        fields = [(ChainParams(n, bz, b_x),) for bz in grid]
+        for need, solve in ((dynamics.EVEN, even_spectral_for), (dynamics.LEVELS, levels_for)):
+            order, reads = dynamics.plan(fields, need)
+            for i in order:
+                read, (p,) = next(reads), fields[i]
+                if need == dynamics.EVEN:
+                    assert _as_bytes(read) == _as_bytes(solve(p)), p
+                else:
+                    assert read.tobytes() == solve(p).tobytes(), p
+
+
+@pytest.mark.parametrize("stack_bytes, threads, shapes", [
+    (2 * 8 * 10 * 10, 1, [(2, 10, 10)] * 5 + [(1, 10, 10)]),
+    (2 * 8 * 10 * 10 - 1, 1, [(10, 10)] * 11),
+    (2 * 8 * 10 * 10 - 1, 2, [(10, 10)] * 11),
+])
+def test_a_plan_stacks_where_a_stack_holds_two_even_blocks(stack_bytes, threads, shapes, monkeypatch):
+    # the executor rule on both sides of its threshold, at N = 4 (even blocks 10 wide): 11
+    # distinct |b_z| in stacks of 2, or one `even_spectral_for` each, serially or on W = 2
+    # threads; every read is the one-field solver's bytes
+    grid = default_b_z_grid(-1.0, 1.0, 0.1)
+    fields = [(ChainParams(4, bz, 0.1),) for bz in grid]
+    expected = [_as_bytes(even_spectral_for(p)) for (p,) in fields]
+    monkeypatch.setattr(dynamics, "_STACK_BYTES", stack_bytes)
+    monkeypatch.setattr(dynamics, "_solve_threads", lambda b_x: threads)
+    solver_threads, solve = set(), dynamics.even_spectral_for
+    monkeypatch.setattr(dynamics, "even_spectral_for",
+                        lambda p: solver_threads.add(threading.get_ident()) or solve(p))
+    shapes_read, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes_read.append(a.shape) or eigh(a))
+    order, reads = dynamics.plan(fields, dynamics.EVEN)
+    with closing(reads):
+        for i in order:
+            assert _as_bytes(next(reads)) == expected[i], fields[i]
+    assert shapes_read == shapes
+    if len(shapes[0]) == 3:
+        assert solver_threads == set()
+    else:
+        assert (threading.get_ident() in solver_threads) == (threads == 1)
+
+
+def test_a_plan_at_zero_transverse_field_sorts_each_field_serially(monkeypatch):
+    # B_x = 0 has no |b_z| solve to share: each field's even diagonal is sorted, with no eigh
+    monkeypatch.setattr(dynamics, "_solve_threads", lambda b_x: 3)
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    fields = [(ChainParams(4, bz, 0.0),) for bz in (-1.0, 0.5, 1.0)]
+    order, reads = dynamics.plan(fields, dynamics.EVEN)
+    for i in order:
+        assert _as_bytes(next(reads)) == _as_bytes(even_spectral_for(fields[i][0]))
+
+
+def _free_fermion_levels(n, b_x):
+    """Every level of the N-qubit chain at b_z = 0, ascending, from its free fermions.
+
+    A Jordan-Wigner transformation makes the transverse-field Ising chain free (Lieb,
+    Schultz & Mattis 1961; Pfeuty 1970): its mode energies are the singular values of
+    A - B, A_ii = 2 b_x, A_i,i+1 = A_i+1,i = 1, B_i,i+1 = -B_i+1,i = 1; the ground level is
+    minus half their sum, and each excitation adds one mode energy.
+    """
+    a = np.diag(np.full(n, 2.0 * b_x)) + np.eye(n, k=1) + np.eye(n, k=-1)
+    modes = np.linalg.svd(a - (np.eye(n, k=1) - np.eye(n, k=-1)), compute_uv=False)
+    levels = np.array([-0.5 * modes.sum()])
+    for mode in modes:
+        levels = np.concatenate([levels, levels + mode])
+    return np.sort(levels)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_zero_field_levels_match_the_free_fermion_oracle(n, monkeypatch):
+    # every level through `levels_for`, and e0, e1 and the gap through the spectrum rows
+    # (a one-point grid at b_z = 0), within 1e-12, the critical b_x = 1 included. From
+    # N = 7 the spectrum reads `levels_for` itself: it is handed the levels just checked,
+    # rather than solve N = 12 twice
+    solved, solve = {}, dynamics.levels_for
+    monkeypatch.setattr(dynamics, "levels_for",
+                        lambda p: solved[p] if p in solved else solved.setdefault(p, solve(p)))
+    for b_x in (0.005, 0.1, 0.5, 1.0, 2.0):
+        oracle = _free_fermion_levels(n, b_x)
+        assert np.max(np.abs(dynamics.levels_for(ChainParams(n, 0.0, b_x)) - oracle)) <= 1e-12, b_x
+        argv = ["spectrum", "--n", str(n), "--bx", repr(b_x), "--bz-min", "0", "--bz-step", "9"]
+        (row,) = cli._cmd_spectrum(cli.build_parser().parse_args(argv))[1]
+        assert row[0] == 0.0
+        assert np.max(np.abs(np.array(row[1:]) - [oracle[0], oracle[1], oracle[1] - oracle[0]])) <= 1e-12, b_x
 
 
 @pytest.mark.parametrize("n, bx", [(12, 0.0), (10, 0.1)])
@@ -919,10 +1027,12 @@ class _Solved:
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-def test_solve_ahead_solves_each_field_once_and_frees_it_after_its_last_read(threads, monkeypatch):
+def test_a_plan_solves_each_field_once_and_frees_it_after_its_last_read(threads, monkeypatch):
+    # one point whose reads repeat fields, adjacently and after others, read in its order; at
+    # N = 7 (even blocks 72 wide) each field is one `even_spectral_for` call, on W threads
     monkeypatch.setattr(dynamics, "_solve_threads", lambda b_x: threads)
-    a, b, c, d = (ChainParams(3, bz, 0.1) for bz in (-1.0, 0.0, 1.0, 2.0))
-    reads = [a, a, b, c, b, b, d, a, c]  # adjacent repeats, and a and c read again after others
+    a, b, c, d = (ChainParams(7, bz, 0.1) for bz in (1.5, 0.0, 1.0, 2.0))
+    reads = [a, a, b, c, b, b, d, a, c]
     last = {p: i for i, p in enumerate(reads)}
     solved, refs = [], {}
 
@@ -930,8 +1040,11 @@ def test_solve_ahead_solves_each_field_once_and_frees_it_after_its_last_read(thr
         solved.append(p)
         return _Solved(p)
 
+    monkeypatch.setattr(dynamics, "even_spectral_for", solve)
     before = threading.active_count()
-    with closing(dynamics.solve_ahead(solve, reads)) as spectra:
+    order, spectra = dynamics.plan([reads], dynamics.EVEN)
+    assert order == [0]
+    with closing(spectra):
         for i, p in enumerate(reads):
             spec = next(spectra)
             assert spec.params == p
@@ -939,5 +1052,5 @@ def test_solve_ahead_solves_each_field_once_and_frees_it_after_its_last_read(thr
             refs[p] = weakref.ref(spec)
             del spec
             assert {q for q, ref in refs.items() if ref() is None} == {q for q in refs if last[q] <= i}
-    assert sorted(solved, key=lambda p: p.b_z) == [a, b, c, d]
+    assert sorted(solved, key=lambda p: p.b_z) == [b, c, a, d]
     assert threading.active_count() == before

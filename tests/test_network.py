@@ -4,9 +4,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from isingcrit.cli import main
 from isingcrit.criticality import echo_scan, ground_state_approx
+from isingcrit.dynamics import loschmidt_echo_exact
 from isingcrit.gates import Gate, global_z_phases
-from isingcrit.hamiltonian import INTERVALS, ChainSizeError, UnsupportedChainError, default_b_z_grid
+from isingcrit.hamiltonian import (
+    INTERVALS,
+    ChainParams,
+    ChainSizeError,
+    UnsupportedChainError,
+    default_b_z_grid,
+)
 from isingcrit.network import (
     GateNetwork,
     ReadoutResult,
@@ -15,6 +23,7 @@ from isingcrit.network import (
     preparation_network,
     prepared_state,
     protocol_network,
+    protocol_point,
     protocol_vs_exact,
     run_protocol,
     serialize_network,
@@ -224,6 +233,46 @@ def test_protocol_vs_exact_discrepancy():
     assert gap3 <= 0.06
     gap4 = protocol_vs_exact(4, 0.1, 0.5, np.pi / 2, (-3.0, -1.44), step=0.04)
     assert gap4 <= 0.06
+
+
+def _recorded_eigh_shapes(monkeypatch):
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    return shapes
+
+
+def test_protocol_vs_exact_solves_each_field_magnitude_once(monkeypatch):
+    # the interval's 101 points read their field and b_z - eps: 202 reads of 111 distinct
+    # |b_z| (-3.2 ... -1), one stacked eigh at N = 3; the worst gap is, bit for bit, that
+    # of each point's protocol against its own `loschmidt_echo_exact`
+    grid = default_b_z_grid(-3.0, -1.0, 0.02)
+    expected = max(
+        abs(protocol_point(3, bz, 0.1, 0.2, np.pi, 1, (-3, -1))[1].l_value
+            - loschmidt_echo_exact(ChainParams(3, bz, 0.1), 0.2, np.pi))
+        for bz in grid)
+    shapes = _recorded_eigh_shapes(monkeypatch)
+    assert protocol_vs_exact(3, 0.1, 0.2, np.pi, (-3, -1)) == expected
+    assert shapes == [(111, 6, 6)]
+
+
+@pytest.mark.parametrize("n, interval, error", [
+    (3, (-3.0, -0.5), ValueError), (5, (-3.0, -1.0), UnsupportedChainError),
+])
+def test_protocol_vs_exact_checks_every_point_before_any_solve(n, interval, error, monkeypatch):
+    shapes = _recorded_eigh_shapes(monkeypatch)
+    with pytest.raises(error):
+        protocol_vs_exact(n, 0.1, 0.2, np.pi, interval)
+    assert shapes == []
+
+
+def test_a_protocol_sweep_computes_its_echo_phases_once(capsys):
+    # one (N, tau * eps) per sweep: one phase diagonal, where each of the 1201 points made one
+    assert main(["protocol", "--n", "4", "--bz-step", "0.005"]) == 0
+    printed = capsys.readouterr().out
+    global_z_phases.cache_clear()
+    assert main(["protocol", "--n", "4", "--bz-step", "0.005"]) == 0
+    assert capsys.readouterr().out == printed
+    assert (global_z_phases.cache_info().misses, global_z_phases.cache_info().hits) == (1, 1200)
 
 
 def test_protocol_minima_match_exact_echo_minima():

@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 from isingcrit import dynamics
 from isingcrit.criticality import find_minima, ground_state_approx
 from isingcrit.dynamics import (
+    SpectralDecomposition,
     echo_from_spectra,
     even_amplitudes,
     even_spectral_for,
     levels_for,
     loschmidt_echo_exact,
-    solve_points,
     spectral_for,
 )
 from isingcrit.hamiltonian import (
@@ -163,7 +163,7 @@ def test_exact_echo_is_a_probability(n, b_z, b_x, epsilon, tau):
 
 
 # Below b_x ~ 0.1 the two lowest levels of a chain at b_z = 0 split by about
-# b_x^N (8e-12 at N = 5, b_x = 0.005), so the ground state itself is
+# 2(1 - b_x^2) b_x^N (6.25e-12 at N = 5, b_x = 0.005), so the ground state itself is
 # ill-conditioned and no echo computed from it is reproducible to 1e-10.
 @settings(max_examples=60, deadline=None)
 @given(b_x=st.floats(0.1, 1.0), **echo_args)
@@ -188,22 +188,20 @@ def test_exact_echo_field_reversal_reads_the_mirrored_solves(n, b_z, b_x, epsilo
         assert abs(forward - reversed_) <= 1e-13
 
 
-class _Solved:
-    """A stand-in solve result that a weak reference can watch."""
-
-
 @settings(max_examples=60, deadline=None)
 @given(steps=st.lists(st.integers(1, 8), min_size=3, max_size=60), start=st.integers(-80, 0),
        shift=st.integers(-12, 12), off_grid=st.booleans(), expansion=st.booleans(),
        threads=st.sampled_from([1, 2, 3]))
 def test_scan_visit_order_covers_every_point_once_and_holds_at_most_two_fields(
         steps, start, shift, off_grid, expansion, threads):
-    # random increasing grids (multiples of 0.05) and shifts, on or off the grid
+    # random increasing grids (multiples of 0.05) and shifts, on or off the grid, planned at
+    # N = 7, where each field is one `even_spectral_for` call (here a stand-in solve)
     grid = np.round((start + np.cumsum(steps)) * 0.05, 12)
     epsilon = round(shift * 0.05 + (0.013 if off_grid else 0.0), 12)
-    points = [ChainParams(3, float(b), 0.1) for b in grid]
+    points = [ChainParams(7, float(b), 0.1) for b in grid]
     reads = [(p,) if expansion else (p, p.perturbed(epsilon)) for p in points]
     lock, live, peak = threading.RLock(), [0], [0]
+    d = dynamics._reflection_sectors(7)[0].kets.size
 
     def release():
         with lock:
@@ -211,19 +209,20 @@ def test_scan_visit_order_covers_every_point_once_and_holds_at_most_two_fields(
 
     def solve(p):
         assert p.b_z >= 0.0  # each field is solved at |b_z|
-        result = _Solved()
+        result = SpectralDecomposition(np.zeros(1), np.zeros((d, 1)))
         with lock:
             live[0] += 1
             peak[0] = max(peak[0], live[0])
         weakref.finalize(result, release)
         return result
 
-    with mock.patch.object(dynamics, "_solve_threads", lambda b_x: threads):
-        order, spectra = solve_points(solve, reads, lambda result, n: _Solved())
+    with mock.patch.object(dynamics, "_solve_threads", lambda b_x: threads), \
+            mock.patch.object(dynamics, "even_spectral_for", solve):
+        order, spectra = dynamics.plan(reads, dynamics.EVEN)
         with closing(spectra):
             for i in order:
                 for _ in reads[i]:
-                    assert isinstance(next(spectra), _Solved)
+                    assert isinstance(next(spectra), SpectralDecomposition)
     assert sorted(order) == list(range(len(points)))
     assert peak[0] <= 2 + (threads if threads > 1 else 0)
 
