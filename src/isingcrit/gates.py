@@ -212,8 +212,7 @@ def run_placed(amps: np.ndarray, steps, angle: float) -> np.ndarray:
 
 
 def apply_gates(state: PureState, gates) -> PureState:
-    """Apply gates in order; the norm is checked once, on the result."""
-    amps = state.amplitudes
-    for g in gates:
-        amps = _apply(amps, *placed(state.n_qubits, g))
-    return PureState(amps, state.n_qubits)
+    """Apply gates in order, each placed as it is reached; the norm is checked once, on the
+    result."""
+    steps = (placed(state.n_qubits, g) for g in gates)
+    return PureState(run_placed(state.amplitudes, steps, None), state.n_qubits)

@@ -48,6 +48,8 @@ from .states import HermitianOperator, PureState, basis_state, sigma_z_values, s
 MAX_QUBITS = 14
 # decimals of the scan grids and of ChainParams.perturbed: a field reached two ways compares equal
 FIELD_DECIMALS = 12
+# points of the largest scan grid: a finer step is refused before its array is allocated
+MAX_GRID_POINTS = 10**6
 
 # B_x = 0 crossover fields, which bound the phases of phase_labels
 CROSSOVERS = {"odd": (-2.0, 0.0, 2.0), "even": (-2.0, -1.0, 1.0, 2.0)}
@@ -111,13 +113,16 @@ def default_b_z_grid(lo: float = -3.0, hi: float = 3.0, step: float = 0.02) -> n
     """Dust-free grid lo, lo+step, ... up to hi (values rounded to FIELD_DECIMALS).
 
     The last point is hi when step divides hi - lo up to float dust, and
-    never lies past it.
+    never lies past it. A grid of more than MAX_GRID_POINTS points is a ValueError.
     """
     if not all(math.isfinite(x) for x in (lo, hi, step)):
         raise ValueError("grid bounds and step must be finite")
     if step <= 0 or hi <= lo:
         raise ValueError(f"grid requires step > 0 and hi > lo, got lo={lo}, hi={hi}, step={step}")
-    count = math.floor((hi - lo) / step + 1e-9) + 1
+    points = (hi - lo) / step + 1e-9  # inf when the division overflows
+    if not points < MAX_GRID_POINTS:
+        raise ValueError(f"grid step {step} over [{lo}, {hi}] exceeds {MAX_GRID_POINTS} points")
+    count = math.floor(points) + 1
     return np.round(lo + np.arange(count) * step, FIELD_DECIMALS)
 
 

@@ -16,13 +16,14 @@ qubit for a mirrored ANSATZ row (m > n). A spec's angle is a constant or PHI,
 the interval's mixing angle. The three-qubit networks prepare the ansatz
 states of `criticality.ground_state_approx` bit for bit.
 
-Two runners read those specs. `protocol_point`, the path of every sweep,
-validates and places an interval's gates once per process, and the echo
-step's phase diagonal once per (N, tau*eps); a point computes its angle and
-runs U0, the echo step and U0^dagger through the gate kernel,
-and returns the prepared state U0|0...0> (for the fidelity column) with the
-readout. `run_protocol` runs a given `GateNetwork` gate by gate through the
-same kernel; the composed `protocol_network` is its unitary reference.
+One runner, `_run`, executes the protocol for both entry points: it checks the
+readout qubit, runs U0 on |0...0>, the echo step and U0^dagger as placed kernel
+steps, and reads the populations. `protocol_point`, the path of every sweep,
+hands it an interval's steps, validated and placed once per process with their
+phi unitaries free, and the point's angle; the echo step's phase diagonal is
+computed once per (N, tau*eps). `run_protocol` hands it a given `GateNetwork`'s
+gates, placed once each way. The composed `protocol_network` is the unitary
+reference of both.
 
 A line-oriented text format serializes them: a NETWORK header followed by
 one ``GATE kind target(s) [control(s)] [angle]`` line per gate, fields
@@ -66,6 +67,8 @@ class GateNetwork:
         if self.n_qubits < 1:
             raise ValueError(f"register size must be >= 1, got {self.n_qubits}")
         _require_register_size(self.n_qubits)  # every read builds a 2^N register
+        if "".join(self.label.splitlines()) != self.label:  # it ends the one-line text header
+            raise ValueError(f"network label {self.label!r} holds a line break")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if max(g.qubits, default=0) > self.n_qubits:
@@ -183,6 +186,16 @@ def _gate_specs(n_qubits: int, k: int, mirrored: bool) -> tuple:
     return specs
 
 
+def _steps(network: GateNetwork, free=None) -> tuple[tuple, tuple]:
+    """U0 and U0^dagger of network as placed kernel steps; where free[i] is true, gate i's
+    unitary is left a function of the angle, run at -angle in U0^dagger."""
+    free = free or (False,) * len(network.gates)
+    n, gates = network.n_qubits, network.gates
+    forward = tuple(placed(n, g, f) for g, f in zip(gates, free))
+    inverse = tuple(placed(n, g.dagger(), f) for g, f in zip(gates[::-1], free[::-1]))
+    return forward, inverse
+
+
 @lru_cache(maxsize=None)
 def _compiled(n_qubits: int, k: int, mirrored: bool) -> tuple:
     """(U0, U0^dagger, kind of U0's first phi gate) for interval k, U0 and U0^dagger as
@@ -192,37 +205,33 @@ def _compiled(n_qubits: int, k: int, mirrored: bool) -> tuple:
     """
     specs = _gate_specs(n_qubits, k, mirrored)
     gates = tuple(Gate(kind, t, c, 0.0 if a is PHI else a) for kind, t, c, a in specs)
-    GateNetwork(n_qubits, gates)  # the register check
     free = [a is PHI for *_, a in specs]
-    forward = tuple(placed(n_qubits, g, f) for g, f in zip(gates, free))
-    inverse = tuple(placed(n_qubits, g.dagger(), f) for g, f in zip(gates[::-1], free[::-1]))
-    return forward, inverse, specs[free.index(True)][0]
-
-
-def _echo_then_undo(prep: GateNetwork, epsilon: float, tau: float) -> tuple[Gate, ...]:
-    """The gates after U0: the compiled echo step, then U0^dagger."""
-    echo = Gate("GlobalZEvolution", (), angle=tau * epsilon)
-    return (echo,) + tuple(g.dagger() for g in reversed(prep.gates))
+    return *_steps(GateNetwork(n_qubits, gates), free), specs[free.index(True)][0]
 
 
 def protocol_network(prep: GateNetwork, epsilon: float, tau: float) -> GateNetwork:
     """Full unitary part of the protocol: U0^dagger . echo step . U0."""
-    gates = prep.gates + _echo_then_undo(prep, epsilon, tau)
+    echo = Gate("GlobalZEvolution", (), angle=tau * epsilon)
+    gates = prep.gates + (echo,) + tuple(g.dagger() for g in reversed(prep.gates))
     return GateNetwork(prep.n_qubits, gates, f"{prep.label} protocol")
 
 
-def _require_readout_qubit(readout_qubit: int, n_qubits: int) -> None:
+def _run(n_qubits: int, forward, inverse, phi: float, epsilon: float, tau: float,
+         readout_qubit: int) -> tuple[PureState, ReadoutResult]:
+    """The protocol, the one runner of both entry points: U0 (the placed steps forward, free
+    unitaries at phi) on |0...0>, the echo step, U0^dagger (inverse, at -phi), then P_s - P_n
+    on the readout qubit and P_s from the final populations. Returns the prepared state U0|0...0>
+    with the readout; the readout qubit and the echo angle are checked before any gate runs.
+    """
     if not 1 <= readout_qubit <= n_qubits:
         raise ValueError(f"readout qubit {readout_qubit} outside 1..{n_qubits}")
-
-
-def _readout(final: PureState, readout_qubit: int) -> ReadoutResult:
-    """P_s - P_n on the readout qubit, and P_s, from the final state's populations."""
-    amps = final.amplitudes
+    echo = (None, global_z_phases(n_qubits, finite_angle("GlobalZEvolution", tau * epsilon)))
+    prepared = PureState(run_placed(_all_zeros(n_qubits).amplitudes, forward, phi), n_qubits)
+    amps = PureState(run_placed(prepared.amplitudes, (echo,) + inverse, -phi), n_qubits).amplitudes
     populations = (amps * amps.conj()).real
     l_value = float(populations[0])
-    m = 1 << (final.n_qubits - readout_qubit)
-    return ReadoutResult(readout_qubit, l_value - float(populations[m]), l_value)
+    m = 1 << (n_qubits - readout_qubit)
+    return prepared, ReadoutResult(readout_qubit, l_value - float(populations[m]), l_value)
 
 
 def run_protocol(
@@ -233,12 +242,10 @@ def run_protocol(
 ) -> ReadoutResult:
     """Execute the protocol and read the population difference on one qubit.
 
-    U0 is applied to |0...0> (`prepared_state`), then the echo step and U0^dagger,
-    gate by gate.
+    U0 is the network applied to |0...0> (`prepared_state`); the echo step and U0^dagger
+    follow, the network's gates placed once each way.
     """
-    _require_readout_qubit(readout_qubit, network.n_qubits)
-    final = apply_gates(prepared_state(network), _echo_then_undo(network, epsilon, tau))
-    return _readout(final, readout_qubit)
+    return _run(network.n_qubits, *_steps(network), 0.0, epsilon, tau, readout_qubit)[1]
 
 
 def protocol_point(
@@ -262,11 +269,7 @@ def protocol_point(
     _, k, angle = _interval_angle(n_qubits, interval, b_z, b_x)
     forward, inverse, phi_kind = _compiled(n_qubits, k, angle.m > angle.n)
     phi = finite_angle(phi_kind, angle.phi)
-    prepared = PureState(run_placed(_all_zeros(n_qubits).amplitudes, forward, phi), n_qubits)
-    _require_readout_qubit(readout_qubit, n_qubits)
-    echo = (None, global_z_phases(n_qubits, finite_angle("GlobalZEvolution", tau * epsilon)))
-    final = run_placed(prepared.amplitudes, (echo,) + inverse, -phi)
-    return prepared, _readout(PureState(final, n_qubits), readout_qubit)
+    return _run(n_qubits, forward, inverse, phi, epsilon, tau, readout_qubit)
 
 
 def protocol_vs_exact(

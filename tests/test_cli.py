@@ -312,6 +312,9 @@ def test_bad_grid_is_config_error(tmp_path, capsys):
         (["spectrum", "--n", "3", "--bz-step", "-0.1"],
          "grid requires step > 0 and hi > lo, got lo=-3.0, hi=3.0, step=-0.1"),
         (["lz", "--delta-min", "-1"], "delta_min must be positive"),
+        # too fine to build: (hi - lo) / step overflows, and 6e12 points would take 44 TiB
+        (["spectrum", "--bz-step", "5e-324"], "grid step 5e-324 over [-3.0, 3.0] exceeds 1000000 points"),
+        (["spectrum", "--bz-step", "1e-12"], "grid step 1e-12 over [-3.0, 3.0] exceeds 1000000 points"),
     ]:
         code, path = run_cli(args, tmp_path)
         assert code == 1

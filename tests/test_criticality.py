@@ -22,6 +22,7 @@ from isingcrit.dynamics import ground_state, loschmidt_echo_exact
 from isingcrit.hamiltonian import (
     EVEN_SPLIT,
     INTERVALS,
+    MAX_GRID_POINTS,
     ChainParams,
     ChainSizeError,
     MixingAngle,
@@ -169,6 +170,14 @@ def test_default_grid_rejects_non_finite_input():
     for lo, hi, step in ((-3.0, math.inf, 0.02), (math.nan, 3.0, 0.02), (-3.0, 3.0, math.inf),
                          (-3.0, 3.0, math.nan), (-math.inf, 3.0, 0.02)):
         with pytest.raises(ValueError, match="finite"):
+            default_b_z_grid(lo, hi, step)
+
+
+def test_default_grid_refuses_more_points_than_its_cap_before_building_them():
+    assert default_b_z_grid(0.0, MAX_GRID_POINTS - 1.0, 1.0).size == MAX_GRID_POINTS
+    for lo, hi, step in ((0.0, float(MAX_GRID_POINTS), 1.0), (-3.0, 3.0, 1e-12),
+                         (-3.0, 3.0, 5e-324), (-1e308, 1e308, 1.0)):
+        with pytest.raises(ValueError, match=f"exceeds {MAX_GRID_POINTS} points"):
             default_b_z_grid(lo, hi, step)
 
 

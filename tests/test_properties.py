@@ -2,17 +2,18 @@
 text format, the phase energies, the exact echo (and its sector solves),
 the level solver and minima detection."""
 
-import string
 import threading
 import weakref
 from contextlib import closing
 from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isingcrit import dynamics
+from isingcrit import gates as gates_module
 from isingcrit.criticality import find_minima, ground_state_approx
 from isingcrit.dynamics import (
     SpectralDecomposition,
@@ -119,26 +120,74 @@ def test_interval_for_is_mirror_symmetric_off_the_boundaries(parity, b):
 
 
 @st.composite
-def gates_on(draw, n_qubits):
+def gates_on(draw, n_qubits, angles=finite):
     fitting = sorted(k for k, (n_t, n_c, _) in GATE_ARITY.items() if n_t + n_c <= n_qubits)
     kind = draw(st.sampled_from(fitting))
     n_t, n_c, has_angle = GATE_ARITY[kind]
     qubits = draw(st.permutations(range(1, n_qubits + 1)))[: n_t + n_c]
-    angle = draw(finite) if has_angle else None
+    angle = draw(angles) if has_angle else None
     return Gate(kind, tuple(qubits[:n_t]), tuple(qubits[n_t:]), angle)
 
 
 @st.composite
-def networks(draw):
-    n = draw(st.integers(1, 5))
-    gates = draw(st.lists(gates_on(n), max_size=8))
-    label = draw(st.text(string.ascii_letters + string.digits + " [],.-", max_size=20))
-    return GateNetwork(n, tuple(gates), label)
+def networks(draw, min_qubits=1, max_qubits=5, angles=finite):
+    """Unlabelled networks of every gate kind that fits the register."""
+    n = draw(st.integers(min_qubits, max_qubits))
+    return GateNetwork(n, tuple(draw(st.lists(gates_on(n, angles), max_size=8))))
 
 
-@given(networks())
-def test_serialize_parse_round_trip(net):
-    assert parse_network(serialize_network(net)) == net
+# the characters `str.splitlines` breaks a line at
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@given(networks(), st.text(st.one_of(st.characters(), st.sampled_from(LINE_BREAKS)), max_size=20))
+@example(GateNetwork(3, (Gate("NOT", (1,)),)), "x\nGATE NOT 2")
+def test_serialize_parse_round_trip(net, label):
+    # the label ends the one-line NETWORK header, so a label with a line break is refused
+    # rather than read back as a different network
+    if any(c in LINE_BREAKS for c in label):
+        with pytest.raises(ValueError, match="line break"):
+            GateNetwork(net.n_qubits, net.gates, label)
+    else:
+        net = GateNetwork(net.n_qubits, net.gates, label)
+        assert parse_network(serialize_network(net)) == net
+
+
+# a GlobalZEvolution gate's phases, exp(-i * angle * sum sigma_z), overflow past |angle| ~ 1e307
+gate_angles = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    net=networks(max_qubits=6, angles=gate_angles),
+    epsilon=st.floats(-1.0, 1.0),
+    tau=st.floats(0.0, 2 * np.pi),
+    data=st.data(),
+)
+def test_run_protocol_reads_the_composed_network_on_any_network(net, epsilon, tau, data):
+    # networks that no preparation builder makes: every gate kind, N = 1-6
+    n = net.n_qubits
+    readout_qubit = data.draw(st.integers(1, n))
+    res = run_protocol(net, epsilon, tau, readout_qubit)
+    amps = protocol_network(net, epsilon, tau).apply(basis_state(n, "0" * n)).amplitudes
+    populations = (amps * amps.conj()).real
+    m = 1 << (n - readout_qubit)
+    assert (res.l_value, res.amplitude) == (populations[0], populations[0] - populations[m])
+
+
+@settings(deadline=None)
+@given(net=networks(min_qubits=3, max_qubits=4, angles=gate_angles), b_z=st.floats(-3.0, 3.0),
+       data=st.data())
+def test_a_bad_readout_qubit_is_refused_before_any_gate_runs(net, b_z, data):
+    n = net.n_qubits
+    readout_qubit = data.draw(st.sampled_from([-1, 0, n + 1, n + 2]))
+    with mock.patch.object(gates_module, "_apply", wraps=gates_module._apply) as kernel:
+        with pytest.raises(ValueError) as by_network:
+            run_protocol(net, 0.2, np.pi, readout_qubit)
+        with pytest.raises(ValueError) as by_point:
+            protocol_point(n, b_z, 0.1, 0.2, np.pi, readout_qubit)
+    assert str(by_network.value) == str(by_point.value) == f"readout qubit {readout_qubit} outside 1..{n}"
+    assert kernel.call_count == 0
 
 
 @given(n=st.integers(3, 14), b=finite)
