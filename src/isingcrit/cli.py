@@ -5,11 +5,13 @@ deterministic (floats printed at 12 significant digits, config embedded in
 every file), so identical configs produce byte-identical files. Exit codes:
 0 success, 1 configuration error, 2 I/O error.
 
-The sweeps over B_x != 0 fields solve through the field planner of `dynamics`
-(`dynamics.plan`), which solves each |b_z| once, stacked up to N = 6 and one
-field per call beyond: `spectrum` reads its levels from one plan, `echo-scan`
-its spectra (`criticality.echo_scan`), and `protocol` its fidelity column's
-ground states (`dynamics.ground_states`), after the first point's checks.
+The sweeps over B_x != 0 fields solve through the executor of the field
+planner of `dynamics`, which solves each |b_z| once, stacked up to N = 6 and
+one field per call beyond: `spectrum` reads its levels from one plan
+(`dynamics.plan`), `echo-scan` its spectra (`criticality.echo_scan`), and
+`protocol` its fidelity column's ground states from `dynamics.ground_states`,
+which builds them as arrays, a block of rows at a time, at its first read,
+after the first point's checks.
 """
 
 from __future__ import annotations

@@ -41,19 +41,20 @@ basis it reads it in:
   sum_i sigma_z^i), and the approximate ground state of the scans lies in it,
   its kets being palindromes or mirror pairs (`even_amplitudes`), so nothing
   embeds these vectors in 2^N rows.
-* `ground_state`: the even ground vector in 2^N rows, through `ground_states`.
+* `ground_state`: `ground_states` at one field, whose rows are even ground
+  vectors embedded in 2^N amplitudes as one array.
 * `loschmidt_echo_exact` of a given state: its `project`ed even and odd
   parts, each through its own sector's solve, in that sector's basis.
 
 `spectral_for`, both sectors embedded in the 2^N basis, is the reference the
 sector solvers are checked against; no reader in the package calls it.
 
-A grid reader (the echo scans, the `spectrum` command, `ground_states` and
+A grid reader (the echo scans, the `spectrum` command and
 `network.protocol_vs_exact`) hands `plan` the fields each point reads and what
-it takes of them: LEVELS, EVEN (the even decomposition) or GROUND (the ground
-state). The planner owns the solved field, the mirror, the visit order, each
-result's lifetime and the executor. It groups the points by the set of solved
-fields they read; an echo scan's |b_z| is read by at most two such groups, so
+it takes of them: LEVELS or EVEN (the even decomposition). The planner owns the
+solved field, the mirror, the visit order, each result's lifetime and the
+executor. It groups the points by the set of solved fields they read; an echo
+scan's |b_z| is read by at most two such groups, so
 the groups form chains, and walked chain by chain at most two solved fields are
 held at once, each until its last read. One rule on the even block width d
 picks the executor: a stacked `eigh` where a `_STACK_BYTES` (64 KiB) stack
@@ -65,6 +66,13 @@ one-matrix LAPACK call on each block of a stack and each threaded solve is the
 serial call, so every executor reads the bytes of the one-field solvers.
 Memory: one stack of up to 64 KiB per sector read, or the held solves (2 in an
 echo scan) plus up to W solved ahead.
+
+`ground_states` reads its grid as one array instead of through `plan`: it
+solves the distinct |b_z| through the same executor (`_solves`), keeping each
+even ground vector alone (GROUND), then builds the 2^N rows a 64 KiB block at a
+time (at least one row), each block with one mirror index, one `embed`, one
+`_fix_phases` and one norm check. It holds the distinct ground vectors and one
+block.
 """
 
 from __future__ import annotations
@@ -84,6 +92,7 @@ from .states import (
     PureState,
     frozen_array,
     is_hermitian,
+    pure_states,
     qubit_bit_values,
 )
 
@@ -314,8 +323,8 @@ def _solved_field(params: ChainParams) -> ChainParams:
 
 
 def _mirrored(result, sector: _Sector):
-    """A sector solve at |b_z|, a decomposition or its ground vector alone, read at -|b_z|:
-    the one place the mirror rule is applied.
+    """A sector solve at |b_z|, a decomposition or a (G, d) block of ground vectors as rows,
+    read at -|b_z|: the one place the mirror rule is applied.
 
     P H(b_z) P = H(-b_z), and on the sector's rows P is the permutation `sector.flip`: the
     sector diagonal at -b_z is the permuted one at b_z, bit for bit, and the sigma_x
@@ -323,7 +332,7 @@ def _mirrored(result, sector: _Sector):
     and the vectors its rows, permuted.
     """
     if isinstance(result, np.ndarray):
-        return result[sector.flip]
+        return result[:, sector.flip]
     return SpectralDecomposition(result.eigenvalues, result.vectors[sector.flip])
 
 
@@ -375,8 +384,8 @@ def even_spectral_for(params: ChainParams) -> SpectralDecomposition:
     return _sector_spectral_for(params, _reflection_sectors(params.n_qubits)[0])
 
 
-# What a plan read takes of each field: the levels (`levels_for`), the even decomposition
-# (`even_spectral_for`) or the ground state (`ground_state`).
+# What a plan read takes of each field: the levels (`levels_for`) or the even decomposition
+# (`even_spectral_for`); `ground_states` has `_solves` keep the even ground vector alone (GROUND).
 LEVELS, EVEN, GROUND = "levels", "even", "ground"
 
 # The most bytes of blocks one stacked `eigh` is handed, (G, d, d) float64 sector blocks.
@@ -391,7 +400,7 @@ def plan(points, need):
     all of one N and B_x.
 
     Returns (order, reads): the point indices in `_visit_order` of their solved fields, and
-    a generator of `need`'s value (LEVELS, EVEN or GROUND) at each field of each point in
+    a generator of `need`'s value (LEVELS or EVEN) at each field of each point in
     that order, bit for bit the one-field reader's. Each distinct solved field is solved
     once, by the executor rule (`_solves`), and held until its last read; a read at b_z < 0
     is the `_mirrored` |b_z| solve. Nothing is solved before the first read; close the
@@ -437,8 +446,6 @@ def _solve(need, field: ChainParams):
     """One field's result for `need`, from its one-field solver."""
     if need == LEVELS:
         return levels_for(field)
-    if need == GROUND and field.b_x == 0.0:  # the ground ket of the full sort, which has no even form
-        return _sorted_diagonal(hamiltonian_diagonal(field)).ground_vector
     spec = even_spectral_for(field)
     return spec if need == EVEN else _kept(need, spec.eigenvalues, spec.vectors)
 
@@ -542,15 +549,38 @@ def even_amplitudes(state: PureState) -> np.ndarray:
 def ground_states(n_qubits: int, b_x: float, b_z_values):
     """Yield `spectral_for`'s first column at each field b_z of `b_z_values`, in order, bit for bit.
 
-    A plan read (GROUND) with one point, the whole grid: nothing is checked or solved before
-    the first state is read, which checks every field and solves each distinct |b_z| once,
-    stacked up to N = 6. Only each field's even ground vector is held, until its last read,
-    and mapped to 2^N rows as it is yielded, so only the states a caller keeps are held.
+    Nothing is checked or solved before the first state is read. That read checks every
+    field, then solves each distinct |b_z| once through the planner's executor (`_solves`,
+    stacked up to N = 6), keeping the even ground vector alone. The rows are then built as
+    arrays, `_STACK_BYTES` of 2^N rows (at least one) at a time: each field's even ground
+    vector, `_mirrored` for b_z < 0 in one index, embedded, phase-fixed and norm-checked as
+    one block (`pure_states`). At B_x = 0 a row is the first ket of its field's full sort,
+    which has no even form. Beyond the distinct solves, only one block of rows and the
+    states a caller keeps are held.
     """
-    # at B_x = 0 the first ket of the full sort, in 2^N rows already
-    for y0 in plan([[ChainParams(n_qubits, b_z, b_x) for b_z in b_z_values]], GROUND)[1]:
-        y0 = y0 if b_x == 0.0 else _fix_phases(_reflection_sectors(n_qubits)[0].embed(y0)[:, None])
-        yield PureState(y0, n_qubits)
+    fields = [ChainParams(n_qubits, b_z, b_x) for b_z in b_z_values]  # every field, before any solve
+    if not fields:
+        return
+    b_z = np.array([q.b_z for q in fields])
+    if b_x != 0.0:
+        even = _reflection_sectors(n_qubits)[0]
+        magnitudes, solved = np.unique(np.abs(b_z), return_inverse=True)
+        with closing(_solves([ChainParams(n_qubits, m, b_x) for m in magnitudes], GROUND)) as solves:
+            vectors = np.fromiter(solves, np.dtype((float, even.kets.size)), magnitudes.size)
+    else:
+        kets = np.array([_sorted_diagonal(hamiltonian_diagonal(q)).vectors[0] for q in fields], np.intp)
+    size = max(1, _STACK_BYTES // (16 << n_qubits))
+    for start in range(0, len(fields), size):
+        rows = slice(start, start + size)
+        if b_x != 0.0:
+            y, flipped = vectors[solved[rows]], b_z[rows] < 0.0
+            y[flipped] = _mirrored(y[flipped], even)
+            block = _fix_phases(even.embed(y.T)).T
+        else:
+            ket = kets[rows]
+            block = np.zeros((ket.size, 1 << n_qubits))
+            block[np.arange(ket.size), ket] = 1.0
+        yield from pure_states(block, n_qubits)
 
 
 def ground_state(params: ChainParams) -> PureState:

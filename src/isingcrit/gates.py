@@ -161,7 +161,12 @@ def _z_sums(n_qubits: int) -> np.ndarray:
 @lru_cache(maxsize=16)
 def global_z_phases(n_qubits: int, angle: float) -> np.ndarray:
     """Diagonal of exp(-i*angle*sum_i sigma_z^i) over the 2^N basis (read-only), computed once
-    per (N, angle): a protocol sweep's echo step is one diagonal for every point."""
+    per (N, angle): a protocol sweep's echo step is one diagonal for every point.
+
+    ValueError if angle * N, the largest phase, overflows to a non-finite float.
+    """
+    if not math.isfinite(angle * n_qubits):
+        raise ValueError(f"GlobalZEvolution angle {angle!r} overflows on {n_qubits} qubits")
     return frozen_array(np.exp(-1j * angle * _z_sums(n_qubits)))
 
 

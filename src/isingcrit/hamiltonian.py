@@ -91,7 +91,7 @@ class ChainParams:
         object.__setattr__(self, "n_qubits", int(self.n_qubits))
         for name in ("b_z", "b_x"):
             value = float(getattr(self, name))
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
 

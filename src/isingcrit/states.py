@@ -57,14 +57,35 @@ class PureState:
             raise ValueError(
                 f"amplitude vector has length {amps.size}, expected 2^{self.n_qubits}"
             )
-        norm = np.linalg.norm(amps)
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
+        _require_unit_norm(np.linalg.norm(amps))
         object.__setattr__(self, "amplitudes", amps)
 
     @property
     def dim(self) -> int:
         return self.amplitudes.size
+
+
+def _require_unit_norm(norm) -> None:
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
+
+
+def pure_states(rows: np.ndarray, n_qubits: int) -> list[PureState]:
+    """A `PureState` of each row of a (G, 2^N) block, checked as one array rather than row by
+    row: the rows are copied into one read-only complex block, whose rows the states hold."""
+    block = np.array(rows, dtype=complex, order="C")
+    if block.ndim != 2 or block.shape[1] != 2 ** n_qubits:
+        raise ValueError(f"amplitude rows have shape {block.shape}, expected (G, 2^{n_qubits})")
+    norms = np.linalg.norm(block, axis=1)
+    if norms.size:
+        _require_unit_norm(norms[np.argmax(np.abs(norms - 1.0))])  # the worst row, NaN first
+    block.setflags(write=False)
+    states = []
+    for amps in block:
+        state = object.__new__(PureState)  # checked above, with the block
+        state.__dict__.update(amplitudes=amps, n_qubits=n_qubits)
+        states.append(state)
+    return states
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:

@@ -41,6 +41,7 @@ from isingcrit.gates import global_z_phases
 from isingcrit.hamiltonian import (
     CROSSOVERS,
     EVEN_SPLIT,
+    MAX_QUBITS,
     ChainParams,
     ChainSizeError,
     build_hamiltonian,
@@ -442,6 +443,37 @@ def test_ground_states_are_the_one_field_ground_states_as_bytes(n, monkeypatch):
 
 def test_ground_states_of_no_fields_is_empty():
     assert list(ground_states(4, 0.1, [])) == [] == list(ground_states(4, 0.0, []))
+
+
+@pytest.mark.parametrize("b_x", [0.1, 1.0])
+@pytest.mark.parametrize("n, bad, error, message", [
+    (4, [float("nan"), float("inf")], ValueError, "b_z must be finite, got nan"),
+    (3, [-np.inf], ValueError, "b_z must be finite, got -inf"),
+    (MAX_QUBITS + 1, [], ChainSizeError, f"n_qubits={MAX_QUBITS + 1} exceeds the cap of {MAX_QUBITS}"),
+])
+def test_ground_states_checks_every_field_before_any_solve(n, bad, error, message, b_x, monkeypatch):
+    # the first read checks the whole grid, so a bad field past many good ones (here after
+    # the 1201 fields of a grid, which fill several stacks and row blocks) is refused with
+    # the message of the first bad field, and nothing is solved
+    eighs, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+    states = ground_states(n, b_x, list(default_b_z_grid(-3.0, 3.0, 0.005)) + bad + [0.5])
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        next(states)
+    assert eighs == []
+
+
+def test_ground_states_build_rows_a_block_at_a_time_as_bytes():
+    # at N = 9 a 2^N complex row is 8 KiB, so a 64 KiB block holds 8 rows: the 25 fields are
+    # 4 blocks, and each +-b_z pair has its rows in two of them; each row is ground_state's
+    grid = default_b_z_grid(-1.2, 1.2, 0.1)
+    assert dynamics._STACK_BYTES // (16 << 9) == 8 and grid.size == 25
+    states = list(ground_states(9, 0.1, grid))
+    for b_z, state in zip(grid, states):
+        assert state.amplitudes.tobytes() == ground_state(ChainParams(9, b_z, 0.1)).amplitudes.tobytes(), b_z
+    blocks = [state.amplitudes.base for state in states]
+    assert [len({id(b) for b in blocks[i:i + 8]}) for i in range(0, 25, 8)] == [1, 1, 1, 1]
+    assert len({id(b) for b in blocks}) == 4
 
 
 def _as_bytes(spec):

@@ -1,10 +1,12 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from isingcrit import gates as gates_module
 from isingcrit.gates import GATE_ARITY, Gate, apply_gates, global_z_phases, roty_matrix
+from isingcrit.network import GateNetwork, run_protocol
 from isingcrit.states import PureState, basis_state, sigma_z_values
 
 
@@ -70,6 +72,23 @@ def test_global_z_phases_equal_the_sigma_z_table_formula():
         for angle in (0.0, 0.37, -1.9, np.pi, 2.5e-3):
             expected = np.exp(-1j * angle * sigma_z_values(n).sum(axis=1))
             assert np.array_equal(global_z_phases(n, angle), expected), (n, angle)
+
+
+def test_an_overflowing_global_z_angle_is_refused_before_any_phase_is_computed():
+    # a finite angle whose largest phase, angle * N, overflows passes Gate validation; its
+    # phases would be NaN, so placing the gate raises one ValueError, with no RuntimeWarning
+    gate = Gate("GlobalZEvolution", (), angle=1e308)
+    message = "^GlobalZEvolution angle 1e\\+308 overflows on 3 qubits$"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=message):
+            apply_gates(basis_state(3, "000"), [gate])
+        with pytest.raises(ValueError, match=message):
+            run_protocol(GateNetwork(3, (gate,)), 0.1, np.pi, 1)
+    assert caught == []
+    # the largest angle that fits keeps today's expression
+    angle = np.nextafter(np.finfo(float).max / 3, 0.0)
+    assert np.array_equal(global_z_phases(3, angle), np.exp(-1j * angle * sigma_z_values(3).sum(axis=1)))
 
 
 def test_every_kind_but_the_global_one_has_one_unitary_entry():

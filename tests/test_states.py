@@ -5,6 +5,7 @@ from isingcrit.states import (
     PureState,
     basis_state,
     fidelity,
+    pure_states,
     superposition,
 )
 
@@ -73,3 +74,31 @@ def test_fidelity_examples():
     with pytest.raises(ValueError):
         fidelity(zero, basis_state(2, "00"))
 
+
+
+def test_pure_states_are_the_checked_states_of_each_row():
+    # one block checked as one array: each row's state holds the bytes PureState would,
+    # in a read-only, contiguous complex row
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(5, 8))
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    states = pure_states(rows.T.copy().T, 3)  # a column-major block reads as its rows
+    assert len(states) == 5
+    for row, state in zip(rows, states):
+        one = PureState(row, 3)
+        assert isinstance(state, PureState) and state.n_qubits == 3
+        assert state.amplitudes.tobytes() == one.amplitudes.tobytes()
+        assert state.amplitudes.flags.c_contiguous and not state.amplitudes.flags.writeable
+    assert pure_states(np.zeros((0, 8)), 3) == []
+
+
+def test_pure_states_refuse_a_block_as_pure_state_refuses_a_row():
+    rows = np.eye(4)
+    rows[2] *= 1.5
+    rows[3] = np.nan
+    with pytest.raises(ValueError, match="^state norm np.float64\\(nan\\) deviates from 1 beyond 1e-12$"):
+        pure_states(rows, 2)
+    with pytest.raises(ValueError, match="^state norm np.float64\\(1.5\\) deviates from 1 beyond 1e-12$"):
+        pure_states(rows[:3], 2)
+    with pytest.raises(ValueError, match="expected \\(G, 2\\^3\\)"):
+        pure_states(np.eye(4), 3)
