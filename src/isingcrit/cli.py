@@ -7,8 +7,9 @@ every file), so identical configs produce byte-identical files. Exit codes:
 
 The sweeps over B_x != 0 fields solve through the executor of the field
 planner of `dynamics`, which solves each |b_z| once, stacked up to N = 6 and
-one field per call beyond: `spectrum` reads its levels from one plan
-(`dynamics.plan`), `echo-scan` its spectra (`criticality.echo_scan`), and
+one field per call beyond: `spectrum` gets its rows from one plan
+(`dynamics.plan`), which hands each field's levels to the row it builds,
+`echo-scan` its spectra (`criticality.echo_scan`), and
 `protocol` its fidelity column's ground states from `dynamics.ground_states`,
 which builds them as arrays, a block of rows at a time, at its first read,
 after the first point's checks.
@@ -20,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from contextlib import closing
 
 import numpy as np
 
@@ -93,13 +93,11 @@ def _cmd_spectrum(config: argparse.Namespace):
     with_closed = config.bx == 0.0 and config.n >= 3
     columns = ["b_z", "e0", "e1", "gap"] + (["closed_form_energy"] if with_closed else [])
     fields = [ChainParams(config.n, bz, config.bx) for bz in grid]
-    rows = [None] * len(fields)
-    order, levels = dynamics.plan([(p,) for p in fields], dynamics.LEVELS)
-    with closing(levels):
-        for i in order:
-            w, p = next(levels), fields[i]
-            rows[i] = [p.b_z, w[0], w[1], w[1] - w[0]] + ([closed_form_energy(p)] if with_closed else [])
-    return columns, rows, []
+
+    def row(i, w):
+        p = fields[i]
+        return [p.b_z, w[0], w[1], w[1] - w[0]] + ([closed_form_energy(p)] if with_closed else [])
+    return columns, dynamics.plan([(p,) for p in fields], dynamics.LEVELS, row), []
 
 
 def _cmd_echo_scan(config: argparse.Namespace):

@@ -11,14 +11,14 @@ palindromes or mirror pairs) both lie in that sector. The planner solves each
 |b_z| once, by its executor rule (stacked up to N = 6, else one field per call,
 possibly ahead on other threads), gives a field at b_z < 0 the spin-flip mirror
 of that solve, and visits the points grouped by the pair of |fields| they read,
-chain by chain, so at most two solves are held at once; the scan writes each
-value at its grid index.
+chain by chain, so at most two solves are held at once. The scan hands it the
+echo of a point's spectra as a function of the point's index and gets back the
+values in grid order.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,9 +166,9 @@ def echo_scan(
     its first ansatz, which checks N and b_x, before its first solve. The echo
     kinds read even-sector spectra, two per point for the exact echo (the
     field, then b_z - epsilon) and one for the expansions, from one
-    `dynamics.plan`, which solves each |b_z| once, mirrors it for b_z < 0 and
-    holds it until its last read; the points are visited in its order, and the
-    values are bit for bit the per-point solvers' on any executor.
+    `dynamics.plan`, which solves each |b_z| once, mirrors it for b_z < 0,
+    holds it until its last read and returns each point's echo in grid order,
+    bit for bit the per-point solvers' on any executor.
     readout_amplitude runs serially.
     """
     if value_kind not in VALUE_KINDS:
@@ -184,27 +184,29 @@ def echo_scan(
     _require_increasing(grid)  # before the first solve
     require_minima_grid(grid)
 
-    values = np.empty(grid.size)
     if value_kind == READOUT_AMPLITUDE:
-        for i, bz in enumerate(grid):
-            values[i] = network.protocol_point(n_qubits, bz, b_x, epsilon, tau, readout_qubit)[1].amplitude
+        values = [network.protocol_point(n_qubits, bz, b_x, epsilon, tau, readout_qubit)[1].amplitude
+                  for bz in grid]
     else:
         points = [ChainParams(n_qubits, bz, b_x) for bz in grid]
         reads = [(p, p.perturbed(epsilon)) if value_kind == EXACT_ECHO else (p,) for p in points]
-        v_even = dynamics.even_field_perturbation(n_qubits)
-        expand = echo_perturbative if value_kind == PERTURBATIVE_ECHO else echo_two_level
-        # every read is even-sector (both initial states are); no name holds a point's spectra
-        # past the point: a loop variable would keep them alive while the next point's are solved
-        order, spectra = dynamics.plan(reads, dynamics.EVEN)
-        with closing(spectra):
-            for i in order:
-                if value_kind != EXACT_ECHO:
-                    values[i] = expand(next(spectra), v_even, epsilon, tau)
-                elif initial_state_source == EXACT_GROUND:
-                    values[i] = dynamics.ground_echo(next(spectra), next(spectra), tau)
-                else:  # built before the point's reads: a bad chain fails before the first solve
-                    approx = dynamics.even_amplitudes(ground_state_approx(n_qubits, grid[i], b_x))
-                    values[i] = dynamics.echo_from_spectra(next(spectra), next(spectra), approx, tau)
+        if value_kind != EXACT_ECHO:
+            v_even = dynamics.even_field_perturbation(n_qubits)
+            expand = echo_perturbative if value_kind == PERTURBATIVE_ECHO else echo_two_level
+
+            def value(i, spec):
+                return expand(spec, v_even, epsilon, tau)
+        elif initial_state_source == EXACT_GROUND:
+            def value(i, spec, perturbed):
+                return dynamics.ground_echo(spec, perturbed, tau)
+        else:
+            ground_state_approx(n_qubits, grid[0], b_x)  # a bad chain fails before the first solve
+
+            def value(i, spec, perturbed):
+                approx = dynamics.even_amplitudes(ground_state_approx(n_qubits, grid[i], b_x))
+                return dynamics.echo_from_spectra(spec, perturbed, approx, tau)
+        # every read is even-sector (both initial states are)
+        values = dynamics.plan(reads, dynamics.EVEN, value)
 
     minima = find_minima(grid, values)
     return EchoScan(

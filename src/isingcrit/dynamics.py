@@ -50,13 +50,15 @@ basis it reads it in:
 sector solvers are checked against; no reader in the package calls it.
 
 A grid reader (the echo scans, the `spectrum` command and
-`network.protocol_vs_exact`) hands `plan` the fields each point reads and what
-it takes of them: LEVELS or EVEN (the even decomposition). The planner owns the
-solved field, the mirror, the visit order, each result's lifetime and the
-executor. It groups the points by the set of solved fields they read; an echo
-scan's |b_z| is read by at most two such groups, so
-the groups form chains, and walked chain by chain at most two solved fields are
-held at once, each until its last read. One rule on the even block width d
+`network.protocol_vs_exact`) hands `plan` the fields each point reads, what it
+takes of them (LEVELS or EVEN, the even decomposition) and a function of a
+point's index and reads, and gets back that function's value at each point, in
+point order. The planner owns the solved field, the mirror, the visit order,
+each result's lifetime, the executor and joining its threads, on return and on
+any exception. It groups the points by the set of solved fields they read; an
+echo scan's |b_z| is read by at most two such groups, so the groups form
+chains, and walked chain by chain at most two solved fields are held at once,
+each until the value of its last read. One rule on the even block width d
 picks the executor: a stacked `eigh` where a `_STACK_BYTES` (64 KiB) stack
 holds at least 2 blocks (d <= 64, N <= 6); otherwise one field per call,
 `solve_ahead`, on W threads (each `eigh` releases the GIL), W being the usable
@@ -395,33 +397,33 @@ LEVELS, EVEN, GROUND = "levels", "even", "ground"
 _STACK_BYTES = 1 << 16
 
 
-def plan(points, need):
-    """The visit order and the reads of a grid solve whose point i reads the fields `points[i]`,
-    all of one N and B_x.
+def plan(points, need, value):
+    """`value(i, *reads)` of each point i of a grid solve, in point order, where point i reads
+    the fields `points[i]`, all of one N and B_x, and its reads are `need`'s value (LEVELS
+    or EVEN) at each of them, bit for bit the one-field reader's.
 
-    Returns (order, reads): the point indices in `_visit_order` of their solved fields, and
-    a generator of `need`'s value (LEVELS or EVEN) at each field of each point in
-    that order, bit for bit the one-field reader's. Each distinct solved field is solved
-    once, by the executor rule (`_solves`), and held until its last read; a read at b_z < 0
-    is the `_mirrored` |b_z| solve. Nothing is solved before the first read; close the
-    generator (`contextlib.closing`) so that an early exit joins any solve threads.
+    The points are visited in `_visit_order` of their solved fields. Each distinct solved
+    field is solved once, by the executor rule (`_solves`), at its first read, and held
+    until the value of the last point that reads it returns; a read at b_z < 0 is the
+    `_mirrored` |b_z| solve. Any solve threads are joined on return and when `value` or a
+    solve raises.
     """
     solved = [[_solved_field(q) for q in point] for point in points]
     order = _visit_order([[field.b_z for field in point] for point in solved])
-    return order, _reads([q for i in order for q in points[i]], [f for i in order for f in solved[i]], need)
-
-
-def _reads(reads, fields, need):
     # a plan's fields share N and B_x, so a solved field is keyed by its b_z (a float, which
-    # hashes in C); `_solves` takes the distinct fields in first-read order
-    last = {field.b_z: i for i, field in enumerate(fields)}
-    held = {}
-    with closing(_solves(list({field.b_z: field for field in fields}.values()), need)) as solved:
-        for i, (q, field) in enumerate(zip(reads, fields)):
-            if field.b_z not in held:
-                held[field.b_z] = next(solved)
-            # no name holds a result past its read: each is freed after its last read
-            yield _read(need, held[field.b_z] if last[field.b_z] > i else held.pop(field.b_z), q, field)
+    # hashes in C): the point that reads it last, and the distinct ones in first-read order
+    last = {field.b_z: i for i in order for field in solved[i]}
+    held, values = {}, [None] * len(points)
+    with closing(_solves(list({f.b_z: f for i in order for f in solved[i]}.values()), need)) as solves:
+        for i in order:
+            for field in solved[i]:
+                if field.b_z not in held:
+                    held[field.b_z] = next(solves)
+            # the reads are passed unnamed, so a result is freed once its last point's value
+            # returns, before the next point's fields are solved
+            values[i] = value(i, *[_read(need, held[f.b_z], q, f) for q, f in zip(points[i], solved[i])])
+            held = {b_z: result for b_z, result in held.items() if last[b_z] != i}
+    return values
 
 
 def _solves(fields, need):

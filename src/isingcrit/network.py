@@ -50,7 +50,7 @@ from .hamiltonian import (
     interval_index,
     mixing_angle,
 )
-from .states import PureState, basis_state
+from .states import PureState, _require_unit_norm, basis_state
 
 AMPLITUDE_SLACK = 1e-12
 
@@ -221,13 +221,15 @@ def _run(n_qubits: int, forward, inverse, phi: float, epsilon: float, tau: float
     """The protocol, the one runner of both entry points: U0 (the placed steps forward, free
     unitaries at phi) on |0...0>, the echo step, U0^dagger (inverse, at -phi), then P_s - P_n
     on the readout qubit and P_s from the final populations. Returns the prepared state U0|0...0>
-    with the readout; the readout qubit and the echo angle are checked before any gate runs.
+    with the readout; the readout qubit and the echo angle are checked before any gate runs, and
+    the final amplitudes' norm, as a `PureState`'s would be, with no state built of them.
     """
     if not 1 <= readout_qubit <= n_qubits:
         raise ValueError(f"readout qubit {readout_qubit} outside 1..{n_qubits}")
     echo = (None, global_z_phases(n_qubits, finite_angle("GlobalZEvolution", tau * epsilon)))
     prepared = PureState(run_placed(_all_zeros(n_qubits).amplitudes, forward, phi), n_qubits)
-    amps = PureState(run_placed(prepared.amplitudes, (echo,) + inverse, -phi), n_qubits).amplitudes
+    amps = run_placed(prepared.amplitudes, (echo,) + inverse, -phi)
+    _require_unit_norm(np.linalg.norm(amps))
     populations = (amps * amps.conj()).real
     l_value = float(populations[0])
     m = 1 << (n_qubits - readout_qubit)
@@ -293,9 +295,9 @@ def protocol_vs_exact(
     grid = default_b_z_grid(lo, hi, step)
     l_values = [protocol_point(n_qubits, bz, b_x, epsilon, tau, 1, (lo, hi))[1].l_value for bz in grid]
     points = [ChainParams(n_qubits, bz, b_x) for bz in grid]
-    # N is 3 or 4 (`protocol_point`), whose blocks are stacked: no solve thread to join
-    order, spectra = dynamics.plan([(p, p.perturbed(epsilon)) for p in points], dynamics.EVEN)
-    return max(abs(l_values[i] - dynamics.ground_echo(next(spectra), next(spectra), tau)) for i in order)
+    return max(dynamics.plan(
+        [(p, p.perturbed(epsilon)) for p in points], dynamics.EVEN,
+        lambda i, spec, perturbed: abs(l_values[i] - dynamics.ground_echo(spec, perturbed, tau))))
 
 
 def serialize_network(network: GateNetwork) -> str:

@@ -640,8 +640,7 @@ def test_a_failed_solve_raises_the_first_failure_in_the_scan_visit_order(threads
     _force_solve_threads(monkeypatch, threads)
     grid, failing = default_b_z_grid(), (1.0, 0.98, 0.5)
     reads = [(p, p.perturbed(-0.1)) for p in (ChainParams(7, bz, 0.1) for bz in grid)]
-    order, spectra = dynamics.plan(reads, dynamics.EVEN)
-    spectra.close()
+    order = dynamics._visit_order([[abs(q.b_z) for q in point] for point in reads])
     first = next(abs(q.b_z) for i in order for q in reads[i] if abs(q.b_z) in failing)
     solve = dynamics.even_spectral_for
 

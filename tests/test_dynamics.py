@@ -494,9 +494,7 @@ def test_stacked_sector_solves_are_the_per_block_solves_as_bytes(n):
                 assert _as_bytes(SpectralDecomposition(w[g], v[g])) == _as_bytes(one), (bz, b_x)
         fields = [(ChainParams(n, bz, b_x),) for bz in grid]
         for need, solve in ((dynamics.EVEN, even_spectral_for), (dynamics.LEVELS, levels_for)):
-            order, reads = dynamics.plan(fields, need)
-            for i in order:
-                read, (p,) = next(reads), fields[i]
+            for read, (p,) in zip(dynamics.plan(fields, need, lambda i, read: read), fields):
                 if need == dynamics.EVEN:
                     assert _as_bytes(read) == _as_bytes(solve(p)), p
                 else:
@@ -522,10 +520,7 @@ def test_a_plan_stacks_where_a_stack_holds_two_even_blocks(stack_bytes, threads,
                         lambda p: solver_threads.add(threading.get_ident()) or solve(p))
     shapes_read, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes_read.append(a.shape) or eigh(a))
-    order, reads = dynamics.plan(fields, dynamics.EVEN)
-    with closing(reads):
-        for i in order:
-            assert _as_bytes(next(reads)) == expected[i], fields[i]
+    assert dynamics.plan(fields, dynamics.EVEN, lambda i, read: _as_bytes(read)) == expected
     assert shapes_read == shapes
     if len(shapes[0]) == 3:
         assert solver_threads == set()
@@ -538,9 +533,8 @@ def test_a_plan_at_zero_transverse_field_sorts_each_field_serially(monkeypatch):
     monkeypatch.setattr(dynamics, "_solve_threads", lambda b_x: 3)
     monkeypatch.setattr(np.linalg, "eigh", None)
     fields = [(ChainParams(4, bz, 0.0),) for bz in (-1.0, 0.5, 1.0)]
-    order, reads = dynamics.plan(fields, dynamics.EVEN)
-    for i in order:
-        assert _as_bytes(next(reads)) == _as_bytes(even_spectral_for(fields[i][0]))
+    expected = [_as_bytes(even_spectral_for(p)) for (p,) in fields]
+    assert dynamics.plan(fields, dynamics.EVEN, lambda i, read: _as_bytes(read)) == expected
 
 
 def _free_fermion_levels(n, b_x):
@@ -1060,29 +1054,62 @@ class _Solved:
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_a_plan_solves_each_field_once_and_frees_it_after_its_last_read(threads, monkeypatch):
-    # one point whose reads repeat fields, adjacently and after others, read in its order; at
-    # N = 7 (even blocks 72 wide) each field is one `even_spectral_for` call, on W threads
+    # points whose reads repeat fields, within a point and after others, valued in the visit
+    # order; at N = 7 (even blocks 72 wide) each field is one `even_spectral_for` call, on W
+    # threads. A field is held from its first read until its last point's value returns
     monkeypatch.setattr(dynamics, "_solve_threads", lambda b_x: threads)
     a, b, c, d = (ChainParams(7, bz, 0.1) for bz in (1.5, 0.0, 1.0, 2.0))
-    reads = [a, a, b, c, b, b, d, a, c]
-    last = {p: i for i, p in enumerate(reads)}
-    solved, refs = [], {}
+    points = [(a, a), (b,), (c, b), (b,), (d, a), (c,)]
+    order = dynamics._visit_order([[p.b_z for p in point] for point in points])
+    last = {p: k for k, i in enumerate(order) for p in points[i]}
+    solved, refs, visited = [], {}, []
 
     def solve(p):
         solved.append(p)
         return _Solved(p)
 
+    def value(i, *specs):
+        k = len(visited)
+        visited.append(i)
+        assert [spec.params for spec in specs] == list(points[i])
+        for spec in specs:
+            assert spec.params not in refs or refs[spec.params]() is spec
+            refs[spec.params] = weakref.ref(spec)
+        assert {p for p, ref in refs.items() if ref() is None} == {p for p in refs if last[p] < k}
+        return i
+
     monkeypatch.setattr(dynamics, "even_spectral_for", solve)
     before = threading.active_count()
-    order, spectra = dynamics.plan([reads], dynamics.EVEN)
-    assert order == [0]
-    with closing(spectra):
-        for i, p in enumerate(reads):
-            spec = next(spectra)
-            assert spec.params == p
-            assert p not in refs or refs[p]() is spec
-            refs[p] = weakref.ref(spec)
-            del spec
-            assert {q for q, ref in refs.items() if ref() is None} == {q for q in refs if last[q] <= i}
+    assert dynamics.plan(points, dynamics.EVEN, value) == list(range(len(points)))
+    assert visited == order
+    assert all(ref() is None for ref in refs.values())
     assert sorted(solved, key=lambda p: p.b_z) == [b, c, a, d]
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_a_value_that_raises_mid_grid_propagates_and_joins_the_solve_threads(threads, monkeypatch):
+    # at N = 7 each field is one `even_spectral_for` call, here a stand-in, on W threads
+    monkeypatch.setattr(dynamics, "_solve_threads", lambda b_x: threads)
+    monkeypatch.setattr(dynamics, "even_spectral_for", _Solved)
+    points = [(ChainParams(7, bz, 0.1),) for bz in default_b_z_grid(0.0, 2.0, 0.1)]
+    before, visited, running = threading.active_count(), [], []
+
+    def value(i, spec):
+        visited.append(i)
+        if len(visited) == 10:
+            running.append(threading.active_count())
+            raise RuntimeError(f"no value at point {i}")
+        return i
+
+    # `failure` keeps the traceback, and so the plan's frame and its solves, alive: the count
+    # shows that the plan joined its threads itself, not that its frame was freed
+    with pytest.raises(RuntimeError, match=r"^no value at point \d+$") as failure:
+        dynamics.plan(points, dynamics.EVEN, value)
+    assert threading.active_count() == before
+    assert len(visited) == 10 and failure.value.__traceback__ is not None
+    assert (running[0] > before) == (threads > 1)
+
+
+def test_a_plan_of_no_points_is_empty():
+    assert dynamics.plan([], dynamics.EVEN, lambda i, *reads: i) == []

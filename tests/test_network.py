@@ -275,6 +275,19 @@ def test_a_protocol_sweep_computes_its_echo_phases_once(capsys):
     assert (global_z_phases.cache_info().misses, global_z_phases.cache_info().hits) == (1, 1200)
 
 
+@pytest.mark.parametrize("n, interval, b_z", [(3, (-1.0, 1.0), 0.3), (4, (1.44, 3.0), 2.0)])
+def test_a_non_unitary_echo_step_fails_the_final_norm_check(n, interval, b_z, monkeypatch):
+    # the prepared state is unit-norm; the final amplitudes, after a diagonal scaled by 1.5,
+    # are checked as an array with the message of a `PureState`
+    monkeypatch.setattr("isingcrit.network.global_z_phases",
+                        lambda n_qubits, angle: 1.5 * global_z_phases(n_qubits, angle))
+    message = r"^state norm np\.float64\(1\.[45]\d*\) deviates from 1 beyond "
+    with pytest.raises(ValueError, match=message):
+        protocol_point(n, b_z, 0.1, 0.2, np.pi, 1, interval)
+    with pytest.raises(ValueError, match=message):
+        run_protocol(build_preparation_network(n, interval, b_z, 0.1), 0.2, np.pi, 1)
+
+
 def test_protocol_minima_match_exact_echo_minima():
     grid = default_b_z_grid(step=0.05)
     scan_a = echo_scan(3, 0.1, 0.2, np.pi, grid, "readout_amplitude", "approx_ground",

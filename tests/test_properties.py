@@ -4,7 +4,6 @@ the level solver and minima detection."""
 
 import threading
 import weakref
-from contextlib import closing
 from unittest import mock
 
 import numpy as np
@@ -270,14 +269,18 @@ def test_scan_visit_order_covers_every_point_once_and_holds_at_most_two_fields(
         weakref.finalize(result, release)
         return result
 
+    visited = []
+
+    def value(i, *spectra):
+        visited.append(i)
+        assert len(spectra) == len(reads[i])
+        assert all(isinstance(spec, SpectralDecomposition) for spec in spectra)
+        return i
+
     with mock.patch.object(dynamics, "_solve_threads", lambda b_x: threads), \
             mock.patch.object(dynamics, "even_spectral_for", solve):
-        order, spectra = dynamics.plan(reads, dynamics.EVEN)
-        with closing(spectra):
-            for i in order:
-                for _ in reads[i]:
-                    assert isinstance(next(spectra), SpectralDecomposition)
-    assert sorted(order) == list(range(len(points)))
+        assert dynamics.plan(reads, dynamics.EVEN, value) == list(range(len(points)))
+    assert sorted(visited) == list(range(len(points)))
     assert peak[0] <= 2 + (threads if threads > 1 else 0)
 
 
