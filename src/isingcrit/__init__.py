@@ -7,7 +7,7 @@ gate-network measurement protocol whose one-qubit readout amplitude dips at
 the critical fields.
 """
 
-from .criticality import EchoScan, echo_scan, find_minima, ground_state_approx
+from .criticality import EchoScan, echo_scan, find_minima, ground_state_approx, protocol_vs_exact
 from .dynamics import (
     SpectralDecomposition,
     diagonalize,
@@ -39,12 +39,10 @@ from .hamiltonian import (
 from .network import (
     GateNetwork,
     ReadoutResult,
-    build_preparation_network,
     parse_network,
     preparation_network,
     protocol_network,
     protocol_point,
-    protocol_vs_exact,
     run_protocol,
     serialize_network,
 )

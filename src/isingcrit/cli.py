@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -166,6 +167,12 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's pattern of a negative number, which it reads as a value, not a flag,
+        # widened to exponent form: the config headers print -0.00001 as -1e-05
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):  # config errors exit 1, not argparse's default 2
         raise ConfigError(message)
 

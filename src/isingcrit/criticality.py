@@ -1,5 +1,6 @@
 """Critical-point detection: approximate ground-state preparation, fixed-time
-echo scans over the longitudinal field, and minima extraction.
+echo scans over the longitudinal field, minima extraction, and the measurement
+protocol's cross-check against the exact echo.
 
 `ground_state_approx` prepares the ansatz cos(phi)|m> - sin(phi)|n> of
 `hamiltonian.mixing_angle` on the interval holding b_z, the state the N = 3
@@ -14,6 +15,12 @@ of that solve, and visits the points grouped by the pair of |fields| they read,
 chain by chain, so at most two solves are held at once. The scan hands it the
 echo of a point's spectra as a function of the point's index and gets back the
 values in grid order.
+
+The exact ground state's echo over a grid, one plan of each field and of
+b_z - epsilon read through `dynamics.ground_echo`, is written once
+(`_ground_echoes`): the exact-ground `echo_scan` reads it, and so does
+`protocol_vs_exact`, which sets it against each point's `network.protocol_point`
+on one interval's grid.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, network
+from . import dynamics, hamiltonian, network
 from .hamiltonian import ChainParams, chain_parity, interval_index, mixing_angle, phase_state
 from .perturbation import echo_perturbative, echo_two_level
 from .states import PureState
@@ -187,6 +194,8 @@ def echo_scan(
     if value_kind == READOUT_AMPLITUDE:
         values = [network.protocol_point(n_qubits, bz, b_x, epsilon, tau, readout_qubit)[1].amplitude
                   for bz in grid]
+    elif value_kind == EXACT_ECHO and initial_state_source == EXACT_GROUND:
+        values = _ground_echoes(n_qubits, b_x, epsilon, tau, grid)
     else:
         points = [ChainParams(n_qubits, bz, b_x) for bz in grid]
         reads = [(p, p.perturbed(epsilon)) if value_kind == EXACT_ECHO else (p,) for p in points]
@@ -196,9 +205,6 @@ def echo_scan(
 
             def value(i, spec):
                 return expand(spec, v_even, epsilon, tau)
-        elif initial_state_source == EXACT_GROUND:
-            def value(i, spec, perturbed):
-                return dynamics.ground_echo(spec, perturbed, tau)
         else:
             ground_state_approx(n_qubits, grid[0], b_x)  # a bad chain fails before the first solve
 
@@ -219,3 +225,31 @@ def echo_scan(
         grid=tuple((float(b), float(v)) for b, v in zip(grid, values)),
         minima=tuple(minima),
     )
+
+
+def _ground_echoes(n_qubits: int, b_x: float, epsilon: float, tau: float, grid) -> list[float]:
+    """The exact ground state's echo at each field of grid, in grid order, bit for bit
+    `dynamics.loschmidt_echo_exact`'s: one `dynamics.plan` of each field and of
+    b_z - epsilon, read as their even decompositions, each |b_z| solved once."""
+    points = [ChainParams(n_qubits, bz, b_x) for bz in grid]
+    return dynamics.plan([(p, p.perturbed(epsilon)) for p in points], dynamics.EVEN,
+                         lambda i, spec, perturbed: dynamics.ground_echo(spec, perturbed, tau))
+
+
+def protocol_vs_exact(n_qubits: int, b_x: float, epsilon: float, tau: float, interval,
+                      step: float = 0.02) -> float:
+    """Worst |protocol echo - exact echo| over one interval's grid.
+
+    Quantifies the whole approximation chain: ansatz preparation plus the
+    single compiled echo step (`network.protocol_point` on the interval's
+    network), against the exact ground state evolved with the exact
+    forward/backward unitaries, the echo of an exact-ground `echo_scan`. Every
+    point's protocol runs, with its checks, before the first solve. A grid of
+    any length is read, unlike a scan's, which needs 3 points for its minima.
+    """
+    lo, hi = float(interval[0]), float(interval[1])
+    grid = hamiltonian.default_b_z_grid(lo, hi, step)
+    l_values = [network.protocol_point(n_qubits, bz, b_x, epsilon, tau, 1, (lo, hi))[1].l_value
+                for bz in grid]
+    echoes = _ground_echoes(n_qubits, b_x, epsilon, tau, grid)  # after every point's checks
+    return max(abs(l - e) for l, e in zip(l_values, echoes))

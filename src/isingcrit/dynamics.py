@@ -49,8 +49,8 @@ basis it reads it in:
 `spectral_for`, both sectors embedded in the 2^N basis, is the reference the
 sector solvers are checked against; no reader in the package calls it.
 
-A grid reader (the echo scans, the `spectrum` command and
-`network.protocol_vs_exact`) hands `plan` the fields each point reads, what it
+A grid reader (the echo scans and `protocol_vs_exact` of `criticality`, and the
+`spectrum` command) hands `plan` the fields each point reads, what it
 takes of them (LEVELS or EVEN, the even decomposition) and a function of a
 point's index and reads, and gets back that function's value at each point, in
 point order. The planner owns the solved field, the mirror, the visit order,

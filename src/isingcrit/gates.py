@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -141,15 +141,8 @@ class Gate:
         return np.array(_unitary(self))
 
     def dagger(self) -> "Gate":
-        """Inverse gate (all kinds here are self-inverse or angle-negating).
-
-        A negated valid gate is valid, so the inverse is not validated again.
-        """
-        if self.angle is None:
-            return self
-        inverse = object.__new__(Gate)
-        inverse.__dict__.update(self.__dict__, angle=-self.angle)
-        return inverse
+        """Inverse gate (all kinds here are self-inverse or angle-negating)."""
+        return self if self.angle is None else replace(self, angle=-self.angle)
 
 
 @lru_cache(maxsize=None)

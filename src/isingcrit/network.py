@@ -1,4 +1,6 @@
-"""Gate-network realization of the measurement protocol.
+"""Gate-network realization of the measurement protocol: the gate layer, built on
+`gates`, `hamiltonian` and `states` only. Its cross-check against the exact echo,
+`criticality.protocol_vs_exact`, lives with the echo scans.
 
 A preparation network U0 maps |0...0> to the interval's approximate ground
 state; the protocol network applies U0, the compiled diagonal echo step
@@ -10,11 +12,11 @@ with only the readout qubit set, so A <= P_s always and the minima of A over
 b_z land where the echo minima do.
 
 Networks are defined for the three-qubit (odd) and four-qubit (even) chains
-and built from `hamiltonian.mixing_angle`, the one source of the ansatz
-angles: each size's core gate specs for the interval, then a NOT on every
-qubit for a mirrored ANSATZ row (m > n). A spec's angle is a constant or PHI,
-the interval's mixing angle. The three-qubit networks prepare the ansatz
-states of `criticality.ground_state_approx` bit for bit.
+and built by `preparation_network` from `hamiltonian.mixing_angle`, the one
+source of the ansatz angles: each size's core gate specs for the interval,
+then a NOT on every qubit for a mirrored ANSATZ row (m > n). A spec's angle is
+a constant or PHI, the interval's mixing angle. The three-qubit networks
+prepare the ansatz states of `criticality.ground_state_approx` bit for bit.
 
 One runner, `_run`, executes the protocol for both entry points: it checks the
 readout qubit, runs U0 on |0...0>, the echo step and U0^dagger as placed kernel
@@ -38,15 +40,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import dynamics
 from .gates import GATE_ARITY, Gate, apply_gates, finite_angle, global_z_phases, placed, run_placed
 from .hamiltonian import (
     INTERVALS,
-    ChainParams,
     UnsupportedChainError,
     _require_register_size,
     chain_parity,
-    default_b_z_grid,
     interval_index,
     mixing_angle,
 )
@@ -97,8 +96,9 @@ class ReadoutResult:
             raise ValueError("readout amplitude exceeds the echo population")
 
 
-def build_preparation_network(n_qubits: int, interval, b_z: float, b_x: float) -> GateNetwork:
-    """U0 for one preparation interval of an N-qubit chain; acts on |0...0>.
+def preparation_network(n_qubits: int, b_z: float, b_x: float, interval=None) -> GateNetwork:
+    """U0 for one preparation interval of an N-qubit chain, `interval` or, for None, the
+    one holding b_z; acts on |0...0>.
 
     Only the experimentally compiled sizes exist: N = 3 (odd) and N = 4
     (even). The network prepares the interval's two-phase ansatz from its
@@ -110,11 +110,6 @@ def build_preparation_network(n_qubits: int, interval, b_z: float, b_x: float) -
     gates = tuple(Gate(kind, t, c, angle.phi if a is PHI else a) for kind, t, c, a in specs)
     lo, hi = INTERVALS[parity][k]
     return GateNetwork(n_qubits, gates, f"{parity} [{lo:g},{hi:g}]")
-
-
-def preparation_network(n_qubits: int, b_z: float, b_x: float) -> GateNetwork:
-    """U0 for the interval containing b_z (N must be 3 or 4)."""
-    return build_preparation_network(n_qubits, None, b_z, b_x)
 
 
 def _interval_angle(n_qubits: int, interval, b_z: float, b_x: float):
@@ -260,7 +255,7 @@ def protocol_point(
     interval=None,
 ) -> tuple[PureState, ReadoutResult]:
     """The prepared state U0|0...0> and the readout of one protocol point, bit for bit
-    `prepared_state(net)` and `run_protocol(net, ...)` of `net = build_preparation_network(...)`.
+    `prepared_state(net)` and `run_protocol(net, ...)` of `net = preparation_network(...)`.
 
     U0 is the network of `interval`, or, for None, of the interval holding b_z. Each
     interval's gates are validated once per process, and the echo step's phases
@@ -272,32 +267,6 @@ def protocol_point(
     forward, inverse, phi_kind = _compiled(n_qubits, k, angle.m > angle.n)
     phi = finite_angle(phi_kind, angle.phi)
     return _run(n_qubits, forward, inverse, phi, epsilon, tau, readout_qubit)
-
-
-def protocol_vs_exact(
-    n_qubits: int,
-    b_x: float,
-    epsilon: float,
-    tau: float,
-    interval,
-    step: float = 0.02,
-) -> float:
-    """Worst |protocol echo - exact echo| over one interval's grid.
-
-    Quantifies the whole approximation chain: ansatz preparation plus the
-    single compiled echo step, against the exact ground state evolved with
-    the exact forward/backward unitaries. Every point's protocol runs, with its
-    checks, before the first solve; the exact echoes read the even spectra of
-    each field and of b_z - epsilon from one `dynamics.plan`, each |b_z| solved
-    once, bit for bit `dynamics.loschmidt_echo_exact`'s.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    grid = default_b_z_grid(lo, hi, step)
-    l_values = [protocol_point(n_qubits, bz, b_x, epsilon, tau, 1, (lo, hi))[1].l_value for bz in grid]
-    points = [ChainParams(n_qubits, bz, b_x) for bz in grid]
-    return max(dynamics.plan(
-        [(p, p.perturbed(epsilon)) for p in points], dynamics.EVEN,
-        lambda i, spec, perturbed: abs(l_values[i] - dynamics.ground_echo(spec, perturbed, tau))))
 
 
 def serialize_network(network: GateNetwork) -> str:

@@ -39,6 +39,15 @@ class DegenerateGapError(ValueError):
     """The ground level is degenerate; use the full perturbative sum."""
 
 
+def _power(x: float, p: float, name: str) -> float:
+    """x**p, or a ValueError naming the power where it overflows: a float's ** raises an
+    OverflowError there, which is not a ValueError."""
+    try:
+        return x**p
+    except OverflowError:
+        raise ValueError(f"{name} overflows a float: {x!r}**{p!r}") from None
+
+
 def _coupling_to_ground(spec: SpectralDecomposition, v: np.ndarray) -> np.ndarray:
     """Vector of <a|V|0> over all eigenstates a; V is a Hermitian matrix or its 1-D diagonal."""
     ground = spec.ground_vector
@@ -53,7 +62,8 @@ def echo_perturbative(spec: SpectralDecomposition, v: np.ndarray, epsilon: float
     weights = np.where(
         np.abs(de) <= DEGENERACY_TOL, 0.5 * t * t, (1.0 - np.cos(de * t)) / safe**2
     )
-    return float(1.0 - 2.0 * epsilon**2 * np.sum(np.abs(v0a[1:]) ** 2 * weights[1:]))
+    eps_sq = _power(epsilon, 2, "epsilon**2")
+    return float(1.0 - 2.0 * eps_sq * np.sum(np.abs(v0a[1:]) ** 2 * weights[1:]))
 
 
 def echo_two_level(spec: SpectralDecomposition, v: np.ndarray, epsilon: float, t: float) -> float:
@@ -86,7 +96,8 @@ def echo_two_level(spec: SpectralDecomposition, v: np.ndarray, epsilon: float, t
 
 def two_level_formula(weight: float, delta: float, epsilon: float, t: float) -> float:
     """Echo of one level at gap delta coupled to the ground state with |V_01|^2 = weight."""
-    return float(1.0 - 2.0 * (weight / delta**2) * epsilon**2 * (1.0 - np.cos(delta * t)))
+    ratio = weight / _power(delta, 2, "delta**2")
+    return float(1.0 - 2.0 * ratio * _power(epsilon, 2, "epsilon**2") * (1.0 - np.cos(delta * t)))
 
 
 @dataclass(frozen=True)
@@ -109,6 +120,9 @@ class LandauZenerParams:
             raise ValueError("delta_min must be positive")
         if self.z_nu <= 0:
             raise ValueError("z_nu must be positive")
+        for name in ("delta_min", "epsilon", "t"):  # the formulas square each
+            _power(getattr(self, name), 2, f"{name}**2")
+        _power(float(abs(self.lam)), 2 * self.z_nu, "|lam|**(2 z_nu)")
 
 
 def lz_hamiltonian(p: LandauZenerParams) -> HermitianOperator:

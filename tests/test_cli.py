@@ -315,11 +315,24 @@ def test_bad_grid_is_config_error(tmp_path, capsys):
         # too fine to build: (hi - lo) / step overflows, and 6e12 points would take 44 TiB
         (["spectrum", "--bz-step", "5e-324"], "grid step 5e-324 over [-3.0, 3.0] exceeds 1000000 points"),
         (["spectrum", "--bz-step", "1e-12"], "grid step 1e-12 over [-3.0, 3.0] exceeds 1000000 points"),
+        # finite values whose squares or powers leave the float range: no traceback, no inf row
+        (["lz", "--delta-min", "1e200"], "delta_min**2 overflows a float: 1e+200**2"),
+        (["lz", "--epsilon", "1e200", "--tau", "1e200"], "epsilon**2 overflows a float: 1e+200**2"),
+        (["lz", "--tau", "1e200"], "t**2 overflows a float: 1e+200**2"),
+        (["lz", "--znu", "400"], "|lam|**(2 z_nu) overflows a float: 3.0**800.0"),
+        (["echo-scan", "--n", "3", "--bz-step", "0.5", "--epsilon", "1e200", "--value-kind",
+          "perturbative_echo"], "epsilon**2 overflows a float: 1e+200**2"),
+        (["echo-scan", "--n", "3", "--bz-step", "0.5", "--epsilon", "1e200", "--value-kind",
+          "two_level_echo"], "epsilon**2 overflows a float: 1e+200**2"),
     ]:
         code, path = run_cli(args, tmp_path)
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not path.exists()
+    # the gap that the two-level echo squares, 2 B_x at b_z = 0
+    args = ["echo-scan", "--n", "3", "--bx", "1e160", "--bz-step", "0.5", "--value-kind", "two_level_echo"]
+    assert run_cli(args, tmp_path)[0] == 1
+    assert capsys.readouterr().err.startswith("error: delta**2 overflows a float: ")
 
 
 @pytest.mark.parametrize(
@@ -341,6 +354,36 @@ def test_non_finite_numbers_are_config_errors(args, flag, capsys):
     assert err.startswith("error:")
     assert flag in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum"], ["echo-scan"], ["lz"], ["protocol"], ["phase-diagram", "--bx", "0"],
+])
+def test_negative_numbers_in_exponent_form_are_values(argv, capsys):
+    # the config headers print -0.00001 as -1e-05, so a run repeats from its header only if
+    # such a value reads as a value, not as a flag
+    grid = ["--bz-step", "0.05", "--bz-max", "0.1"]
+    assert main(argv + grid + ["--bz-min", "-1e-1", "--epsilon", "-1e-1"]) == 0
+    exponent = capsys.readouterr().out
+    assert main(argv + grid + ["--bz-min", "-0.1", "--epsilon", "-0.1"]) == 0
+    assert capsys.readouterr().out == exponent
+    assert main(argv + ["--epsilon", "-x"]) == 1
+    assert capsys.readouterr().err == "error: argument --epsilon: expected one argument\n"
+
+
+def test_a_run_repeats_from_its_config_header(capsys):
+    argv = ["echo-scan", "--n", "3", "--bz-step", "0.5", "--epsilon", "-0.00001", "--bx", "-1e-05"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    header = dict(ln[2:].split(" = ", 1) for ln in out.splitlines() if " = " in ln)
+    assert header["epsilon"] == header["bx"] == "-1e-05"
+    again = [header.pop("command")]
+    for key, value in header.items():
+        if key not in ("schema_version", "out"):
+            again += [f"--{key.replace('_', '-')}", value]
+    again[again.index("--output-format")] = "--format"
+    assert main(again) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_unknown_flag_is_config_error():

@@ -17,6 +17,7 @@ from isingcrit.criticality import (
     echo_scan,
     find_minima,
     ground_state_approx,
+    protocol_vs_exact,
 )
 from isingcrit.dynamics import ground_state, loschmidt_echo_exact
 from isingcrit.hamiltonian import (
@@ -34,7 +35,7 @@ from isingcrit.hamiltonian import (
     mixing_angle,
     phase_state,
 )
-from isingcrit.network import build_preparation_network, preparation_network
+from isingcrit.network import preparation_network, protocol_point
 from isingcrit.perturbation import DegenerateGapError, echo_two_level
 from isingcrit.states import fidelity, qubit_bit_values, superposition
 
@@ -153,7 +154,7 @@ def test_network_angles_equal_the_replaced_formulas_exactly():
         fields = [b for b in _ansatz_fields() if lo <= b <= hi]
         for b_x in (0.05, 0.1, 0.37):
             for b_z in fields:
-                net = build_preparation_network(n_qubits[parity], (lo, hi), b_z, b_x)
+                net = preparation_network(n_qubits[parity], b_z, b_x, (lo, hi))
                 phi = reference(b_z, b_x)
                 assert [net.gates[i].angle for i in positions] == [phi] * len(positions)
     for n, parity in ((3, "odd"), (4, "even")):
@@ -666,3 +667,43 @@ def test_a_mid_scan_degenerate_gap_propagates_and_stops_the_solve_threads(thread
     with pytest.raises(DegenerateGapError):
         echo_scan(4, 0.0, 0.1, np.pi, default_b_z_grid(), value_kind="two_level_echo")
     assert threading.active_count() == before
+
+
+def test_protocol_vs_exact_discrepancy():
+    assert protocol_vs_exact(3, 0.1, 0.0, np.pi, (-3.0, -1.0)) == pytest.approx(0.0, abs=1e-12)
+    # frozen bound from the dense oracle (measured max 0.0393 over the
+    # full axis at these settings)
+    gap3 = protocol_vs_exact(3, 0.1, 0.2, np.pi, (-3.0, -1.0))
+    assert gap3 <= 0.06
+    gap4 = protocol_vs_exact(4, 0.1, 0.5, np.pi / 2, (-3.0, -1.44), step=0.04)
+    assert gap4 <= 0.06
+
+
+def _recorded_eigh_shapes(monkeypatch):
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    return shapes
+
+
+def test_protocol_vs_exact_solves_each_field_magnitude_once(monkeypatch):
+    # the interval's 101 points read their field and b_z - eps: 202 reads of 111 distinct
+    # |b_z| (-3.2 ... -1), one stacked eigh at N = 3; the worst gap is, bit for bit, that
+    # of each point's protocol against its own `loschmidt_echo_exact`
+    grid = default_b_z_grid(-3.0, -1.0, 0.02)
+    expected = max(
+        abs(protocol_point(3, bz, 0.1, 0.2, np.pi, 1, (-3, -1))[1].l_value
+            - loschmidt_echo_exact(ChainParams(3, bz, 0.1), 0.2, np.pi))
+        for bz in grid)
+    shapes = _recorded_eigh_shapes(monkeypatch)
+    assert protocol_vs_exact(3, 0.1, 0.2, np.pi, (-3, -1)) == expected
+    assert shapes == [(111, 6, 6)]
+
+
+@pytest.mark.parametrize("n, interval, error", [
+    (3, (-3.0, -0.5), ValueError), (5, (-3.0, -1.0), UnsupportedChainError),
+])
+def test_protocol_vs_exact_checks_every_point_before_any_solve(n, interval, error, monkeypatch):
+    shapes = _recorded_eigh_shapes(monkeypatch)
+    with pytest.raises(error):
+        protocol_vs_exact(n, 0.1, 0.2, np.pi, interval)
+    assert shapes == []

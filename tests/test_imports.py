@@ -33,4 +33,6 @@ def test_package_import_graph_is_acyclic():
     graph = {p.stem: _imported_modules(p) - {p.stem} for p in PACKAGE.glob("*.py")}
     assert graph["network"] >= {"hamiltonian"}  # relative imports are seen
     assert "network" in graph["criticality"]
+    # the gate layer reads no solver, expansion or scan
+    assert not graph["network"] & {"dynamics", "criticality", "perturbation", "cli"}
     TopologicalSorter(graph).prepare()  # raises CycleError, naming the cycle

@@ -6,11 +6,9 @@ import pytest
 
 from isingcrit.cli import main
 from isingcrit.criticality import echo_scan, ground_state_approx
-from isingcrit.dynamics import loschmidt_echo_exact
 from isingcrit.gates import Gate, global_z_phases
 from isingcrit.hamiltonian import (
     INTERVALS,
-    ChainParams,
     ChainSizeError,
     UnsupportedChainError,
     default_b_z_grid,
@@ -18,13 +16,11 @@ from isingcrit.hamiltonian import (
 from isingcrit.network import (
     GateNetwork,
     ReadoutResult,
-    build_preparation_network,
     parse_network,
     preparation_network,
     prepared_state,
     protocol_network,
     protocol_point,
-    protocol_vs_exact,
     run_protocol,
     serialize_network,
 )
@@ -60,20 +56,20 @@ def test_both_realizations_reject_a_non_positive_transverse_field(n, parity, b_x
             with pytest.raises(ValueError, match="b_x > 0"):
                 preparation_network(n, bz, b_x)
             with pytest.raises(ValueError, match="b_x > 0"):
-                build_preparation_network(n, (lo, hi), bz, b_x)
+                preparation_network(n, bz, b_x, (lo, hi))
 
 
 def test_crossover_network_prepares_equal_superposition():
     # at the left multiphase point the prepared state is the pi/4 mix of the
     # uniform and alternating patterns
-    net = build_preparation_network(3, (-3.0, -1.0), -2.0, 0.1)
+    net = preparation_network(3, -2.0, 0.1, (-3.0, -1.0))
     psi = prepared_state(net).amplitudes
     assert psi[0b000] == pytest.approx(np.cos(np.pi / 4))
     assert psi[0b010] == pytest.approx(-np.sin(np.pi / 4))
 
 
 def test_deep_phase_network_is_nearly_uniform():
-    net = build_preparation_network(4, (-3.0, -1.44), -3.0, 0.1)
+    net = preparation_network(4, -3.0, 0.1, (-3.0, -1.44))
     psi = prepared_state(net).amplitudes
     assert abs(psi[0]) ** 2 >= 0.99
 
@@ -81,9 +77,9 @@ def test_deep_phase_network_is_nearly_uniform():
 def test_middle_network_rotation_steps():
     # the three-branch pivot rotation: identity / pi/4 / pi/2
     for bz, target in ((-0.5, "010"), (0.5, "101")):
-        net = build_preparation_network(3, (-1.0, 1.0), bz, 0.1)
+        net = preparation_network(3, bz, 0.1, (-1.0, 1.0))
         assert fidelity(prepared_state(net), basis_state(3, target)) >= 1 - 1e-12
-    net0 = build_preparation_network(3, (-1.0, 1.0), 0.0, 0.1)
+    net0 = preparation_network(3, 0.0, 0.1, (-1.0, 1.0))
     psi = prepared_state(net0).amplitudes
     assert psi[0b010] == pytest.approx(1 / np.sqrt(2))
     assert psi[0b101] == pytest.approx(-1 / np.sqrt(2))
@@ -99,11 +95,9 @@ def test_unsupported_sizes_raise():
     with pytest.raises(UnsupportedChainError):
         preparation_network(5, -2.0, 0.1)
     with pytest.raises(ValueError):
-        build_preparation_network(3, (-3.0, -1.44), -2.0, 0.1)
+        preparation_network(3, -2.0, 0.1, (-3.0, -1.44))
     with pytest.raises(UnsupportedChainError):
-        build_preparation_network(5, (-3.0, -1.0), -2.0, 0.1)
-    with pytest.raises(UnsupportedChainError):
-        protocol_vs_exact(5, 0.1, 0.1, np.pi, (-3.0, -1.0))
+        preparation_network(5, -2.0, 0.1, (-3.0, -1.0))
 
 
 def test_golden_serializations():
@@ -117,7 +111,7 @@ def test_golden_serializations():
         ("net4_outer_right.txt", 4, INTERVALS["even"][3], 2.0),
     ]
     for fname, n, interval, bz in cases:
-        net = build_preparation_network(n, interval, bz, 0.1)
+        net = preparation_network(n, bz, 0.1, interval)
         assert serialize_network(net) == (GOLDEN / fname).read_text(), fname
 
 
@@ -225,46 +219,6 @@ def test_amplitude_bounded_by_l_value_over_scan():
             assert res.amplitude <= res.l_value + 1e-12
 
 
-def test_protocol_vs_exact_discrepancy():
-    assert protocol_vs_exact(3, 0.1, 0.0, np.pi, (-3.0, -1.0)) == pytest.approx(0.0, abs=1e-12)
-    # frozen bound from the dense oracle (measured max 0.0393 over the
-    # full axis at these settings)
-    gap3 = protocol_vs_exact(3, 0.1, 0.2, np.pi, (-3.0, -1.0))
-    assert gap3 <= 0.06
-    gap4 = protocol_vs_exact(4, 0.1, 0.5, np.pi / 2, (-3.0, -1.44), step=0.04)
-    assert gap4 <= 0.06
-
-
-def _recorded_eigh_shapes(monkeypatch):
-    shapes, eigh = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
-    return shapes
-
-
-def test_protocol_vs_exact_solves_each_field_magnitude_once(monkeypatch):
-    # the interval's 101 points read their field and b_z - eps: 202 reads of 111 distinct
-    # |b_z| (-3.2 ... -1), one stacked eigh at N = 3; the worst gap is, bit for bit, that
-    # of each point's protocol against its own `loschmidt_echo_exact`
-    grid = default_b_z_grid(-3.0, -1.0, 0.02)
-    expected = max(
-        abs(protocol_point(3, bz, 0.1, 0.2, np.pi, 1, (-3, -1))[1].l_value
-            - loschmidt_echo_exact(ChainParams(3, bz, 0.1), 0.2, np.pi))
-        for bz in grid)
-    shapes = _recorded_eigh_shapes(monkeypatch)
-    assert protocol_vs_exact(3, 0.1, 0.2, np.pi, (-3, -1)) == expected
-    assert shapes == [(111, 6, 6)]
-
-
-@pytest.mark.parametrize("n, interval, error", [
-    (3, (-3.0, -0.5), ValueError), (5, (-3.0, -1.0), UnsupportedChainError),
-])
-def test_protocol_vs_exact_checks_every_point_before_any_solve(n, interval, error, monkeypatch):
-    shapes = _recorded_eigh_shapes(monkeypatch)
-    with pytest.raises(error):
-        protocol_vs_exact(n, 0.1, 0.2, np.pi, interval)
-    assert shapes == []
-
-
 def test_a_protocol_sweep_computes_its_echo_phases_once(capsys):
     # one (N, tau * eps) per sweep: one phase diagonal, where each of the 1201 points made one
     assert main(["protocol", "--n", "4", "--bz-step", "0.005"]) == 0
@@ -285,7 +239,7 @@ def test_a_non_unitary_echo_step_fails_the_final_norm_check(n, interval, b_z, mo
     with pytest.raises(ValueError, match=message):
         protocol_point(n, b_z, 0.1, 0.2, np.pi, 1, interval)
     with pytest.raises(ValueError, match=message):
-        run_protocol(build_preparation_network(n, interval, b_z, 0.1), 0.2, np.pi, 1)
+        run_protocol(preparation_network(n, b_z, 0.1, interval), 0.2, np.pi, 1)
 
 
 def test_protocol_minima_match_exact_echo_minima():
